@@ -17,9 +17,8 @@ from .compression import (CompressionSchedule, Compressor, PEWitness,
 from .dynamics import (NetworkState, RunConfig, Trace, Trajectory,
                        consensus_rhs, integrate, run_simulation,
                        solver_ct_rhs, solver_dt_step)
-from .errors import (DisconnectedGraphError, JacobiConvergenceError,
-                     PEVerificationFailed, RankDeficientError,
-                     SimulationDiverged)
+from .errors import (DisconnectedGraphError, PEVerificationFailed,
+                     RankDeficientError, SimulationDiverged)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,
                     disagreement_basis, laplacian_spectrum)
 from .harness import (ExperimentSpec, ProblemInstance, ResultRow, account,

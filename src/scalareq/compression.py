@@ -171,11 +171,13 @@ def pe_gram_ct(schedule, start, T, quadrature_step=None):
     if schedule.kind == "trigonometric":
         step = quadrature_step if quadrature_step is not None else T / 1000.0
         N = max(1, int(round(T / step)))
-        G = np.zeros((m, m))
-        for i in range(N):
-            C = eval_ct(schedule, start + (i + 0.5) * (T / N))
-            G += np.outer(C, C)
-        return (T / N) * G
+        # the rows of C are eval_ct at the N midpoints
+        wt = np.multiply.outer(start + (np.arange(N) + 0.5) * (T / N), schedule.frequencies)
+        C = np.empty((N, m))
+        C[:, 0::2] = np.sin(wt)
+        C[:, 1::2] = np.cos(wt)
+        C *= np.sqrt(2.0 / m)
+        return (T / N) * (C.T @ C)
 
     dwell = schedule.dwell
     if dwell is None:

@@ -10,10 +10,6 @@ class RankDeficientError(ValueError):
         self.sigma_min = sigma_min
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi sweep cap reached before the off-diagonal target."""
-
-
 class DisconnectedGraphError(ValueError):
     """Graph is not connected; carries one connected component."""
 

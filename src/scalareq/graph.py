@@ -173,31 +173,15 @@ def laplacian_spectrum(G):
 def disagreement_basis(spec, tol=1e-9):
     """Orthonormal basis S (n x (n-1)) of the disagreement subspace.
 
-    Columns are the Laplacian eigenvectors for the nonzero eigenvalues,
-    re-orthonormalized within repeated eigenspaces by modified
-    Gram-Schmidt. Satisfies, each to 1e-9:
+    Columns are the Laplacian eigenvectors for the nonzero eigenvalues;
+    ``eigh`` returns them orthonormal, repeated eigenspaces included.
+    Satisfies, each to 1e-9:
 
         S^T 1 = 0,  S^T S = I,  S S^T = I - 11^T/n,  S^T L S = diag(lambda_2..lambda_n)
     """
     n = spec.n
     lam = spec.eigenvalues
     S = spec.eigenvectors[:, 1:].copy()
-    # group repeated eigenvalues, then MGS inside each group
-    group_tol = 1e-8 * max(1.0, float(lam[-1]))
-    start = 0
-    for stop in range(1, n):
-        boundary = stop == n - 1 or lam[stop + 1] - lam[stop] > group_tol
-        if boundary:
-            block = S[:, start:stop + 1]
-            for c in range(block.shape[1]):
-                v = block[:, c]
-                for p in range(c):
-                    v = v - np.dot(block[:, p], v) * block[:, p]
-                nv = np.linalg.norm(v)
-                if nv < 1e-8:
-                    raise RuntimeError("failed to orthonormalize a repeated eigenspace")
-                block[:, c] = v / nv
-            start = stop + 1
 
     ones = np.ones(n)
     checks = (

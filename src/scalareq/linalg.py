@@ -1,23 +1,25 @@
 """Small dense real linear algebra.
 
-Symmetric eigendecomposition by cyclic Jacobi rotations, least squares
-via the normal equations, rank/consistency verification for stacked
-linear systems, and the two spectral constants of the data matrix
-(rho_m, h_M) that drive every solver rate bound downstream.
+Symmetric eigendecomposition, least squares, rank/consistency
+verification for stacked linear systems, and the two spectral constants
+of the data matrix (rho_m, h_M) that drive every solver rate bound
+downstream.
 
-Dimensions here are small (tens, at most a few hundred), so a dense
-dependency-free eigensolver is deliberate.
+``numpy.linalg`` (LAPACK) is the only eigensolver and singular-value
+routine in the package: ``sym_eig`` wraps ``eigh`` for every spectral
+quantity, and every rank or conditioning threshold is tested on
+singular values from ``svd``, which resolve sigma to about
+eps * sigma_max rather than the sqrt(eps) * sigma_max of square roots of
+gram eigenvalues.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JacobiConvergenceError, RankDeficientError
+from .errors import RankDeficientError
 
 SYMMETRY_TOL = 1e-10
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 100
 RANK_TOL = 1e-8
 COND_LIMIT = 1e12
 
@@ -35,13 +37,9 @@ class SpectralConstants:
     h_M: float
 
 
-def sym_eig(A, offdiag_tol=OFFDIAG_TOL, max_sweeps=MAX_SWEEPS):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
-
-    Rotations sweep all (p, q) pairs until the largest off-diagonal
-    magnitude drops below ``offdiag_tol`` (scaled by the matrix
-    magnitude so the stopping rule is size-coherent), capped at
-    ``max_sweeps`` sweeps.
+def sym_eig(A):
+    """Eigendecomposition of a real symmetric matrix (LAPACK, via
+    ``numpy.linalg.eigh``).
 
     Args:
         A: symmetric matrix, shape (d, d); asymmetry above 1e-10
@@ -56,67 +54,27 @@ def sym_eig(A, offdiag_tol=OFFDIAG_TOL, max_sweeps=MAX_SWEEPS):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    d = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-
-    B = 0.5 * (A + A.T)
-    Q = np.eye(d)
-    if d == 1:
-        return B.diagonal().copy(), Q
-
-    thresh = offdiag_tol * scale
-    off_mask = ~np.eye(d, dtype=bool)
-    converged = False
-    for _ in range(max_sweeps):
-        if float(np.abs(B[off_mask]).max()) < thresh:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = B[p, q]
-                if abs(apq) < 1e-3 * thresh:
-                    continue
-                theta = (B[q, q] - B[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) if theta != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                bp, bq = B[:, p].copy(), B[:, q].copy()
-                B[:, p] = c * bp - s * bq
-                B[:, q] = s * bp + c * bq
-                bp, bq = B[p, :].copy(), B[q, :].copy()
-                B[p, :] = c * bp - s * bq
-                B[q, :] = s * bp + c * bq
-                B[p, q] = B[q, p] = 0.0
-                qp, qq = Q[:, p].copy(), Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    else:
-        converged = float(np.abs(B[off_mask]).max()) < thresh
-    if not converged:
-        raise JacobiConvergenceError(
-            f"off-diagonal {float(np.abs(B[off_mask]).max()):.3e} above target "
-            f"{thresh:.3e} after {max_sweeps} sweeps"
-        )
-
-    lam = B.diagonal().copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], Q[:, order]
+    return np.linalg.eigh(0.5 * (A + A.T))
 
 
-def _gram_singular_values(M):
-    """Singular values of M (ascending) via the eigenvalues of M^T M."""
-    lam, _ = sym_eig(M.T @ M)
-    return np.sqrt(np.clip(lam, 0.0, None))
+def _singular_values(M):
+    """Singular values of M (n x c) in ascending order, c of them.
+
+    Computed by SVD, so each is resolved to about eps * sigma_max. When
+    n < c the missing c - n values are exact zeros and lead the array.
+    """
+    sig = np.linalg.svd(M, compute_uv=False)[::-1]
+    return np.concatenate([np.zeros(M.shape[1] - sig.size), sig])
 
 
 def least_squares(H, b):
-    """Least-squares solution of H v = b via the normal equations.
+    """Least-squares solution of H v = b (LAPACK, via ``numpy.linalg.lstsq``).
 
-    Requires full column rank; the normal equations are solved with the
-    Jacobi eigendecomposition of H^T H. For consistent systems the
-    residual H v - b vanishes to the rank tolerance.
+    Requires full column rank, checked on the singular values of H. For
+    consistent systems the residual H v - b vanishes to rounding.
 
     Raises:
         RankDeficientError: rank-deficient H (message carries the
@@ -126,9 +84,8 @@ def least_squares(H, b):
     b = np.asarray(b, dtype=float)
     if H.ndim != 2 or b.shape != (H.shape[0],):
         raise ValueError(f"shape mismatch: H {H.shape}, b {b.shape}")
-    lam, Q = sym_eig(H.T @ H)
-    sig_min = float(np.sqrt(max(lam[0], 0.0)))
-    sig_max = float(np.sqrt(max(lam[-1], 0.0)))
+    sig = _singular_values(H)
+    sig_min, sig_max = float(sig[0]), float(sig[-1])
     if sig_min <= RANK_TOL * max(sig_max, 1.0):
         raise RankDeficientError(
             f"rank-deficient system: smallest singular value {sig_min:.3e}",
@@ -139,7 +96,7 @@ def least_squares(H, b):
             f"condition number {sig_max / sig_min:.3e} beyond {COND_LIMIT:.0e}",
             sigma_min=sig_min,
         )
-    return Q @ ((Q.T @ (H.T @ b)) / lam)
+    return np.linalg.lstsq(H, b, rcond=None)[0]
 
 
 @dataclass(frozen=True)
@@ -170,8 +127,8 @@ def rank_check(H, b, tol=RANK_TOL):
         raise ValueError(f"shape mismatch: H {H.shape}, b {b.shape}")
     if n < m or m < 1:
         raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
-    sig_h = _gram_singular_values(H)
-    sig_a = _gram_singular_values(np.column_stack([H, b]))
+    sig_h = _singular_values(H)
+    sig_a = _singular_values(np.column_stack([H, b]))
     sigma_m = float(sig_h[0])
     sigma_aug = float(sig_a[0])
     sigma_max = max(float(sig_a[-1]), 1e-300)
@@ -190,19 +147,22 @@ def rank_check(H, b, tol=RANK_TOL):
 def spectral_constants(H):
     """Compute rho_m = lambda_min(H^T H)/n and h_M = max_i ||H_i||.
 
+    lambda_min(H^T H) is taken as sigma_min(H)^2, and full column rank
+    is tested on sigma_min itself, where the SVD resolves it.
+
     Raises:
         RankDeficientError: H is not full column rank.
     """
     H = np.asarray(H, dtype=float)
     n = H.shape[0]
-    lam, _ = sym_eig(H.T @ H)
-    if lam[0] <= (RANK_TOL**2) * max(lam[-1], 1.0):
+    sig = _singular_values(H)
+    sig_min = float(sig[0])
+    if sig_min <= RANK_TOL * max(float(sig[-1]), 1.0):
         raise RankDeficientError(
-            f"rank-deficient data matrix: smallest singular value "
-            f"{np.sqrt(max(lam[0], 0.0)):.3e}",
-            sigma_min=float(np.sqrt(max(lam[0], 0.0))),
+            f"rank-deficient data matrix: smallest singular value {sig_min:.3e}",
+            sigma_min=sig_min,
         )
     return SpectralConstants(
-        rho_m=float(lam[0]) / n,
+        rho_m=sig_min**2 / n,
         h_M=float(np.linalg.norm(H, axis=1).max()),
     )

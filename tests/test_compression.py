@@ -115,6 +115,26 @@ def test_pe_gram_ct_trigonometric_full_period():
     assert np.abs(G - np.pi * np.eye(2)).max() < 1e-6
 
 
+def _pe_gram_ct_trig_loop(schedule, start, T, quadrature_step=None):
+    """Reference: the midpoint rule as one eval_ct call per point."""
+    step = quadrature_step if quadrature_step is not None else T / 1000.0
+    N = max(1, int(round(T / step)))
+    G = np.zeros((schedule.m, schedule.m))
+    for i in range(N):
+        C = eval_ct(schedule, start + (i + 0.5) * (T / N))
+        G += np.outer(C, C)
+    return (T / N) * G
+
+
+@pytest.mark.parametrize("m,freqs", [(2, (1.0,)), (4, (1.0, 2.0)), (6, (0.5, 1.3, 3.0))])
+@pytest.mark.parametrize("start,T,step", [(0.0, 2 * np.pi, None), (0.37, 2 * np.pi / 16, None),
+                                          (5.0, 1.0, 0.003), (0.0, 0.01, 1.0)])
+def test_pe_gram_ct_trigonometric_matches_pointwise_loop(m, freqs, start, T, step):
+    sched = make_schedule("trigonometric", m, frequencies=freqs)
+    G = pe_gram_ct(sched, start, T, quadrature_step=step)
+    assert np.abs(G - _pe_gram_ct_trig_loop(sched, start, T, step)).max() <= 1e-13
+
+
 def test_pe_gram_identity_windows():
     ident = make_schedule("identity", 3)
     assert np.array_equal(pe_gram_dt(ident, 0, 4), 4 * np.eye(3))

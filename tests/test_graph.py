@@ -110,6 +110,13 @@ def test_cycle_algebraic_connectivity_formula(n):
     assert spec.lambda2 == pytest.approx(2.0 - 2.0 * np.cos(2.0 * np.pi / n), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [500, 1000])
+def test_large_cycle_full_spectrum(n):
+    spec = laplacian_spectrum(build_graph("cycle", n))
+    exact = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    assert np.abs(spec.eigenvalues - exact).max() <= 1e-12
+
+
 def test_weighted_laplacian_scales():
     spec = laplacian_spectrum(build_graph("path", 2, weight=2.5))
     assert np.allclose(spec.eigenvalues, [0.0, 5.0], atol=1e-12)
@@ -146,10 +153,11 @@ def test_disagreement_basis_repeated_eigenvalues():
     assert np.abs(S.T @ spec.L @ S - 3.0 * np.eye(2)).max() < 1e-9
 
 
-@pytest.mark.parametrize("graph", ["cycle10", "complete6", "random"])
+# on cycle200 every nonzero eigenvalue but 4 is doubly repeated
+@pytest.mark.parametrize("graph", ["cycle10", "cycle200", "complete6", "random"])
 def test_disagreement_basis_identities(graph):
-    if graph == "cycle10":
-        G = build_graph("cycle", 10)
+    if graph.startswith("cycle"):
+        G = build_graph("cycle", int(graph[len("cycle"):]))
     elif graph == "complete6":
         G = build_graph("complete", 6)
     else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalareq.errors import RankDeficientError
 from scalareq.linalg import (least_squares, rank_check, spectral_constants,
@@ -37,6 +39,25 @@ def test_sym_eig_random_invariants(d, seed):
     assert np.linalg.norm(A @ Q - Q @ np.diag(lam)) <= 1e-8 * scale
     assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-9
     assert np.all(np.diff(lam) >= -1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6, unique=True),
+    multiplicities=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sym_eig_planted_repeated_spectrum(values, multiplicities, seed):
+    lam_planted = np.repeat(values, multiplicities[:len(values)])
+    d = lam_planted.size
+    Q0, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    A = Q0 @ np.diag(lam_planted) @ Q0.T
+    A = 0.5 * (A + A.T)
+    lam, Q = sym_eig(A)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-12
+    assert np.linalg.norm(A @ Q - Q @ np.diag(lam)) <= 1e-10 * np.linalg.norm(A)
+    assert np.abs(lam - np.sort(lam_planted)).max() <= 1e-10 * max(1.0, np.abs(lam_planted).max())
 
 
 def test_sym_eig_rejects_nonsymmetric():
@@ -114,6 +135,50 @@ def test_rank_check_planted_property(seed):
     H = rng.standard_normal((9, 4))
     v = rng.standard_normal(4)
     assert rank_check(H, H @ v)
+
+
+@pytest.mark.parametrize("n,m", [(10, 5), (30, 5), (100, 10)])
+def test_rank_check_accepts_every_planted_consistent_system(n, m):
+    rng = np.random.default_rng([n, m])
+    rejected = []
+    for draw in range(200):
+        H = rng.standard_normal((n, m))
+        verdict = rank_check(H, H @ rng.standard_normal(m))
+        if not verdict:
+            rejected.append((draw, verdict.reason))
+    assert rejected == []
+
+
+def _planted_sigma_system(sigma_m, seed, n, m):
+    """H with singular values (1, ..., 1, sigma_m) and b = H v consistent.
+
+    v is the top right singular vector, so [H b] has singular values
+    (sqrt(2), 1, ..., 1, sigma_m, 0) and sigma_max([H b]) = sqrt(2).
+    """
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    sig = np.ones(m)
+    sig[-1] = sigma_m
+    H = U @ np.diag(sig) @ V.T
+    return H, H @ V[:, 0]
+
+
+@pytest.mark.parametrize("n,m", [(10, 5), (100, 10)])
+def test_rank_check_resolves_planted_sigma_near_threshold(n, m):
+    # RANK_TOL = 1e-8 sits 3x from either planted value
+    sigma_max = np.sqrt(2.0)
+    wrong = []
+    for seed in range(20):
+        H, b = _planted_sigma_system(3e-8 * sigma_max, seed, n, m)
+        verdict = rank_check(H, b)
+        if not verdict or abs(verdict.sigma_m / (3e-8 * sigma_max) - 1.0) > 1e-6:
+            wrong.append((seed, verdict.reason, verdict.sigma_m))
+        H, b = _planted_sigma_system(3e-9 * sigma_max, seed, n, m)
+        verdict = rank_check(H, b)
+        if verdict or "rank(H)" not in verdict.reason:
+            wrong.append((seed, verdict.reason, verdict.sigma_m))
+    assert wrong == []
 
 
 def test_rank_check_shape_preconditions():
