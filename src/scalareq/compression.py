@@ -264,24 +264,6 @@ def verify_pe_dt(schedule, K, start_samples=None):
     return _verify(((k0, pe_gram_dt(schedule, k0, K)) for k0 in range(start_samples)), K)
 
 
-def pe_gram(schedule, start, window, quadrature_step=None, domain="ct"):
-    """Dispatch to :func:`pe_gram_ct` or :func:`pe_gram_dt`."""
-    if domain == "ct":
-        return pe_gram_ct(schedule, start, window, quadrature_step)
-    if domain == "dt":
-        return pe_gram_dt(schedule, start, window)
-    raise ValueError(f"domain must be 'ct' or 'dt', got {domain!r}")
-
-
-def verify_pe(schedule, window, start_samples=None, domain="ct"):
-    """Dispatch to :func:`verify_pe_ct` or :func:`verify_pe_dt`."""
-    if domain == "ct":
-        return verify_pe_ct(schedule, window, start_samples or 8)
-    if domain == "dt":
-        return verify_pe_dt(schedule, window, start_samples)
-    raise ValueError(f"domain must be 'ct' or 'dt', got {domain!r}")
-
-
 def _check_unit(C):
     if abs(np.linalg.norm(C) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("compression vector must have unit norm")

@@ -352,28 +352,49 @@ def save_instance(inst, path):
 
 
 def load_instance(path):
-    """Read an instance file written by :func:`save_instance`."""
+    """Read an instance file written by :func:`save_instance`.
+
+    A file that is empty, ends early, or holds a malformed or
+    non-numeric line raises ValueError naming the line.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    n, m = (int(tok) for tok in lines[0].split())
+        raw = fh.readlines()
+    lines = [(no, ln.split()) for no, ln in enumerate(raw, 1)
+             if ln.strip() and not ln.startswith("#")]
+
+    def fail(no, what):
+        raise ValueError(f"{path}, line {no}: {what}")
+
+    def fields(i, what, casts):
+        if i >= len(lines):
+            fail(len(raw) + 1, f"file ends before {what}")
+        no, toks = lines[i]
+        if len(toks) != len(casts):
+            fail(no, f"{what} needs {len(casts)} values, got {len(toks)}")
+        try:
+            return [cast(tok) for cast, tok in zip(casts, toks)]
+        except ValueError:
+            fail(no, f"{what} has a non-numeric value in {' '.join(toks)!r}")
+
+    n, m = fields(0, "the 'n m' header", (int, int))
+    if n < 1 or m < 1:
+        fail(lines[0][0], f"need n, m >= 1, got n={n}, m={m}")
     H = np.empty((n, m))
     b = np.empty(n)
     for i in range(n):
-        vals = [float(tok) for tok in lines[1 + i].split()]
-        if len(vals) != m + 1:
-            raise ValueError(f"row {i} must have {m + 1} values, got {len(vals)}")
+        vals = fields(1 + i, f"row {i}", (float,) * (m + 1))
         H[i] = vals[:m]
         b[i] = vals[m]
     edges = []
     v_star = None
-    for ln in lines[1 + n:]:
-        toks = ln.split()
+    for i in range(1 + n, len(lines)):
+        toks = lines[i][1]
         if toks[0] == "v_star":
-            v_star = np.array([float(tok) for tok in toks[1:]])
+            v_star = np.array(fields(i, "the v_star line", (str,) + (float,) * m)[1:])
             break
-        edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
-    if v_star is None or v_star.shape != (m,):
-        raise ValueError("instance file missing a valid v_star line")
+        edges.append(tuple(fields(i, "edge", (int, int, float))))
+    if v_star is None:
+        fail(len(raw) + 1, "file ends before the v_star line")
     graph = WeightedGraph(n=n, edges=tuple(edges))
     return ProblemInstance(H=H, b=b, graph=graph, v_star=v_star, seed=None)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import eval_dt
-from .linalg import sym_eig
+from .dynamics import _exchange
 
 G_FLOOR = 1e-10
 TELESCOPE_TOL = 1e-9
@@ -104,18 +104,32 @@ def solver_ct_rate(alpha, T, lambda2, lambda_n, rho_m, h_M, s):
     return (1.0 - q) ** (1.0 / T), float(alpha_bar), float(alpha_prime)
 
 
-def _schedule_gram_outer(schedule, idx):
-    """C[idx] C[idx]^T, with the identity schedule meaning full exchange."""
-    if schedule.kind == "identity":
-        return np.eye(schedule.m)
-    C = eval_dt(schedule, idx)
-    return np.outer(C, C)
+def _direction(schedule, idx):
+    """C[idx], with None (full exchange) for the identity schedule."""
+    return None if schedule.kind == "identity" else eval_dt(schedule, idx)
 
 
-def _transition_step(spectrum, schedule, h, idx, dim):
-    lams = spectrum.eigenvalues[1:]
-    CC = _schedule_gram_outer(schedule, idx)
-    return np.eye(dim) - h * np.kron(np.diag(lams), CC)
+def _gram_blocks(lams, schedule, h, k0, K):
+    """Per-eigenvalue blocks G_i of the K-step grammian started at k0.
+
+    T[c, i] holds column c of block i's transition T_i, so one
+    consensus exchange with L = diag(lams) steps every block at once.
+    With E = (Lambda (x) CC^T) T and (Lambda (x) CC^T)^2 = Lambda^2 (x) CC^T,
+    each term T^T ((2h Lambda - h^2 Lambda^2) (x) CC^T) T is
+    2h T^T E - h^2 E^T E.
+    """
+    m, p = schedule.m, len(lams)
+    Lam = np.diag(lams)
+    T = np.repeat(np.eye(m)[:, None, :], p, axis=1)
+    G = np.zeros((p, m, m))
+    for j in range(K):
+        E = _exchange(Lam, T, _direction(schedule, k0 + j))
+        G += 2.0 * h * np.einsum("cir,dir->icd", T, E) - h**2 * np.einsum("cir,dir->icd", E, E)
+        T = T - h * E
+    resid = float(np.abs(G - (np.eye(m) - np.einsum("cir,dir->icd", T, T))).max())
+    if resid > TELESCOPE_TOL:
+        raise RuntimeError(f"grammian telescoping identity violated: residual {resid:.3e}")
+    return G
 
 
 def observability_gram(spectrum, schedule, h, k, K):
@@ -127,10 +141,14 @@ def observability_gram(spectrum, schedule, h, k, K):
 
         G_K[k] = sum_{j=0}^{K-1} T[k+j,k]^T ((2h Lambda - h^2 Lambda^2) (x) C[k+j]C[k+j]^T) T[k+j,k]
 
-    which telescopes to I - T[k+K,k]^T T[k+K,k] (verified numerically to
-    1e-9 on every call). g is the minimum of lambda_min(G_K) over one
-    schedule period of start indices; a non-exciting schedule reports
-    g = 0.
+    which telescopes to I - T[k+K,k]^T T[k+K,k]. Lambda is diagonal, so
+    both split into n-1 independent m x m blocks, one per nonzero
+    Laplacian eigenvalue lambda_i with A_i[j] = I - h lambda_i C[j]C[j]^T;
+    the telescoping identity is verified to 1e-9 on every block. G_K is
+    returned as the dense block-diagonal matrix in eigen-major order
+    (block i spans rows and columns i m .. i m + m - 1). g is the
+    minimum of lambda_min(G_K) over one schedule period of start
+    indices; a non-exciting schedule reports g = 0.
     """
     if not 0.0 < h < 2.0 / spectrum.lambda_n:
         raise ValueError(f"need 0 < h < 2/lambda_n = {2.0 / spectrum.lambda_n:.6g}, got {h}")
@@ -138,46 +156,31 @@ def observability_gram(spectrum, schedule, h, k, K):
     if K < m:
         raise ValueError(f"window K={K} must be at least the compressed dimension m={m}")
     lams = spectrum.eigenvalues[1:]
-    dim = m * len(lams)
-    W = np.diag(2.0 * h * lams - h**2 * lams**2)
-
-    def gram_at(k0):
-        G = np.zeros((dim, dim))
-        T = np.eye(dim)
-        for j in range(K):
-            CC = _schedule_gram_outer(schedule, k0 + j)
-            G += T.T @ np.kron(W, CC) @ T
-            T = (np.eye(dim) - h * np.kron(np.diag(lams), CC)) @ T
-        resid = float(np.abs(G - (np.eye(dim) - T.T @ T)).max())
-        if resid > TELESCOPE_TOL:
-            raise RuntimeError(f"grammian telescoping identity violated: residual {resid:.3e}")
-        return G
-
+    p = len(lams)
     period = schedule.period_steps
-    G_K = gram_at(int(k))
+    blocks = _gram_blocks(lams, schedule, h, int(k), K)
     g = np.inf
     for k0 in range(period):
-        # periodic schedules make gram_at depend on the start only mod period
-        Gk = G_K if k0 == int(k) % period else gram_at(k0)
-        lam, _ = sym_eig(Gk)
-        g = min(g, float(lam[0]))
+        # periodic schedules make the grammian depend on the start only mod period
+        Gb = blocks if k0 == int(k) % period else _gram_blocks(lams, schedule, h, k0, K)
+        g = min(g, float(np.linalg.eigvalsh(0.5 * (Gb + Gb.swapaxes(1, 2))).min()))
     if g <= G_FLOOR:
         g = 0.0
-    return G_K, float(g)
+    G_K = np.zeros((p, m, p, m))
+    G_K[np.arange(p), :, np.arange(p), :] = blocks
+    return G_K.reshape(p * m, p * m), float(g)
 
 
 def lyapunov_v1(spectrum, schedule, h, K, k, z):
     """Windowed transition energy V1[k] = sum_{j=0}^{K-1} ||T[k+j,k] z||^2
     on the disagreement subspace (diagnostic for the discrete decrease)."""
     lams = spectrum.eigenvalues[1:]
-    dim = schedule.m * len(lams)
-    z = np.asarray(z, dtype=float).reshape(dim)
+    Lam = np.diag(lams)
+    v = np.asarray(z, dtype=float).reshape(len(lams), schedule.m)
     total = 0.0
-    T = np.eye(dim)
     for j in range(K):
-        v = T @ z
-        total += float(np.dot(v, v))
-        T = _transition_step(spectrum, schedule, h, int(k) + j, dim) @ T
+        total += float(np.vdot(v, v))
+        v = v - h * _exchange(Lam, v, _direction(schedule, int(k) + j))
     return total
 
 

@@ -65,6 +65,21 @@ def test_run_continuous_mode(tmp_path, capsys):
     assert tr.clock[-1] == pytest.approx(0.2, abs=1e-12)
 
 
+def test_run_large_network_applies_structured_operator(tmp_path):
+    # n m = 10^4: dense one-step maps would need 10 x 800 MB, the
+    # structured exchange needs O(n^2 + n m) memory
+    cfg = _write_config(tmp_path, "graph.n = 1000\ninstance.m = 10\n"
+                        "instance.v_star = 2 1 3 4 -1 0 1 -2 3 1\n"
+                        "run.horizon = 50\nrun.tol = 1e-300\n")
+    out = tmp_path / "trace.csv"
+    rc = main(["run", "--config", cfg, "--mode", "dt", "--out", str(out)])
+    assert rc == 0
+    tr = parse_trace(str(out))
+    assert len(tr) == 51
+    assert tr.scalars_tx_cum[-1] == 50 * 2000
+    assert np.all(np.isfinite(tr.err)) and tr.err[-1] < tr.err[0]
+
+
 def test_compare_writes_results(tmp_path, capsys):
     cfg = _write_config(tmp_path, "run.horizon = 200\n")
     out = tmp_path / "results.csv"

@@ -4,9 +4,9 @@ import pytest
 from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
                                   compress_topk, compress_unbiased,
                                   compress_uniform, eval_ct, eval_dt,
-                                  make_schedule, pe_gram, pe_gram_ct,
-                                  pe_gram_dt, scalarize, unfold, verify_pe,
-                                  verify_pe_ct, verify_pe_dt)
+                                  make_schedule, pe_gram_ct, pe_gram_dt,
+                                  scalarize, unfold, verify_pe_ct,
+                                  verify_pe_dt)
 from scalareq.errors import PEVerificationFailed
 
 CYCLIC5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -141,15 +141,6 @@ def test_pe_gram_identity_windows():
     assert np.allclose(pe_gram_ct(ident, 0.0, 2.5), 2.5 * np.eye(3), atol=1e-15)
 
 
-def test_pe_gram_dispatch():
-    assert np.array_equal(pe_gram(CYCLIC5, 0, 5, domain="dt"),
-                          pe_gram_dt(CYCLIC5, 0, 5))
-    assert np.allclose(pe_gram(CYCLIC5, 0.0, 0.05, domain="ct"),
-                       pe_gram_ct(CYCLIC5, 0.0, 0.05), atol=1e-15)
-    with pytest.raises(ValueError, match="domain"):
-        pe_gram(CYCLIC5, 0, 5, domain="zt")
-
-
 def test_verify_pe_ct_cyclic_witness():
     w = verify_pe_ct(CYCLIC5, 0.05)
     assert w.window == 0.05
@@ -170,13 +161,6 @@ def test_verify_pe_constant_vector_fails():
     assert min(exc.value.eigenvalues) < 1e-10
     with pytest.raises(PEVerificationFailed):
         verify_pe_dt(frozen, 5)
-
-
-def test_verify_pe_dispatch():
-    w = verify_pe(CYCLIC5, 5, domain="dt")
-    assert w.alpha == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="domain"):
-        verify_pe(CYCLIC5, 5, domain="zt")
 
 
 def test_pe_witness_validation():

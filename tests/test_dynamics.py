@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from scalareq.compression import Compressor, make_schedule
-from scalareq.dynamics import (NetworkState, RunConfig, Trace, consensus_rhs,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scalareq.dynamics import (DENSE_MAX_DIM, RunConfig, Trace, consensus_rhs,
                                integrate, run_simulation, solver_ct_rhs,
                                solver_dt_step)
-from scalareq.dynamics import _rk4_propagator, _rk4_step
+from scalareq.dynamics import _advance, _stepper
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
@@ -20,6 +23,14 @@ def inst10():
 
 
 @pytest.fixture(scope="module")
+def cycle60():
+    # above DENSE_MAX_DIM: runs apply the structured operator every step
+    inst = gen_instance(60, 5, V_STAR, seed=0)
+    assert inst.n * inst.m > DENSE_MAX_DIM
+    return inst
+
+
+@pytest.fixture(scope="module")
 def pair_inst():
     # two nodes on a path, scalar states: H = [[1],[2]], b = H * 3
     return ProblemInstance(
@@ -28,15 +39,6 @@ def pair_inst():
         graph=build_graph("path", 2),
         v_star=np.array([3.0]),
     )
-
-
-def test_network_state_validation():
-    st = NetworkState(x=[1.0, 2.0])
-    assert st.clock == 0.0
-    with pytest.raises(ValueError, match="flat"):
-        NetworkState(x=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="finite"):
-        NetworkState(x=[np.inf, 0.0])
 
 
 def test_consensus_rhs_scalar_states():
@@ -111,18 +113,28 @@ def test_integrate_divergence_guard():
 
 def test_midpoint_freeze_matches_linear_propagator(inst10):
     # on one smooth piece the four midpoint stages compose to the
-    # degree-4 polynomial propagator of the frozen system
-    n, m = 10, 5
+    # degree-4 Taylor polynomial of expm(-dt M) for the frozen affine
+    # system dx/dt = -M x + c; the cached ct map must be that polynomial
+    n, m, s, dt = 10, 5, 0.7, 0.01
+    assert n * m <= DENSE_MAX_DIM
+    H, b = inst10.H, inst10.b
     C = np.zeros(m)
     C[0] = 1.0
-    M = np.kron(inst10.spectrum.L, np.outer(C, C))
-    rng = np.random.default_rng(2)
-    x0 = rng.standard_normal(n * m)
-    R, w = _rk4_propagator(M, np.zeros(n * m), 0.01)
-    stepped = _rk4_step(lambda t, x: -M @ x, 0.0, x0, 0.01, "midpoint")
-    assert np.abs(R @ x0 + w - stepped).max() < 1e-13
-
-
+    Hblk = np.zeros((n * m, n * m))
+    for i in range(n):
+        Hblk[i * m:(i + 1) * m, i * m:(i + 1) * m] = np.outer(H[i], H[i])
+    M = np.kron(inst10.spectrum.L, np.outer(C, C)) + s * Hblk
+    c = s * (b[:, None] * H).reshape(-1)
+    B = -dt * M
+    B2 = B @ B
+    B3 = B2 @ B
+    I = np.eye(n * m)
+    R = I + B + B2 / 2.0 + B3 / 6.0 + B3 @ B / 24.0
+    w = dt * (I + B / 2.0 + B2 / 6.0 + B3 / 24.0) @ c
+    step = _stepper(inst10, SCHED5, RunConfig(s=s, dt_int=dt), "ct", None)
+    x0 = np.random.default_rng(2).standard_normal(n * m)
+    assert np.abs(step(0, x0) - (R @ x0 + w)).max() < 1e-13
+    assert np.abs(step(0, np.zeros(n * m)) - w).max() < 1e-13
 def test_consensus_flow_disagreement_monotone(inst10):
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(50)
@@ -222,26 +234,79 @@ def test_unbiased_step_noise_stream_is_node_sequential(inst10):
     assert np.array_equal(out_a, expect.reshape(-1))
 
 
-def test_fast_dt_path_matches_stepper(inst10):
-    cfg = RunConfig(h=0.2, s=0.02, horizon=200, tol=1e-300, record_every=1)
-    tr = run_simulation(inst10, SCHED5, cfg, "dt")
-    x = np.random.default_rng([0, 1]).standard_normal(50)
-    ref = np.tile(V_STAR, 10)
-    for k in range(200):
-        x = solver_dt_step(inst10, SCHED5, 0.2, 0.02, k, x)
-    err_ref = float(np.linalg.norm(x - ref)) / 10
-    assert tr.err[-1] == pytest.approx(err_ref, rel=1e-9)
+def test_fast_dt_path_matches_stepper(inst10, cycle60):
+    # the 10-node run steps through the dense cache, the 60-node run
+    # through the structured operator; both must follow the node loop
+    for inst in (inst10, cycle60):
+        n = inst.n
+        cfg = RunConfig(h=0.2, s=0.02, horizon=200, tol=1e-300, record_every=1)
+        tr = run_simulation(inst, SCHED5, cfg, "dt")
+        x = np.random.default_rng([0, 1]).standard_normal(n * 5)
+        ref = np.tile(V_STAR, n)
+        for k in range(200):
+            x = solver_dt_step(inst, SCHED5, 0.2, 0.02, k, x)
+        err_ref = float(np.linalg.norm(x - ref)) / n
+        assert tr.err[-1] == pytest.approx(err_ref, rel=1e-9)
 
 
-def test_fast_ct_path_matches_reference_integrator(inst10):
-    cfg = RunConfig(s=1.0, dt_int=1e-3, horizon=0.5, tol=1e-300, record_every=1)
-    tr = run_simulation(inst10, SCHED5, cfg, "ct")
-    x = np.random.default_rng([0, 1]).standard_normal(50)
-    rhs = lambda t, xv: solver_ct_rhs(inst10, SCHED5, 1.0, t, xv)
-    traj = integrate(rhs, x, 0.0, 0.5, 1e-3, freeze="midpoint")
-    ref = np.tile(V_STAR, 10)
-    err_ref = float(np.linalg.norm(traj.states[-1] - ref)) / 10
-    assert tr.err[-1] == pytest.approx(err_ref, rel=1e-9)
+def test_fast_ct_path_matches_reference_integrator(inst10, cycle60):
+    for inst in (inst10, cycle60):
+        n = inst.n
+        cfg = RunConfig(s=1.0, dt_int=1e-3, horizon=0.5, tol=1e-300, record_every=1)
+        tr = run_simulation(inst, SCHED5, cfg, "ct")
+        x = np.random.default_rng([0, 1]).standard_normal(n * 5)
+        rhs = lambda t, xv: solver_ct_rhs(inst, SCHED5, 1.0, t, xv)
+        traj = integrate(rhs, x, 0.0, 0.5, 1e-3, freeze="midpoint")
+        ref = np.tile(V_STAR, n)
+        err_ref = float(np.linalg.norm(traj.states[-1] - ref)) / n
+        assert tr.err[-1] == pytest.approx(err_ref, rel=1e-9)
+
+
+def _random_problem(seed):
+    """A random connected weighted graph, a planted instance on it and a
+    random unit-vector table schedule."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, min(n, 4) + 1))
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, n))):
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((i, j))
+    graph = build_graph("custom", n, edges=[(i, j, float(rng.uniform(0.5, 2.0)))
+                                            for (i, j) in sorted(edges)])
+    H = rng.standard_normal((n, m))
+    v = rng.standard_normal(m)
+    inst = ProblemInstance(H=H, b=H @ v, graph=graph, v_star=v)
+    table = rng.standard_normal((int(rng.integers(1, 7)), m))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    return inst, make_schedule("table", m, dwell=0.05, table=table), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_structured_advance_matches_oracles(seed):
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    L = inst.spectrum.L
+    h = float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n
+    s = float(rng.uniform(0.0, 0.5))
+    cfg = RunConfig(h=h, s=s, dt_int=0.01)
+    k = int(rng.integers(0, 30))
+    X = rng.standard_normal((3, n, m))
+
+    advance = _advance(L, inst.H, sched, cfg, "dt")
+    for Xi, Yi in zip(X, advance(k, X, inst.b)):
+        oracle = solver_dt_step(inst, sched, h, s, k, Xi.reshape(-1))
+        assert np.abs(Yi.reshape(-1) - oracle).max() <= 1e-12
+        assert np.abs(advance(k, Xi, inst.b) - Yi).max() <= 1e-12
+
+    advance = _advance(L, inst.H, sched, cfg, "ct")
+    t0 = k * cfg.dt_int
+    rhs = lambda t, xv: solver_ct_rhs(inst, sched, s, t, xv)
+    for Xi, Yi in zip(X, advance(k, X, inst.b)):
+        traj = integrate(rhs, Xi.reshape(-1), t0, t0 + cfg.dt_int, cfg.dt_int,
+                         freeze="midpoint")
+        assert np.abs(Yi.reshape(-1) - traj.states[-1]).max() <= 1e-12
 
 
 def test_run_simulation_converges_immediately_at_solution(inst10):

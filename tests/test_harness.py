@@ -201,6 +201,24 @@ def test_load_instance_rejects_missing_solution(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1: file ends before the 'n m' header"),
+    ("# only a comment\n\n", "line 3: file ends before the 'n m' header"),
+    ("3 1\n1.0 2.0\n", "line 3: file ends before row 1"),
+    ("1 x\n", "line 1: the 'n m' header has a non-numeric value"),
+    ("2 1\n1.0 2.0\n\n3.0 six\n", "line 4: row 1 has a non-numeric value"),
+    ("2 1\n1.0 2.0\n3.0\n", "line 3: row 1 needs 2 values, got 1"),
+    ("2 1\n1.0 2.0\n3.0 6.0\n0 one 1.0\nv_star 2.0\n", "line 4: edge has a non-numeric"),
+    ("2 1\n1.0 2.0\n3.0 6.0\n0 1 1.0\nv_star\n", "line 5: the v_star line needs 2 values"),
+], ids=["empty", "comments-only", "short", "header-text", "row-text", "row-width",
+        "edge-text", "v_star-width"])
+def test_load_instance_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "broken.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        load_instance(path)
+
+
 def test_parse_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalareq.compression import make_schedule
+from scalareq.compression import eval_dt, make_schedule
 from scalareq.graph import build_graph, laplacian_spectrum
 from scalareq.theory import (RateConstants, consensus_rate,
                              dt_stepsize_and_rate, lemma1_constants,
@@ -146,6 +146,60 @@ def test_observability_gram_validation(pair):
         observability_gram(pair, sched, h=1.1, k=0, K=2)
     with pytest.raises(ValueError, match="window"):
         observability_gram(pair, sched, h=0.2, k=0, K=1)
+
+
+def _dense_gram_oracle(spectrum, schedule, h, k, K):
+    """The grammian, g and V1 transitions built from dense kron products
+    of the full (n-1) m disagreement state."""
+    lams = spectrum.eigenvalues[1:]
+    m = schedule.m
+    dim = m * len(lams)
+    W = np.diag(2.0 * h * lams - h**2 * lams**2)
+
+    def outer_at(idx):
+        if schedule.kind == "identity":
+            return np.eye(m)
+        C = eval_dt(schedule, idx)
+        return np.outer(C, C)
+
+    def gram_at(k0):
+        G, T = np.zeros((dim, dim)), np.eye(dim)
+        for j in range(K):
+            CC = outer_at(k0 + j)
+            G += T.T @ np.kron(W, CC) @ T
+            T = (np.eye(dim) - h * np.kron(np.diag(lams), CC)) @ T
+        return G
+
+    g = min(float(np.linalg.eigvalsh(gram_at(k0))[0]) for k0 in range(schedule.period_steps))
+    return gram_at(k), g
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_observability_gram_matches_dense_kron_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 5))
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, n))):
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        edges.add((i, j))
+    spec = laplacian_spectrum(build_graph(
+        "custom", n, edges=[(i, j, float(rng.uniform(0.5, 2.0))) for (i, j) in sorted(edges)]))
+    if seed % 4 == 3:
+        sched = make_schedule("identity", m)
+        K = m
+    else:
+        table = rng.standard_normal((int(rng.integers(m, m + 4)), m))
+        table /= np.linalg.norm(table, axis=1, keepdims=True)
+        sched = make_schedule("table", m, dwell=0.01, table=table)
+        K = len(table)
+    h = float(rng.uniform(0.05, 0.95)) * 2.0 / spec.lambda_n
+    k = int(rng.integers(0, 10))
+    G, g = observability_gram(spec, sched, h, k, K)
+    G_ref, g_ref = _dense_gram_oracle(spec, sched, h, k, K)
+    assert G.shape == G_ref.shape
+    assert np.abs(G - G_ref).max() <= 1e-12
+    assert g == pytest.approx(g_ref, rel=1e-10)
 
 
 def test_lyapunov_v1_single_window_is_energy(cycle10):
