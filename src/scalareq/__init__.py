@@ -20,10 +20,10 @@ from .errors import (DisconnectedGraphError, PEVerificationFailed,
                      RankDeficientError, SimulationDiverged)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,
                     disagreement_basis, laplacian_spectrum)
-from .harness import (ExperimentSpec, ProblemInstance, ResultRow, account,
-                      fit_rate, gen_instance, load_instance, parse_config,
-                      parse_results, parse_trace, run_experiment,
-                      save_instance, serialize)
+from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
+                      account, fit_rate, gen_instance, load_instance,
+                      parse_config, parse_results, parse_trace,
+                      run_experiment, save_instance, serialize)
 from .linalg import (RankVerdict, SpectralConstants, least_squares,
                      rank_check, spectral_constants, sym_eig)
 from .theory import (RateConstants, consensus_rate, dt_stepsize_and_rate,

@@ -11,28 +11,26 @@ import sys
 
 import numpy as np
 
-from .compression import Compressor, verify_pe_ct, verify_pe_dt
+from .compression import verify_pe_ct, verify_pe_dt
 from .errors import PEVerificationFailed
-from .harness import (ExperimentSpec, instance_from_config, load_instance,
-                      parse_config, runconfig_from_config,
-                      run_experiment, save_instance, schedule_from_config,
-                      serialize, gen_instance)
+from .harness import (Config, ExperimentSpec, gen_instance, load_instance,
+                      parse_config, parse_list, run_experiment, save_instance,
+                      serialize)
 from .linalg import spectral_constants
 from .theory import (RateConstants, consensus_rate, dt_stepsize_and_rate,
                      lemma1_constants, observability_gram, solver_ct_rate)
 from .dynamics import run_simulation
 
-
-def _float_list(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _int_list(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _list_of(cast):
+    """argparse type: a comma- or space-separated list of cast values."""
+    def convert(text):
+        return parse_list(text, cast)
+    convert.__name__ = f"{cast.__name__} list"
+    return convert
 
 
 def _cmd_gen(args):
-    inst = gen_instance(args.n, args.m, _float_list(args.v_star),
+    inst = gen_instance(args.n, args.m, args.v_star,
                         graph_kind=args.graph, seed=args.seed, weight=args.weight)
     save_instance(inst, args.out)
     print(f"wrote instance n={inst.n} m={inst.m} seed={inst.seed} to {args.out}")
@@ -40,11 +38,9 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args):
-    cfg = parse_config(args.config)
-    inst = load_instance(args.instance) if args.instance else instance_from_config(cfg)
-    schedule = schedule_from_config(cfg)
-    run_cfg = runconfig_from_config(cfg, args.mode)
-    trace = run_simulation(inst, schedule, run_cfg, args.mode)
+    config = args.config
+    inst = load_instance(args.instance) if args.instance else config.instance()
+    trace = run_simulation(inst, config.schedule(), config.run(args.mode), args.mode)
     serialize(trace, args.out)
     status = (f"converged at {trace.hit_clock}" if trace.converged
               else f"not converged (final err {trace.final_err:.3e})")
@@ -53,29 +49,9 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    cfg = parse_config(args.config)
-    schedule = schedule_from_config(cfg)
-    run_cfg = runconfig_from_config(cfg, args.mode)
-    compressors = []
-    for kind in args.compressors.split(","):
-        kind = kind.strip()
-        l = int(cfg["compressor.l"]) if "compressor.l" in cfg else 2
-        k = int(cfg["compressor.k"]) if "compressor.k" in cfg else 2
-        compressors.append(Compressor(kind, l=l if kind == "unbiased" else None,
-                                      k=k if kind == "topk" else None))
-    spec = ExperimentSpec(
-        schedule=schedule, mode=args.mode,
-        n=int(cfg.get("graph.n", 10)), m=int(cfg.get("instance.m", 5)),
-        v_star=tuple(_float_list(cfg.get("instance.v_star", "2 1 3 4 -1"))),
-        graph_kind=cfg.get("graph.kind", "cycle"),
-        weight=float(cfg.get("graph.weight", 1.0)),
-        h=run_cfg.h,
-        s_values=tuple(_float_list(args.s_list)) if args.s_list else (run_cfg.s,),
-        seeds=tuple(_int_list(args.seeds)),
-        compressors=tuple(compressors),
-        tol=run_cfg.tol, horizon=run_cfg.horizon, dt_int=run_cfg.dt_int,
-        record_every=args.record_every,
-    )
+    spec = ExperimentSpec(config=args.config, mode=args.mode,
+                          compressors=args.compressors, s_values=args.s_list or None,
+                          seeds=args.seeds, record_every=args.record_every)
     rows = run_experiment(spec)
     serialize(rows, args.out)
     print(f"{len(rows)} result rows -> {args.out}")
@@ -83,15 +59,17 @@ def _cmd_compare(args):
 
 
 def _cmd_bounds(args):
-    cfg = parse_config(args.config)
-    inst = instance_from_config(cfg)
-    schedule = schedule_from_config(cfg)
+    config = args.config
+    inst = config.instance()
+    schedule = config.schedule()
     if schedule.kind == "identity":
         print("bounds need a unit-vector schedule (identity carries no excitation window)",
               file=sys.stderr)
         return 2
-    h = float(cfg.get("run.h", 0.2))
-    s = float(cfg.get("run.s", 0.02))
+    if schedule.m != inst.m:
+        print(f"schedule has m={schedule.m} but the instance has m={inst.m}", file=sys.stderr)
+        return 2
+    h, s = config.run_h, config.run_s
     spec = inst.spectrum
     sc = spectral_constants(inst.H)
 
@@ -128,13 +106,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_pe_check(args):
-    cfg = parse_config(args.config)
-    schedule = schedule_from_config(cfg)
+    schedule = args.config.schedule()
+    starts = {} if args.starts is None else {"start_samples": args.starts}
     try:
         if args.domain == "ct":
-            witness = verify_pe_ct(schedule, args.window, args.starts or 8)
+            witness = verify_pe_ct(schedule, args.window, **starts)
         else:
-            witness = verify_pe_dt(schedule, int(args.window), args.starts)
+            witness = verify_pe_dt(schedule, int(args.window), **starts)
     except PEVerificationFailed as exc:
         print(f"FAIL: {exc}")
         if exc.eigenvalues is not None:
@@ -153,12 +131,13 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate and save a problem instance")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--v-star", default="2,1,3,4,-1")
-    p.add_argument("--graph", default="cycle", choices=["cycle", "path", "complete"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weight", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=Config.graph_n)
+    p.add_argument("--m", type=int, default=Config.instance_m)
+    p.add_argument("--v-star", type=_list_of(float), default=Config.instance_v_star)
+    p.add_argument("--graph", default=Config.graph_kind,
+                   choices=["cycle", "path", "complete"])
+    p.add_argument("--seed", type=int, default=Config.run_seed)
+    p.add_argument("--weight", type=float, default=Config.graph_weight)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -172,10 +151,10 @@ def main(argv=None):
     p = sub.add_parser("compare", help="run an experiment grid and write results CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True, choices=["ct", "dt"])
-    p.add_argument("--compressors", default="scalarized,none")
-    p.add_argument("--s-list", default="")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--compressors", type=_list_of(str), default=ExperimentSpec.compressors)
+    p.add_argument("--s-list", type=_list_of(float))
+    p.add_argument("--seeds", type=_list_of(int), default=ExperimentSpec.seeds)
+    p.add_argument("--record-every", type=int, default=ExperimentSpec.record_every)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 
@@ -183,14 +162,24 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("pe-check", help="verify persistent excitation of a schedule")
-    p.add_argument("--config", required=True)
-    p.add_argument("--domain", default="ct", choices=["ct", "dt"])
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--starts", type=int)
-    p.set_defaults(func=_cmd_pe_check)
+    pe = sub.add_parser("pe-check", help="verify persistent excitation of a schedule")
+    pe.add_argument("--config", required=True)
+    pe.add_argument("--domain", default="ct", choices=["ct", "dt"])
+    pe.add_argument("--window", type=float, required=True)
+    pe.add_argument("--starts", type=int)
+    pe.set_defaults(func=_cmd_pe_check)
 
     args = parser.parse_args(argv)
+    if args.command == "pe-check":
+        if args.starts is not None and args.starts < 1:
+            pe.error(f"--starts must be positive, got {args.starts}")
+        if args.domain == "dt" and not args.window.is_integer():
+            pe.error(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
+    if hasattr(args, "config"):
+        try:
+            args.config = parse_config(args.config)
+        except (OSError, ValueError) as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return args.func(args)
 
 

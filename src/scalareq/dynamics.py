@@ -331,6 +331,8 @@ def run_simulation(inst, schedule, cfg, mode):
     from .harness import account  # accounting convention lives with the harness
 
     n, m = inst.H.shape
+    if schedule.m != m:
+        raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
     lambda_n = inst.spectrum.lambda_n if n >= 2 else None
     cfg.validate(schedule, mode, lambda_n)
 

@@ -1,5 +1,5 @@
-"""Instance generation, experiment orchestration, communication
-accounting, and serialization.
+"""The typed run config, instance generation, experiment orchestration,
+communication accounting, and serialization.
 
 Communication convention: one exchange round per solver step sends one
 message over each directed link (two per undirected edge). A raw real
@@ -9,7 +9,8 @@ index entries count as scalars and ceil(log2 m) bits each.
 
 import csv
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -93,6 +94,110 @@ def gen_instance(n, m, v_star, graph_kind="cycle", seed=0, weight=1.0):
     raise RankDeficientError(f"no full-rank draw after {RESAMPLE_CAP} resamples")
 
 
+def parse_list(text, cast=str):
+    """Split a comma- or space-separated list and cast each entry."""
+    return tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+@dataclass(frozen=True)
+class Config:
+    """Every setting of a run, one field per config-file key.
+
+    The key of a field is its name with the first '_' read as '.'
+    (run_horizon <-> run.horizon). schedule_m = None means instance_m;
+    run_horizon = None means 20 000 steps (dt) or 50.0 time units (ct).
+    """
+
+    graph_kind: str = "cycle"
+    graph_n: int = 10
+    graph_weight: float = 1.0
+    instance_m: int = 5
+    instance_v_star: tuple[float, ...] = (2.0, 1.0, 3.0, 4.0, -1.0)
+    schedule_kind: str = "cyclic-basis"
+    schedule_m: int | None = None
+    schedule_dwell: float = 0.01
+    schedule_frequencies: tuple[float, ...] = ()
+    schedule_table_file: str | None = None
+    compressor_kind: str = "scalarized"
+    compressor_l: int | None = None
+    compressor_k: int | None = None
+    run_h: float = 0.2
+    run_s: float = 0.02
+    run_seed: int = 0
+    run_tol: float = 1e-2
+    run_horizon: float | None = None
+    run_dt_int: float = 1e-3
+
+    def instance(self, seed=None):
+        """The planted instance drawn from seed (default run_seed)."""
+        return gen_instance(self.graph_n, self.instance_m, self.instance_v_star,
+                            self.graph_kind, self.run_seed if seed is None else seed,
+                            self.graph_weight)
+
+    def schedule(self):
+        table = self.schedule_table_file
+        return CompressionSchedule(
+            kind=self.schedule_kind, dwell=self.schedule_dwell,
+            m=self.instance_m if self.schedule_m is None else self.schedule_m,
+            frequencies=self.schedule_frequencies,
+            table=None if table is None else np.loadtxt(table, ndmin=2))
+
+    def compressor(self, kind=None):
+        """The compressor of the given kind (default compressor_kind)."""
+        return Compressor(kind or self.compressor_kind,
+                          l=self.compressor_l, k=self.compressor_k)
+
+    def run(self, mode):
+        """The RunConfig of one run in mode 'dt' or 'ct'."""
+        horizon = self.run_horizon
+        if horizon is None:
+            horizon = 20_000 if mode == "dt" else 50.0
+        elif mode == "dt" and not float(horizon).is_integer():
+            raise ValueError(f"run.horizon = {horizon} is not a whole number of dt steps")
+        return RunConfig(h=self.run_h, s=self.run_s, dt_int=self.run_dt_int,
+                         horizon=int(horizon) if mode == "dt" else horizon,
+                         tol=self.run_tol, compressor=self.compressor(), seed=self.run_seed)
+
+
+_KEYS = {f.name.replace("_", ".", 1): f for f in fields(Config)}
+
+
+def _convert(kind, text):
+    casts = [t for t in typing.get_args(kind) if t is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        return parse_list(text, casts[0])
+    return (casts[0] if casts else kind)(text)
+
+
+def parse_config(path):
+    """Read 'key = value' lines ('#' starts a comment) into a Config. An
+    unknown key, a line without '=', a value of the wrong type or a v_star
+    of the wrong length raises ValueError naming the line."""
+    values, where = {}, {}
+    with open(path) as fh:
+        for no, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, text = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"{path}, line {no}: expected 'key = value', got {line!r}")
+            if key not in _KEYS:
+                raise ValueError(f"{path}, line {no}: unknown key {key!r}")
+            name = _KEYS[key].name
+            try:
+                values[name] = _convert(_KEYS[key].type, text)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {no}: bad value for {key}: {exc}") from None
+            where[name] = no
+    config = Config(**values)
+    if len(config.instance_v_star) != config.instance_m:
+        no = where.get("instance_v_star", where.get("instance_m"))
+        raise ValueError(f"{path}, line {no}: instance.v_star has {len(config.instance_v_star)} "
+                         f"values but instance.m = {config.instance_m}")
+    return config
+
+
 def account(compressor, m, l=None, k_top=None):
     """Per-message cost (scalars, bits) of one transmitted state.
 
@@ -163,24 +268,14 @@ class ResultRow:
 
 @dataclass
 class ExperimentSpec:
-    """Description of an experiment grid over (compressor, s, seed)."""
+    """An experiment grid over (compressor kind, s, seed) on one Config;
+    s_values = None means (config.run_s,)."""
 
-    schedule: CompressionSchedule
+    config: Config = field(default_factory=Config)
     mode: str = "dt"
-    n: int = 10
-    m: int = 5
-    v_star: tuple = (2.0, 1.0, 3.0, 4.0, -1.0)
-    graph_kind: str = "cycle"
-    weight: float = 1.0
-    h: float = 0.2
-    s_values: tuple = (0.02,)
+    compressors: tuple = ("scalarized", "none")
+    s_values: tuple | None = None
     seeds: tuple = (0, 1, 2, 3, 4)
-    compressors: tuple = field(
-        default_factory=lambda: (Compressor("scalarized"), Compressor("none"))
-    )
-    tol: float = 1e-2
-    horizon: float = 200_000
-    dt_int: float = 1e-3
     record_every: int = 1
 
 
@@ -190,42 +285,35 @@ def run_experiment(spec):
     Cells are isolated: a diverging run produces a not-converged row
     (hit_clock set to the horizon) without aborting its siblings.
     """
+    config, mode = spec.config, spec.mode
+    base, schedule = config.run(mode), config.schedule()
+    instances = {seed: config.instance(seed) for seed in spec.seeds}
     rows = []
-    instances = {
-        seed: gen_instance(spec.n, spec.m, spec.v_star, spec.graph_kind, seed, spec.weight)
-        for seed in spec.seeds
-    }
-    for comp in spec.compressors:
-        msg_scalars, msg_bits = account(comp, spec.m)
-        for s in spec.s_values:
+    for kind in spec.compressors:
+        comp = config.compressor(kind)
+        msg_scalars, msg_bits = account(comp, config.instance_m)
+        for s in spec.s_values or (config.run_s,):
             for seed in spec.seeds:
                 inst = instances[seed]
                 links = 2 * len(inst.graph.edges)
-                cfg = RunConfig(h=spec.h, s=s, dt_int=spec.dt_int, horizon=spec.horizon,
-                                tol=spec.tol, compressor=comp, seed=seed,
-                                record_every=spec.record_every)
+                cfg = replace(base, s=s, seed=seed, compressor=comp,
+                              record_every=spec.record_every)
                 try:
-                    tr = run_simulation(inst, spec.schedule, cfg, spec.mode)
+                    tr = run_simulation(inst, schedule, cfg, mode)
                 except SimulationDiverged as exc:
-                    rounds = int(exc.clock if spec.mode == "dt"
-                                 else round(exc.clock / spec.dt_int))
-                    rows.append(ResultRow(
-                        mode=spec.mode, compressor=comp.label, h=spec.h, s=s, seed=seed,
-                        hit_clock=spec.horizon, converged=False,
-                        scalars_at_hit=rounds * links * msg_scalars,
-                        bits_at_hit=rounds * links * msg_bits,
-                        rate_emp=float("nan"), final_err=float("inf"),
-                    ))
-                    continue
-                rate, _ = fit_rate(tr)
-                rows.append(ResultRow(
-                    mode=spec.mode, compressor=comp.label, h=spec.h, s=s, seed=seed,
-                    hit_clock=tr.hit_clock if tr.converged else spec.horizon,
-                    converged=tr.converged,
-                    scalars_at_hit=int(tr.scalars_tx_cum[-1]),
-                    bits_at_hit=int(tr.bits_tx_cum[-1]),
-                    rate_emp=rate, final_err=tr.final_err,
-                ))
+                    rounds = int(exc.clock if mode == "dt" else round(exc.clock / cfg.dt_int))
+                    outcome = dict(hit_clock=cfg.horizon, converged=False,
+                                   scalars_at_hit=rounds * links * msg_scalars,
+                                   bits_at_hit=rounds * links * msg_bits,
+                                   rate_emp=float("nan"), final_err=float("inf"))
+                else:
+                    outcome = dict(hit_clock=tr.hit_clock if tr.converged else cfg.horizon,
+                                   converged=tr.converged,
+                                   scalars_at_hit=int(tr.scalars_tx_cum[-1]),
+                                   bits_at_hit=int(tr.bits_tx_cum[-1]),
+                                   rate_emp=fit_rate(tr)[0], final_err=tr.final_err)
+                rows.append(ResultRow(mode=mode, compressor=comp.label, h=cfg.h, s=s,
+                                      seed=seed, **outcome))
     return rows
 
 
@@ -399,65 +487,3 @@ def load_instance(path):
     return ProblemInstance(H=H, b=b, graph=graph, v_star=v_star, seed=None)
 
 
-def parse_config(path):
-    """Plain-text key/value config: one 'key = value' per line, '#'
-    comments; returns the raw string mapping."""
-    cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                key, _, val = line.partition(" ")
-            cfg[key.strip()] = val.strip()
-    return cfg
-
-
-def _parse_list(text):
-    return [tok for tok in text.replace(",", " ").split() if tok]
-
-
-def schedule_from_config(cfg):
-    kind = cfg.get("schedule.kind", "cyclic-basis")
-    m = int(cfg.get("schedule.m", cfg.get("instance.m", 5)))
-    dwell = float(cfg["schedule.dwell"]) if "schedule.dwell" in cfg else 0.01
-    freqs = tuple(float(tok) for tok in _parse_list(cfg.get("schedule.frequencies", "")))
-    table = None
-    if "schedule.table_file" in cfg:
-        table = np.loadtxt(cfg["schedule.table_file"], ndmin=2)
-    return CompressionSchedule(kind=kind, m=m, dwell=dwell,
-                               frequencies=freqs, table=table)
-
-
-def compressor_from_config(cfg):
-    kind = cfg.get("compressor.kind", "scalarized")
-    l = int(cfg["compressor.l"]) if "compressor.l" in cfg else None
-    k = int(cfg["compressor.k"]) if "compressor.k" in cfg else None
-    return Compressor(kind=kind, l=l, k=k)
-
-
-def instance_from_config(cfg):
-    n = int(cfg.get("graph.n", 10))
-    m = int(cfg.get("instance.m", 5))
-    v_star = [float(tok) for tok in _parse_list(cfg.get("instance.v_star", "2 1 3 4 -1"))]
-    return gen_instance(n, m, v_star,
-                        graph_kind=cfg.get("graph.kind", "cycle"),
-                        seed=int(cfg.get("run.seed", 0)),
-                        weight=float(cfg.get("graph.weight", 1.0)))
-
-
-def runconfig_from_config(cfg, mode):
-    horizon_default = 20_000 if mode == "dt" else 50.0
-    horizon = float(cfg.get("run.horizon", horizon_default))
-    return RunConfig(
-        h=float(cfg.get("run.h", 0.2)),
-        s=float(cfg.get("run.s", 0.02)),
-        dt_int=float(cfg.get("run.dt_int", 1e-3)),
-        horizon=int(horizon) if mode == "dt" else horizon,
-        tol=float(cfg.get("run.tol", 1e-2)),
-        compressor=compressor_from_config(cfg),
-        seed=int(cfg.get("run.seed", 0)),
-    )

@@ -17,7 +17,8 @@ from scalareq.dynamics import (RunConfig, consensus_rhs, integrate,
                                run_simulation, solver_dt_step)
 from scalareq.errors import PEVerificationFailed
 from scalareq.graph import build_graph, disagreement_basis, laplacian_spectrum
-from scalareq.harness import ExperimentSpec, fit_rate, gen_instance, run_experiment
+from scalareq.harness import (Config, ExperimentSpec, fit_rate, gen_instance,
+                              run_experiment)
 from scalareq.linalg import spectral_constants
 from scalareq.compression import pe_gram_ct, pe_gram_dt, verify_pe_ct, verify_pe_dt
 from scalareq.theory import (consensus_rate, dt_stepsize_and_rate,
@@ -141,16 +142,14 @@ def _ratio_claim(num, spec, label):
 
 
 def test_criterion_5_discrete_communication_claim():
-    spec = ExperimentSpec(schedule=SCHED5, mode="dt",
-                          s_values=(0.02, 0.002, 0.0005),
-                          tol=1e-2, horizon=200_000, record_every=25)
+    spec = ExperimentSpec(Config(run_tol=1e-2, run_horizon=200_000), mode="dt",
+                          s_values=(0.02, 0.002, 0.0005), record_every=25)
     _ratio_claim(5, spec, "step")
 
 
 def test_criterion_6_continuous_communication_claim():
-    spec = ExperimentSpec(schedule=SCHED5, mode="ct", s_values=(3.0, 1.0, 0.5),
-                          tol=1e-2, horizon=2000.0, dt_int=1e-3,
-                          record_every=10)
+    spec = ExperimentSpec(Config(run_tol=1e-2, run_horizon=2000.0, run_dt_int=1e-3),
+                          mode="ct", s_values=(3.0, 1.0, 0.5), record_every=10)
     _ratio_claim(6, spec, "time")
 
 

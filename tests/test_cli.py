@@ -134,3 +134,81 @@ def test_pe_check_fails_for_frozen_vector(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "gram eigenvalues" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--mode", "dt", "--out", "trace.csv"],
+    ["compare", "--mode", "dt", "--seeds", "0", "--out", "results.csv"],
+    ["bounds"],
+    ["pe-check", "--window", "5"],
+])
+def test_config_error_exits_2_naming_the_line(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, "run.horizon = 50\nrun.horizn = 20\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--config", cfg] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{cfg}, line 10: unknown key 'run.horizn'" in err
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("scalarized", ""), ("none", ""),
+    ("topk", "compressor.k = 3\n"), ("unbiased", "compressor.l = 3\n"),
+])
+def test_compare_cell_equals_run_of_the_same_config(tmp_path, kind, extra):
+    cfg = _write_config(tmp_path, f"compressor.kind = {kind}\n{extra}"
+                        "run.seed = 3\nrun.horizon = 3000\nrun.tol = 0.05\n")
+    trace_out, results_out = tmp_path / "trace.csv", tmp_path / "results.csv"
+    assert main(["run", "--config", cfg, "--mode", "dt", "--out", str(trace_out)]) == 0
+    assert main(["compare", "--config", cfg, "--mode", "dt", "--compressors", kind,
+                 "--seeds", "3", "--out", str(results_out)]) == 0
+    tr, (row,) = parse_trace(str(trace_out)), parse_results(str(results_out))
+    assert row.converged == tr.converged == (kind in ("scalarized", "none"))
+    assert row.hit_clock == (tr.hit_clock if tr.converged else tr.clock[-1])
+    assert row.scalars_at_hit == tr.scalars_tx_cum[-1]
+    assert row.s == tr.meta["s"] and row.h == tr.meta["h"]
+
+
+@pytest.mark.parametrize("kind, missing", [("topk", "k"), ("unbiased", "l")])
+def test_compare_takes_compressor_settings_from_the_config(tmp_path, kind, missing):
+    cfg = _write_config(tmp_path, "run.horizon = 50\n")
+    with pytest.raises(ValueError) as compare_err:
+        main(["compare", "--config", cfg, "--mode", "dt", "--compressors", kind,
+              "--seeds", "0", "--out", str(tmp_path / "r.csv")])
+    cfg = _write_config(tmp_path, f"compressor.kind = {kind}\nrun.horizon = 50\n")
+    with pytest.raises(ValueError) as run_err:
+        main(["run", "--config", cfg, "--mode", "dt", "--out", str(tmp_path / "t.csv")])
+    assert f"needs {missing} >= 1" in str(run_err.value)
+    assert str(compare_err.value) == str(run_err.value)
+
+
+def test_run_rejects_schedule_of_another_dimension(tmp_path):
+    inst_path = tmp_path / "inst.txt"
+    main(["gen", "--out", str(inst_path), "--n", "6", "--m", "2", "--v-star", "1,-2"])
+    cfg = _write_config(tmp_path, "run.horizon = 50\n")
+    with pytest.raises(ValueError, match="schedule has m=5 but the instance has m=2"):
+        main(["run", "--config", cfg, "--mode", "dt", "--instance", str(inst_path),
+              "--out", str(tmp_path / "trace.csv")])
+
+
+def test_bounds_rejects_schedule_of_another_dimension(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nschedule.m = 3\n")
+    assert main(["bounds", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "schedule has m=3 but the instance has m=2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "ct", "--window", "0.05", "--starts", "0"],
+    ["--domain", "ct", "--window", "0.05", "--starts", "-2"],
+    ["--domain", "dt", "--window", "5", "--starts", "0"],
+    ["--domain", "dt", "--window", "5.9"],
+])
+def test_pe_check_rejects_bad_arguments(tmp_path, capsys, args):
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["pe-check", "--config", cfg] + args)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

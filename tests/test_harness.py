@@ -1,17 +1,22 @@
+import re
+import typing
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalareq.compression import Compressor, make_schedule
 from scalareq.dynamics import RunConfig, Trace, run_simulation
 from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
-from scalareq.harness import (ExperimentSpec, ProblemInstance, ResultRow,
-                              account, compressor_from_config, fit_rate,
-                              gen_instance, instance_from_config,
+from scalareq.harness import (Config, ExperimentSpec, ProblemInstance,
+                              ResultRow, account, fit_rate, gen_instance,
                               load_instance, parse_config, parse_results,
-                              parse_trace, run_experiment,
-                              runconfig_from_config, save_instance,
-                              schedule_from_config, serialize)
+                              parse_trace, run_experiment, save_instance,
+                              serialize)
 from scalareq.linalg import least_squares
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
@@ -233,57 +238,148 @@ def test_parse_config(tmp_path):
         "compressor.k = 2\n"
     )
     cfg = parse_config(path)
-    assert cfg["graph.kind"] == "cycle"
-    assert cfg["run.s"] == "0.02"
-    assert cfg["instance.v_star"] == "2 1 3 4 -1"
-    assert "experiment" not in cfg
+    assert cfg.graph_kind == "cycle"
+    assert cfg.run_s == 0.02
+    assert cfg.instance_v_star == (2.0, 1.0, 3.0, 4.0, -1.0)
+    assert cfg.compressor_kind == "topk" and cfg.compressor_k == 2
+    # the comment line set nothing: every other field keeps its default
+    assert cfg == Config(compressor_kind="topk", compressor_k=2)
 
 
 def test_schedule_from_config_defaults_and_kinds(tmp_path):
-    sched = schedule_from_config({})
+    sched = Config().schedule()
     assert sched.kind == "cyclic-basis" and sched.m == 5 and sched.dwell == 0.01
-    assert schedule_from_config({"instance.m": "3"}).m == 3
-    trig = schedule_from_config({
-        "schedule.kind": "trigonometric", "schedule.m": "4",
-        "schedule.frequencies": "1, 2.5",
-    })
+    assert Config(instance_m=3, instance_v_star=(1.0, 2.0, 3.0)).schedule().m == 3
+    trig = Config(schedule_kind="trigonometric", schedule_m=4,
+                  schedule_frequencies=(1.0, 2.5)).schedule()
     assert trig.frequencies == (1.0, 2.5)
     table_file = tmp_path / "table.txt"
     table_file.write_text("1 0\n0 1\n")
-    tab = schedule_from_config({
-        "schedule.kind": "table", "schedule.m": "2",
-        "schedule.table_file": str(table_file),
-    })
+    tab = Config(schedule_kind="table", schedule_m=2,
+                 schedule_table_file=str(table_file)).schedule()
     assert tab.table.shape == (2, 2)
     assert tab.period_steps == 2
 
 
 def test_compressor_from_config():
-    assert compressor_from_config({}).kind == "scalarized"
-    comp = compressor_from_config({"compressor.kind": "unbiased", "compressor.l": "3"})
+    assert Config().compressor().kind == "scalarized"
+    comp = Config(compressor_kind="unbiased", compressor_l=3).compressor()
     assert comp.kind == "unbiased" and comp.l == 3
+    assert Config(compressor_l=3).compressor("unbiased") == comp
 
 
 def test_instance_from_config_default_matches_reference(inst10):
-    inst = instance_from_config({})
+    inst = Config().instance()
     assert np.array_equal(inst.H, inst10.H)
     assert np.array_equal(inst.v_star, inst10.v_star)
 
 
 def test_runconfig_from_config_defaults():
-    dt_cfg = runconfig_from_config({}, "dt")
+    dt_cfg = Config().run("dt")
     assert dt_cfg.horizon == 20_000 and isinstance(dt_cfg.horizon, int)
     assert dt_cfg.h == 0.2 and dt_cfg.s == 0.02 and dt_cfg.tol == 1e-2
     assert dt_cfg.compressor.kind == "scalarized"
-    ct_cfg = runconfig_from_config({}, "ct")
+    ct_cfg = Config().run("ct")
     assert ct_cfg.horizon == 50.0
-    over = runconfig_from_config({"run.horizon": "100", "run.tol": "1e-4"}, "dt")
-    assert over.horizon == 100 and over.tol == 1e-4
+    over = Config(run_horizon=100.0, run_tol=1e-4).run("dt")
+    assert over.horizon == 100 and isinstance(over.horizon, int) and over.tol == 1e-4
+    assert Config(run_horizon=20.7).run("ct").horizon == 20.7
+    with pytest.raises(ValueError, match="run.horizon = 20.7 is not a whole number"):
+        Config(run_horizon=20.7).run("dt")
+
+
+KEYS = {f.name.replace("_", ".", 1): f.name for f in fields(Config)}
+FLOATS = st.floats(allow_nan=False)
+VALUES = {
+    str: st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_./", min_size=1,
+                 max_size=12),
+    int: st.integers(-10**6, 10**6),
+    float: FLOATS,
+    tuple[float, ...]: st.lists(FLOATS, max_size=6).map(tuple),
+}
+
+
+def _values(kind):
+    """Strategy of (value, text) for one Config field type."""
+    if typing.get_origin(kind) is not tuple:  # X | None draws an X
+        kind = next((t for t in typing.get_args(kind) if t is not type(None)), kind)
+    if kind == tuple[float, ...]:
+        return st.tuples(VALUES[kind], st.sampled_from([" ", ", ", ","])).map(
+            lambda vs: (vs[0], vs[1].join(map(repr, vs[0]))))
+    return VALUES[kind].map(lambda v: (v, v if isinstance(v, str) else repr(v)))
+
+
+@st.composite
+def _config_files(draw):
+    """A random subset of keys with valid values, laid out as a config
+    file with comments, blank lines and uneven spacing."""
+    keys = draw(st.lists(st.sampled_from(sorted(KEYS)), unique=True))
+    keys = [k for k in keys if k not in ("instance.m", "instance.v_star")]
+    types = {f.name: f.type for f in fields(Config)}
+    values, texts = {}, {}
+    for key in keys:
+        values[KEYS[key]], texts[key] = draw(_values(types[KEYS[key]]))
+    if draw(st.booleans()):  # instance.v_star must have instance.m values
+        v_star, texts["instance.v_star"] = draw(_values(tuple[float, ...]))
+        values["instance_v_star"], values["instance_m"] = v_star, len(v_star)
+        texts["instance.m"] = str(len(v_star))
+    lines = []
+    for key in draw(st.permutations(sorted(texts))):
+        pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        comment = draw(st.sampled_from(["", "  # note", "# x = 1"]))
+        lines.append(f"{pad}{key}{pad} ={draw(st.sampled_from(['', ' ', '   ']))}"
+                     f"{texts[key]}{comment}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   ", "#"])))
+    return values, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_config_files(), typo=st.sampled_from(["run.horizn", "graph.size", "run_h",
+                                                   "schedule", "instance.v"]),
+       at=st.floats(0, 1))
+def test_parse_config_returns_exactly_the_written_values(tmp_path_factory, data, typo, at):
+    values, lines = data
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_config(path) == Config(**values)
+    index = int(at * len(lines))
+    path.write_text("\n".join(lines[:index] + [f"{typo} = 1"] + lines[index:]) + "\n")
+    with pytest.raises(ValueError, match=f"line {index + 1}: unknown key '{typo}'"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("run.h = 0.2\nrun.horizn = 20\n", "line 2: unknown key 'run.horizn'"),
+    ("# size\ngraph.n 10\n", "line 2: expected 'key = value'"),
+    ("graph.n = ten\n", "line 1: bad value for graph.n"),
+    ("\ncompressor.k = 2.5\n", "line 2: bad value for compressor.k"),
+    ("instance.v_star = 1 x\n", "line 1: bad value for instance.v_star"),
+    ("instance.m = 3\n", "line 1: instance.v_star has 5 values but instance.m = 3"),
+    ("instance.m = 2\n\ninstance.v_star = 1 2 3\n",
+     "line 3: instance.v_star has 3 values but instance.m = 2"),
+])
+def test_parse_config_names_the_bad_line(tmp_path, text, where):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, {where}")):
+        parse_config(path)
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```", 2)[1]
+    documented = {line.partition("=")[0].strip() for line in example.splitlines()
+                  if "=" in line}
+    others = section.split("Other accepted keys:", 1)[1].split("\n\n", 1)[0]
+    documented |= set(re.findall(r"`([a-z_]+\.[a-z_]+)`", others))
+    assert documented == set(KEYS)
 
 
 def test_run_experiment_grid():
-    spec = ExperimentSpec(schedule=SCHED5, s_values=(0.02,), seeds=(0, 1),
-                          horizon=300, tol=1e-300, record_every=50)
+    spec = ExperimentSpec(Config(run_horizon=300, run_tol=1e-300),
+                          s_values=(0.02,), seeds=(0, 1), record_every=50)
     rows = run_experiment(spec)
     assert len(rows) == 4
     by_comp = {}
@@ -299,8 +395,8 @@ def test_run_experiment_grid():
 
 
 def test_run_experiment_isolates_divergence():
-    spec = ExperimentSpec(schedule=SCHED5, s_values=(0.02, 5.0), seeds=(0,),
-                          horizon=100, tol=1e-2, record_every=10)
+    spec = ExperimentSpec(Config(run_horizon=100, run_tol=1e-2),
+                          s_values=(0.02, 5.0), seeds=(0,), record_every=10)
     rows = run_experiment(spec)
     assert len(rows) == 4
     diverged = [r for r in rows if r.s == 5.0]
