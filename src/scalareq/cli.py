@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .compression import verify_pe_ct, verify_pe_dt
-from .errors import PEVerificationFailed
+from .errors import ConfigError, PEVerificationFailed
 from .harness import (Config, ExperimentSpec, gen_instance, load_instance,
                       parse_config, parse_list, run_experiment, save_instance,
                       serialize)
@@ -175,12 +175,12 @@ def main(argv=None):
             pe.error(f"--starts must be positive, got {args.starts}")
         if args.domain == "dt" and not args.window.is_integer():
             pe.error(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
-    if hasattr(args, "config"):
-        try:
+    try:
+        if hasattr(args, "config"):
             args.config = parse_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    return args.func(args)
+        return args.func(args)
+    except (OSError, ConfigError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

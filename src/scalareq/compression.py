@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PEVerificationFailed
-from .linalg import sym_eig
 
 UNIT_NORM_TOL = 1e-12
 PE_FLOOR = 1e-10
@@ -217,18 +216,18 @@ class PEWitness:
             raise ValueError(f"alpha {self.alpha} exceeds window {self.window}")
 
 
-def _verify(grams_by_start, window):
-    worst_start, worst_lam, alpha = None, None, np.inf
-    for start, G in grams_by_start:
-        lam, _ = sym_eig(G)
-        if lam[0] < alpha:
-            alpha, worst_start, worst_lam = float(lam[0]), start, lam
+def _verify(starts, grams, window):
+    """Witness from the smallest eigenvalue over the window grams of all
+    starts, read off one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(np.asarray(grams))
+    worst = int(np.argmin(lam[:, 0]))
+    alpha = float(lam[worst, 0])
     if alpha <= PE_FLOOR:
         raise PEVerificationFailed(
             f"schedule is not persistently exciting: min eigenvalue {alpha:.3e} "
-            f"at start {worst_start}",
-            start=worst_start,
-            eigenvalues=worst_lam,
+            f"at start {starts[worst]}",
+            start=starts[worst],
+            eigenvalues=lam[worst],
         )
     return PEWitness(alpha=alpha, window=window)
 
@@ -249,7 +248,7 @@ def verify_pe_ct(schedule, T, start_samples=8):
     else:
         period = T
     starts = [j * period / start_samples for j in range(start_samples)]
-    return _verify(((s, pe_gram_ct(schedule, s, T)) for s in starts), T)
+    return _verify(starts, [pe_gram_ct(schedule, s, T) for s in starts], T)
 
 
 def verify_pe_dt(schedule, K, start_samples=None):
@@ -261,7 +260,8 @@ def verify_pe_dt(schedule, K, start_samples=None):
         start_samples = schedule.period_steps
     if start_samples < 1:
         raise ValueError("need start_samples >= 1")
-    return _verify(((k0, pe_gram_dt(schedule, k0, K)) for k0 in range(start_samples)), K)
+    starts = range(start_samples)
+    return _verify(starts, [pe_gram_dt(schedule, k0, K) for k0 in starts], K)
 
 
 def _check_unit(C):

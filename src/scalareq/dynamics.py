@@ -9,12 +9,16 @@ baseline compressors transmit full (compressed) m-vectors instead.
 
 Every solver step, flow and certificate applies one consensus operator,
 (L (x) C C^T) x: node i sends y_i = C^T x_i and the receiver unfolds the
-weighted sum along C. Scalarized and uncompressed runs step with it
-directly; periodic runs of small networks (n m <= DENSE_MAX_DIM) cache
-the affine one-step maps of a schedule period, read off the same step
-applied to the identity basis. The node-by-node ``solver_dt_step`` is
-the reference for the one-scalar-per-neighbor update and steps the
-baseline compressors.
+weighted sum along C. Periodic schedules read C from a table of one
+period built once per run. ``run_simulation`` advances a run in blocks
+of B steps and does its bookkeeping (error norms, divergence guard,
+stopping step, trace rows) once per block, as array operations. Periodic
+runs of small networks (n m <= DENSE_MAX_DIM) advance a whole block with
+one product by the lifted affine maps x[k+j] = M_j x[k] + c_j, composed
+from the one-step maps read off the operator applied to the identity
+basis; every other run fills its block step by step. The node-by-node
+``solver_dt_step`` is the reference for the one-scalar-per-neighbor
+update and steps the baseline compressors.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +38,16 @@ DIVERGENCE_GUARD = 1e12
 # its maps stay cache-resident for a whole dwell. The constant sits at
 # the dt crossover, where one period of maps still takes a few MB.
 DENSE_MAX_DIM = 256
+# A block holds at most BLOCK_ELEMENTS state entries (B n m) and at most
+# MAX_BLOCK steps, since a run computes up to B - 1 states past its
+# stopping step and longer blocks no longer cut the bookkeeping per step.
+# Lifted runs round B to a multiple of their period.
+BLOCK_ELEMENTS = 8192
+MAX_BLOCK = 256
+# Largest stack of lifted block maps, B (n m)^2 floats, in bytes. On the
+# reference network (n m = 50) larger stacks raise the peak memory of a
+# run by more than 1 MiB.
+LIFT_BYTES = 1 << 20
 
 
 @dataclass
@@ -268,55 +282,121 @@ def solver_dt_step(inst, schedule, h, s, k, x, compressor=None, rng=None):
     return (X - h * (L @ Q) - s * r[:, None] * H).reshape(-1)
 
 
+def _phase(schedule, cfg, mode):
+    """(count, stride) of a periodic linear run, whose step k applies
+    schedule row (k // stride) % count: count is 1 without compression
+    and the schedule period for scalarized cyclic-basis and table runs;
+    stride is 1 in dt and the steps per dwell in ct. None for
+    trigonometric and baseline-compressor runs."""
+    if cfg.compressor.kind == "none":
+        return 1, 1
+    if schedule.kind == "trigonometric" or cfg.compressor.kind != "scalarized":
+        return None
+    return schedule.period_steps, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
+
+
 def _advance(L, H, schedule, cfg, mode):
     """One solver step advance(k, X, b) of a scalarized or uncompressed
     run: discrete step k, or RK4 step k of length dt_int. X may carry
-    leading batch axes."""
-    def C_at(clock, evaluate):
-        return None if cfg.compressor.kind == "none" else evaluate(schedule, clock)
+    leading batch axes. Periodic runs read C from one period of rows
+    evaluated once; trigonometric runs evaluate C at every step (dt) or
+    stage (ct)."""
+    phase = _phase(schedule, cfg, mode)
+    if phase is None:
+        C_at = (lambda k, t: eval_dt(schedule, k)) if mode == "dt" else \
+            (lambda k, t: eval_ct(schedule, t))
+    elif cfg.compressor.kind == "none":
+        C_at = lambda k, t: None
+    else:
+        count, stride = phase
+        rows = np.array([eval_dt(schedule, j) for j in range(count)])
+        C_at = lambda k, t: rows[(k // stride) % count]
 
     if mode == "dt":
-        return lambda k, X, b: X + _drift(L, H, b, C_at(k, eval_dt), cfg.h, cfg.s, X)
+        return lambda k, X, b: X + _drift(L, H, b, C_at(k, None), cfg.h, cfg.s, X)
     # piecewise-constant schedules switch on step boundaries, where a
     # midpoint-frozen step integrates each smooth piece at full order
-    freeze = "stage" if schedule.kind == "trigonometric" else "midpoint"
+    freeze = "stage" if phase is None else "midpoint"
 
     def advance(k, X, b):
-        rhs = lambda t, Y: _drift(L, H, b, C_at(t, eval_ct), 1.0, cfg.s, Y)
+        rhs = lambda t, Y: _drift(L, H, b, C_at(k, t), 1.0, cfg.s, Y)
         return _rk4_step(rhs, k * cfg.dt_int, X, cfg.dt_int, freeze)
     return advance
 
 
-def _stepper(inst, schedule, cfg, mode, rng):
-    """step(k, x) on flat stacked states for one run.
+def _lift(maps, stride, B):
+    """Stacked block maps (S, c) of a periodic affine run whose step i
+    applies maps[(i // stride) % len(maps)]: rows j d .. (j+1) d - 1 of
+    S x + c are the state j + 1 steps after x, for j < B, when x sits at
+    a multiple of the period len(maps) * stride, which divides B."""
+    d = len(maps[0][1])
+    S, c = np.empty((B * d, d)), np.empty(B * d)
+    S[:d], c[:d] = maps[0]
+    period = len(maps) * stride
+    for j in range(1, period):
+        A, w = maps[(j // stride) % len(maps)]
+        np.matmul(A, S[(j - 1) * d:j * d], out=S[j * d:(j + 1) * d])
+        np.matmul(A, c[(j - 1) * d:j * d], out=c[j * d:(j + 1) * d])
+        c[j * d:(j + 1) * d] += w
+    done = period
+    while done < B:
+        # states done + 1, ... follow the state at done as 1, ... follow x
+        rows = min(done, B - done) * d
+        S_done, c_done = S[(done - 1) * d:done * d], c[(done - 1) * d:done * d]
+        np.matmul(S[:rows], S_done, out=S[done * d:done * d + rows])
+        np.matmul(S[:rows], c_done, out=c[done * d:done * d + rows])
+        c[done * d:done * d + rows] += c[:rows]
+        done += rows // d
+    return S, c
 
-    Periodic linear runs with n m <= DENSE_MAX_DIM cache the affine
-    maps x -> A x + w of one schedule period, read off advance applied
-    to the identity basis (b = 0) and to the zero state; larger runs
-    apply the structured operator every step. Baseline compressors step
-    node by node.
+
+def _stepper(inst, schedule, cfg, mode, rng, last):
+    """(B, fill) for one run of at most last steps: fill(k, x, count)
+    returns the states count <= B steps after the state x at step k, a
+    multiple of B, as a (count, n m) array.
+
+    Periodic linear runs with n m <= DENSE_MAX_DIM read the affine
+    one-step maps x -> A x + w of one schedule period off advance applied
+    to the identity basis (b = 0) and to the zero state. When a period of
+    lifted block maps fits in LIFT_BYTES, B is a multiple of the period
+    and one product fills a block; otherwise the block is filled step by
+    step, through the one-step maps, the structured operator, or, for
+    baseline compressors, the node-by-node step.
     """
     n, m = inst.H.shape
-    kind = cfg.compressor.kind
-    if kind not in ("scalarized", "none"):
-        return lambda k, x: solver_dt_step(inst, schedule, cfg.h, cfg.s, k, x,
-                                           cfg.compressor, rng=rng)
-    advance = _advance(_laplacian(inst), inst.H, schedule, cfg, mode)
-    periodic = kind == "none" or schedule.kind in ("cyclic-basis", "table")
-    if not periodic or n * m > DENSE_MAX_DIM:
-        return lambda k, x: advance(k, x.reshape(n, m), inst.b).reshape(-1)
-    count = 1 if kind == "none" else schedule.period_steps
-    stride = 1 if kind == "none" or mode == "dt" else round(schedule.dwell / cfg.dt_int)
     d = n * m
-    basis = np.eye(d).reshape(d, n, m)
-    maps = [(np.ascontiguousarray(advance(j * stride, basis, 0.0).reshape(d, d).T),
-             advance(j * stride, np.zeros((n, m)), inst.b).reshape(d))
-            for j in range(count)]
+    B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
+    phase = _phase(schedule, cfg, mode)
+    if cfg.compressor.kind not in ("scalarized", "none"):
+        step = lambda k, x: solver_dt_step(inst, schedule, cfg.h, cfg.s, k, x,
+                                           cfg.compressor, rng=rng)
+    else:
+        advance = _advance(_laplacian(inst), inst.H, schedule, cfg, mode)
+        step = lambda k, x: advance(k, x.reshape(n, m), inst.b).reshape(-1)
+    if phase is not None and d <= DENSE_MAX_DIM:
+        count, stride = phase
+        basis = np.eye(d).reshape(d, n, m)
+        maps = [(np.ascontiguousarray(advance(j * stride, basis, 0.0).reshape(d, d).T),
+                 advance(j * stride, np.zeros((n, m)), inst.b).reshape(d))
+                for j in range(count)]
+        period = count * stride
+        fits = LIFT_BYTES // (8 * d * d)
+        if period <= fits:
+            B = period * max(1, min(B, fits) // period)
+            with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
+                S, c = _lift(maps, stride, B)
+            return B, lambda k, x, count: (S[:count * d] @ x + c[:count * d]).reshape(count, d)
 
-    def step(k, x):
-        A, w = maps[(k // stride) % count]
-        return A @ x + w
-    return step
+        def step(k, x):
+            A, w = maps[(k // stride) % count]
+            return A @ x + w
+
+    def fill(k, x, count):
+        out = np.empty((count, d))
+        for j in range(count):
+            x = out[j] = step(k + j, x)
+        return out
+    return B, fill
 
 
 def run_simulation(inst, schedule, cfg, mode):
@@ -324,9 +404,17 @@ def run_simulation(inst, schedule, cfg, mode):
 
     The error metric is ||x - 1 (x) v*|| / n against the instance's
     planted solution; the run converges at the first clock where it
-    drops to cfg.tol. Communication counters follow the harness
-    accounting convention, with one exchange round per discrete step
-    (dt) or per integrator step (ct).
+    drops to cfg.tol, and raises SimulationDiverged at the first step
+    whose state norm is not finite or exceeds DIVERGENCE_GUARD.
+    Communication counters follow the harness accounting convention,
+    with one exchange round per discrete step (dt) or per integrator
+    step (ct).
+
+    The run advances in blocks of B steps (see ``_stepper``), never past
+    the horizon, and evaluates each block's error norms, guard, stopping
+    step and every record_every-th trace row as array operations. States
+    computed past the stopping step are discarded, and floating-point
+    overflow in them is not reported.
     """
     from .harness import account  # accounting convention lives with the harness
 
@@ -345,21 +433,23 @@ def run_simulation(inst, schedule, cfg, mode):
     ref = np.tile(np.asarray(inst.v_star, dtype=float), n)
     links = 2 * len(inst.graph.edges)
     msg_scalars, msg_bits = account(cfg.compressor, m)
+    if mode == "dt":
+        last, unit = int(cfg.horizon), 1
+    else:
+        last, unit = int(np.ceil(cfg.horizon / cfg.dt_int - 1e-9)), cfg.dt_int
 
-    clocks, errs, diss, scals, bits = [], [], [], [], []
+    rows = []  # (steps, err, disagreement) of the recorded rows, block by block
 
-    def record(clock, xv, rounds, err):
-        X = xv.reshape(n, m)
-        clocks.append(clock)
-        errs.append(err)
-        diss.append(float(np.linalg.norm(X - X.mean(axis=0))))
-        scals.append(rounds * links * msg_scalars)
-        bits.append(rounds * links * msg_bits)
+    def record(ks, err, X):
+        R = X.reshape(len(X), n, m)
+        dis = np.linalg.norm(R - R.mean(axis=1, keepdims=True), axis=(1, 2))
+        rows.append((ks, err, dis))
 
     def finish(converged, hit_clock, last_err):
+        ks, errs, diss = (np.concatenate(col) for col in zip(*rows))
         return Trace(
-            clock=clocks, err=errs, disagreement=diss,
-            scalars_tx_cum=scals, bits_tx_cum=bits,
+            clock=ks * unit, err=errs, disagreement=diss,
+            scalars_tx_cum=ks * (links * msg_scalars), bits_tx_cum=ks * (links * msg_bits),
             converged=converged, hit_clock=hit_clock, final_err=last_err,
             meta={
                 "mode": mode, "h": cfg.h, "s": cfg.s, "dt_int": cfg.dt_int,
@@ -369,29 +459,32 @@ def run_simulation(inst, schedule, cfg, mode):
             },
         )
 
-    step = _stepper(inst, schedule, cfg, mode, noise_rng)
-    if mode == "dt":
-        last, clock_at = int(cfg.horizon), lambda k: k
-    else:
-        last = int(np.ceil(cfg.horizon / cfg.dt_int - 1e-9))
-        clock_at = lambda k: k * cfg.dt_int
-    k = 0
-    while True:
-        clock = clock_at(k)
-        err = float(np.linalg.norm(x - ref)) / n
-        if err <= cfg.tol:
-            record(clock, x, k, err)
-            return finish(True, clock, err)
-        if k >= last:
-            if not clocks or clocks[-1] != clock:
-                record(clock, x, k, err)
-            return finish(False, None, err)
-        if k % cfg.record_every == 0:
-            record(clock, x, k, err)
-        x = step(k, x)
-        k += 1
-        nrm = float(np.linalg.norm(x))
-        if not np.isfinite(nrm) or nrm > DIVERGENCE_GUARD:
-            at = f"step {k}" if mode == "dt" else f"t={clock_at(k):.6g}"
-            raise SimulationDiverged(f"state norm {nrm:.3e} beyond guard at {at}",
-                                     clock=clock_at(k), norm=nrm)
+    B, fill = _stepper(inst, schedule, cfg, mode, noise_rng, last)
+    # states past the stopping step may overflow; they are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, X = 0, x[None]  # X holds the states at steps k, k + 1, ...
+        while True:
+            ks = np.arange(k, k + len(X))
+            err = np.linalg.norm(X - ref, axis=1) / n
+            nrm = np.linalg.norm(X, axis=1)
+            # the initial state is not guarded; NaN fails the guard
+            bad = ~(nrm <= DIVERGENCE_GUARD) & (ks > 0)
+            stops = np.flatnonzero(bad | (err <= cfg.tol) | (ks >= last))
+            end = stops[0] if stops.size else len(X)
+            keep = np.flatnonzero(ks[:end] % cfg.record_every == 0)
+            if stops.size:
+                break
+            record(ks[keep], err[keep], X[keep])
+            k = int(ks[-1])
+            X = fill(k, X[-1], min(B, last - k))
+            k += 1
+
+    clock = int(ks[end]) * unit
+    if bad[end]:
+        at = f"step {clock}" if mode == "dt" else f"t={clock:.6g}"
+        raise SimulationDiverged(f"state norm {nrm[end]:.3e} beyond guard at {at}",
+                                 clock=clock, norm=float(nrm[end]))
+    keep = np.append(keep, end)
+    record(ks[keep], err[keep], X[keep])
+    converged = bool(err[end] <= cfg.tol)
+    return finish(converged, clock if converged else None, float(err[end]))

@@ -35,3 +35,8 @@ class SimulationDiverged(RuntimeError):
         super().__init__(message)
         self.clock = clock
         self.norm = norm
+
+
+class ConfigError(ValueError):
+    """A config file does not parse, or its values do not build an
+    instance, schedule, compressor or run; the message says where."""

@@ -8,6 +8,7 @@ index entries count as scalars and ceil(log2 m) bits each.
 """
 
 import csv
+import functools
 import math
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -17,7 +18,7 @@ import numpy as np
 
 from .compression import Compressor, CompressionSchedule
 from .dynamics import RunConfig, Trace, run_simulation
-from .errors import RankDeficientError, SimulationDiverged
+from .errors import ConfigError, RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
 from .linalg import rank_check
 
@@ -99,6 +100,17 @@ def parse_list(text, cast=str):
     return tuple(cast(tok) for tok in text.replace(",", " ").split())
 
 
+def _builds(method):
+    """Raise the ValueError or OSError of a Config factory method as ConfigError."""
+    @functools.wraps(method)
+    def build(self, *args):
+        try:
+            return method(self, *args)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return build
+
+
 @dataclass(frozen=True)
 class Config:
     """Every setting of a run, one field per config-file key.
@@ -106,6 +118,8 @@ class Config:
     The key of a field is its name with the first '_' read as '.'
     (run_horizon <-> run.horizon). schedule_m = None means instance_m;
     run_horizon = None means 20 000 steps (dt) or 50.0 time units (ct).
+    The methods instance, schedule, compressor and run raise ConfigError
+    when the values do not make a valid object.
     """
 
     graph_kind: str = "cycle"
@@ -128,25 +142,33 @@ class Config:
     run_horizon: float | None = None
     run_dt_int: float = 1e-3
 
+    @_builds
     def instance(self, seed=None):
         """The planted instance drawn from seed (default run_seed)."""
         return gen_instance(self.graph_n, self.instance_m, self.instance_v_star,
                             self.graph_kind, self.run_seed if seed is None else seed,
                             self.graph_weight)
 
+    @_builds
     def schedule(self):
         table = self.schedule_table_file
+        if table is not None:
+            try:
+                table = np.loadtxt(table, ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"schedule.table_file = {table}: {exc}") from None
         return CompressionSchedule(
             kind=self.schedule_kind, dwell=self.schedule_dwell,
             m=self.instance_m if self.schedule_m is None else self.schedule_m,
-            frequencies=self.schedule_frequencies,
-            table=None if table is None else np.loadtxt(table, ndmin=2))
+            frequencies=self.schedule_frequencies, table=table)
 
+    @_builds
     def compressor(self, kind=None):
         """The compressor of the given kind (default compressor_kind)."""
         return Compressor(kind or self.compressor_kind,
                           l=self.compressor_l, k=self.compressor_k)
 
+    @_builds
     def run(self, mode):
         """The RunConfig of one run in mode 'dt' or 'ct'."""
         horizon = self.run_horizon
@@ -172,7 +194,7 @@ def _convert(kind, text):
 def parse_config(path):
     """Read 'key = value' lines ('#' starts a comment) into a Config. An
     unknown key, a line without '=', a value of the wrong type or a v_star
-    of the wrong length raises ValueError naming the line."""
+    of the wrong length raises ConfigError naming the line."""
     values, where = {}, {}
     with open(path) as fh:
         for no, raw in enumerate(fh, 1):
@@ -181,20 +203,20 @@ def parse_config(path):
                 continue
             key, eq, text = (part.strip() for part in line.partition("="))
             if not eq:
-                raise ValueError(f"{path}, line {no}: expected 'key = value', got {line!r}")
+                raise ConfigError(f"{path}, line {no}: expected 'key = value', got {line!r}")
             if key not in _KEYS:
-                raise ValueError(f"{path}, line {no}: unknown key {key!r}")
+                raise ConfigError(f"{path}, line {no}: unknown key {key!r}")
             name = _KEYS[key].name
             try:
                 values[name] = _convert(_KEYS[key].type, text)
             except ValueError as exc:
-                raise ValueError(f"{path}, line {no}: bad value for {key}: {exc}") from None
+                raise ConfigError(f"{path}, line {no}: bad value for {key}: {exc}") from None
             where[name] = no
     config = Config(**values)
     if len(config.instance_v_star) != config.instance_m:
         no = where.get("instance_v_star", where.get("instance_m"))
-        raise ValueError(f"{path}, line {no}: instance.v_star has {len(config.instance_v_star)} "
-                         f"values but instance.m = {config.instance_m}")
+        raise ConfigError(f"{path}, line {no}: instance.v_star has {len(config.instance_v_star)} "
+                          f"values but instance.m = {config.instance_m}")
     return config
 
 

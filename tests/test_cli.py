@@ -171,16 +171,49 @@ def test_compare_cell_equals_run_of_the_same_config(tmp_path, kind, extra):
 
 
 @pytest.mark.parametrize("kind, missing", [("topk", "k"), ("unbiased", "l")])
-def test_compare_takes_compressor_settings_from_the_config(tmp_path, kind, missing):
+def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kind, missing):
     cfg = _write_config(tmp_path, "run.horizon = 50\n")
-    with pytest.raises(ValueError) as compare_err:
+    with pytest.raises(SystemExit) as compare_exit:
         main(["compare", "--config", cfg, "--mode", "dt", "--compressors", kind,
               "--seeds", "0", "--out", str(tmp_path / "r.csv")])
+    compare_err = capsys.readouterr().err
     cfg = _write_config(tmp_path, f"compressor.kind = {kind}\nrun.horizon = 50\n")
-    with pytest.raises(ValueError) as run_err:
+    with pytest.raises(SystemExit) as run_exit:
         main(["run", "--config", cfg, "--mode", "dt", "--out", str(tmp_path / "t.csv")])
-    assert f"needs {missing} >= 1" in str(run_err.value)
-    assert str(compare_err.value) == str(run_err.value)
+    run_err = capsys.readouterr().err
+    assert compare_exit.value.code == run_exit.value.code == 2
+    assert f"needs {missing} >= 1" in run_err
+    assert compare_err == run_err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.horizon = 20.7\n",
+     "run.horizon = 20.7 is not a whole number of dt steps"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "compressor.kind = topk\n",
+     "topk compressor needs k >= 1"),
+    (["compare", "--mode", "dt", "--compressors", "topk", "--seeds", "0", "--out", "r.csv"],
+     "", "topk compressor needs k >= 1"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "graph.n = 3\n", "need n >= m, got n=3, m=5"),
+    (["pe-check", "--window", "5"], "schedule.kind = table\nschedule.table_file = missing.txt\n",
+     "schedule.table_file = missing.txt: "),
+    (["bounds"], "schedule.kind = table\nschedule.table_file = {bad}\n",
+     "schedule.table_file = {bad}: "),
+    (["run", "--mode", "ct", "--out", "t.csv"], "schedule.kind = trigonometric\n",
+     "trigonometric schedule needs at least one frequency"),
+], ids=["dt-horizon", "run-topk-without-k", "compare-topk-without-k", "n-below-m",
+        "missing-table", "malformed-table", "trig-without-frequencies"])
+def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys,
+                                                  command, extra, message):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0 x\n")
+    cfg = _write_config(tmp_path, "run.horizon = 20\n" + extra.format(bad=bad))
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--config", cfg] + command[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"scalareq: error: {message.format(bad=bad)}")
 
 
 def test_run_rejects_schedule_of_another_dimension(tmp_path):

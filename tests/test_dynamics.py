@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from scalareq.dynamics import _advance, _stepper
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
+
+from oracles import run_simulation_stepwise
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -131,10 +135,10 @@ def test_midpoint_freeze_matches_linear_propagator(inst10):
     I = np.eye(n * m)
     R = I + B + B2 / 2.0 + B3 / 6.0 + B3 @ B / 24.0
     w = dt * (I + B / 2.0 + B2 / 6.0 + B3 / 24.0) @ c
-    step = _stepper(inst10, SCHED5, RunConfig(s=s, dt_int=dt), "ct", None)
+    _, fill = _stepper(inst10, SCHED5, RunConfig(s=s, dt_int=dt), "ct", None, 1)
     x0 = np.random.default_rng(2).standard_normal(n * m)
-    assert np.abs(step(0, x0) - (R @ x0 + w)).max() < 1e-13
-    assert np.abs(step(0, np.zeros(n * m)) - w).max() < 1e-13
+    assert np.abs(fill(0, x0, 1)[0] - (R @ x0 + w)).max() < 1e-13
+    assert np.abs(fill(0, np.zeros(n * m), 1)[0] - w).max() < 1e-13
 def test_consensus_flow_disagreement_monotone(inst10):
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(50)
@@ -367,16 +371,45 @@ def test_run_simulation_ct_trigonometric_schedule():
     assert np.all(np.isfinite(tr.err))
 
 
+SCALAR_INST = ProblemInstance(H=np.array([[1.0]]), b=np.array([1.0]),
+                              graph=WeightedGraph(n=1), v_star=np.array([1.0]))
+
+
 def test_run_simulation_divergence_guard():
-    inst = ProblemInstance(H=np.array([[1.0]]), b=np.array([1.0]),
-                           graph=WeightedGraph(n=1), v_star=np.array([1.0]))
+    # x[k+1] - 1 = -2 (x[k] - 1) from x[0] = 10: |x[37]| = 9 2^37 - 1 is
+    # the first state beyond 1e12
     sched = make_schedule("cyclic-basis", 1, dwell=1.0)
     cfg = RunConfig(h=0.1, s=3.0, horizon=1000, tol=1e-300,
                     x0=np.array([10.0]))
     with pytest.raises(SimulationDiverged) as exc:
-        run_simulation(inst, sched, cfg, "dt")
-    assert exc.value.norm > 1e12
-    assert exc.value.clock <= 1000
+        run_simulation(SCALAR_INST, sched, cfg, "dt")
+    assert exc.value.norm == 9 * 2**37 - 1
+    assert exc.value.clock == 37
+
+
+@pytest.mark.parametrize("kind, mode, s, dt_int, clock", [
+    ("scalarized", "dt", 3.0, 1e-3, 37), ("scalarized", "dt", 1e3, 1e-3, 4),
+    ("scalarized", "dt", 1e6, 1e-3, 2), ("scalarized", "ct", 1e3, 1.0, 2.0),
+    ("uniform", "dt", 3.0, 1e-3, 37), ("uniform", "dt", 1e3, 1e-3, 4),
+    ("uniform", "dt", 1e6, 1e-3, 2),
+])
+def test_run_simulation_diverges_mid_block_without_warnings(kind, mode, s, dt_int, clock):
+    # the block of 256 steps (lifted maps for scalarized, the node loop
+    # for uniform) holds the guard crossing in its middle; at s >= 1e3 the
+    # states after it overflow, which must stay silent (warnings fail the
+    # tests) and must not move the reported clock
+    sched = make_schedule("cyclic-basis", 1, dwell=1.0)
+    cfg = RunConfig(h=0.1, s=s, dt_int=dt_int, horizon=1000 if mode == "dt" else 1000.0,
+                    tol=1e-300, x0=np.array([10.0]), compressor=Compressor(kind))
+    assert _stepper(SCALAR_INST, sched, cfg, mode, None, 1000)[0] == 256
+    with pytest.raises(SimulationDiverged) as exc:
+        run_simulation(SCALAR_INST, sched, cfg, mode)
+    assert exc.value.clock == clock
+    assert 1e12 < exc.value.norm < np.inf
+    with pytest.raises(SimulationDiverged) as oracle:
+        run_simulation_stepwise(SCALAR_INST, sched, cfg, mode)
+    assert oracle.value.clock == clock
+    assert oracle.value.norm == pytest.approx(exc.value.norm, rel=1e-12)
 
 
 def test_runconfig_validation(inst10):
@@ -408,3 +441,129 @@ def test_trace_invariants():
     with pytest.raises(ValueError, match="nondecreasing"):
         Trace(clock=[0.0, 1.0], err=[1.0, 1.0], disagreement=[0.0, 0.0],
               scalars_tx_cum=[1, 0], bits_tx_cum=[0, 64])
+
+
+def _assert_same_run(trace, oracle):
+    """Identical clocks, counters and outcome; err and disagreement within
+    1e-12 relative to the larger of the value and its initial value. Both
+    loops round at the scale of the state, and the error of a converged
+    run falls to that rounding floor."""
+    assert np.array_equal(trace.clock, oracle.clock)
+    assert np.array_equal(trace.scalars_tx_cum, oracle.scalars_tx_cum)
+    assert np.array_equal(trace.bits_tx_cum, oracle.bits_tx_cum)
+    assert (trace.converged, trace.hit_clock) == (oracle.converged, oracle.hit_clock)
+    assert trace.final_err == trace.err[-1] and oracle.final_err == oracle.err[-1]
+    for got, want in ((trace.err, oracle.err), (trace.disagreement, oracle.disagreement)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), want[0]))
+
+
+def _run_both(inst, sched, cfg, mode):
+    """Run the block loop and the stepwise oracle; require the same trace,
+    or divergence at the same clock."""
+    try:
+        oracle = run_simulation_stepwise(inst, sched, cfg, mode)
+    except SimulationDiverged as exc:
+        with pytest.raises(SimulationDiverged) as got:
+            run_simulation(inst, sched, cfg, mode)
+        assert got.value.clock == exc.clock
+        assert got.value.norm == pytest.approx(exc.norm, rel=1e-9)
+        return None
+    trace = run_simulation(inst, sched, cfg, mode)
+    _assert_same_run(trace, oracle)
+    return trace
+
+
+def _record_lows(err, margin=1e-6):
+    """Steps k whose error lies below every earlier error by a relative margin."""
+    best = np.minimum.accumulate(err)
+    return [k for k in range(1, len(err)) if err[k] < best[k - 1] * (1.0 - margin)]
+
+
+def _tol_hitting_at(full, k):
+    """A tolerance that the error of trace full first meets at step k."""
+    return float(np.sqrt(full.err[k] * full.err[:k].min()))
+
+
+RUN_KINDS = [("dt", "scalarized"), ("dt", "none"), ("dt", "topk"), ("dt", "unbiased"),
+             ("dt", "uniform"), ("ct", "scalarized"), ("ct", "none")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RUN_KINDS),
+       st.sampled_from(["table", "cyclic-basis", "trigonometric"]),
+       st.sampled_from(["k0", "first", "last", "random", "unstable"]),
+       st.integers(1, 700), st.integers(1, 60))
+def test_block_loop_matches_stepwise_oracle(seed, run_kind, sched_kind, where, steps, every):
+    # where the run should stop: at k = 0, on the first or last row of a
+    # block, at a random tolerance, or (dt) by divergence; the horizon
+    # is rarely a multiple of the block size
+    mode, kind = run_kind
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    if sched_kind == "cyclic-basis":
+        sched = make_schedule("cyclic-basis", m, dwell=0.05)
+    elif sched_kind == "trigonometric" and m % 2 == 0:
+        sched = make_schedule("trigonometric", m, dwell=0.05,
+                              frequencies=rng.uniform(0.5, 3.0, m // 2))
+    comp = Compressor(kind, l=int(rng.integers(1, 4)), k=int(rng.integers(1, m + 1)))
+    h = float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n
+    s = float(rng.uniform(0.0, 0.5))
+    if where == "unstable" and mode == "dt":
+        s = float(rng.uniform(2.5, 6.0)) / float(np.max(np.sum(inst.H ** 2, axis=1)))
+    if mode == "ct":
+        steps = 1 + steps // 3
+    cfg = RunConfig(h=h, s=s, dt_int=0.01, horizon=steps if mode == "dt" else steps * 0.01,
+                    tol=1e-300, compressor=comp, seed=int(rng.integers(0, 1000)),
+                    record_every=every)
+    x0 = np.random.default_rng([cfg.seed, 1]).standard_normal(n * m)
+    err0 = float(np.linalg.norm(x0 - np.tile(inst.v_star, n))) / n
+    tol = err0 * 10.0 ** -float(rng.uniform(0.0, 6.0))
+    if where == "k0":
+        tol = 2.0 * err0
+    elif where in ("first", "last"):
+        B = _stepper(inst, sched, cfg, mode, None, steps)[0]
+        try:
+            full = run_simulation_stepwise(inst, sched, replace(cfg, record_every=1), mode)
+        except SimulationDiverged:
+            full = None
+        row = 1 if where == "first" else 0
+        hits = [] if full is None else [k for k in _record_lows(full.err) if k % B == row]
+        if hits:
+            tol = _tol_hitting_at(full, hits[int(rng.integers(0, len(hits)))])
+    _run_both(inst, sched, replace(cfg, tol=tol), mode)
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+@pytest.mark.parametrize("n", [10, 12, 60])
+def test_block_loop_hits_on_first_and_last_block_rows(inst10, cycle60, n, mode):
+    # n = 10 advances through lifted maps; n = 12 too in dt, but in ct a
+    # period of its lifted maps would exceed LIFT_BYTES, so it steps
+    # through the one-step maps; n = 60 steps through the structured
+    # operator
+    inst = {10: inst10, 60: cycle60}.get(n) or gen_instance(n, 5, V_STAR, seed=0)
+    steps = 300
+    cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 1.0, dt_int=1e-3, tol=1e-300,
+                    horizon=steps if mode == "dt" else steps * 1e-3, record_every=7)
+    B = _stepper(inst, SCHED5, cfg, mode, None, steps)[0]
+    assert 1 < B < steps
+    full = run_simulation_stepwise(inst, SCHED5, replace(cfg, record_every=1), mode)
+    lows = _record_lows(full.err)
+    for row in (1, 0):
+        k = next(k for k in lows if k % B == row)
+        trace = _run_both(inst, SCHED5, replace(cfg, tol=_tol_hitting_at(full, k)), mode)
+        assert trace.hit_clock == full.clock[k] and trace.clock[-1] == full.clock[k]
+
+
+def test_run_simulation_never_steps_past_the_horizon(inst10, monkeypatch):
+    import scalareq.dynamics as dynamics
+
+    calls = []
+    node_step = dynamics.solver_dt_step
+    monkeypatch.setattr(dynamics, "solver_dt_step",
+                        lambda *args, **kw: calls.append(args[4]) or node_step(*args, **kw))
+    cfg = RunConfig(h=0.2, s=0.02, horizon=300, tol=1e-300, record_every=1,
+                    compressor=Compressor("uniform"))
+    assert 300 % _stepper(inst10, SCHED5, cfg, "dt", None, 300)[0] != 0
+    tr = run_simulation(inst10, SCHED5, cfg, "dt")
+    assert calls == list(range(300))
+    assert tr.clock[-1] == 300 and len(tr) == 301
