@@ -12,10 +12,9 @@ compressors.
 from .compression import (CompressionSchedule, Compressor, PEWitness,
                           compress_topk, compress_unbiased, compress_uniform,
                           eval_ct, eval_dt, make_schedule, pe_gram_ct,
-                          pe_gram_dt, scalarize, unfold, verify_pe_ct,
-                          verify_pe_dt)
-from .dynamics import (RunConfig, Trace, Trajectory, consensus_rhs, integrate,
-                       run_simulation, solver_ct_rhs, solver_dt_step)
+                          pe_gram_dt, verify_pe_ct, verify_pe_dt)
+from .dynamics import (RunConfig, Trace, consensus_rhs, run_simulation,
+                       solver_ct_rhs)
 from .errors import (DisconnectedGraphError, PEVerificationFailed,
                      RankDeficientError, SimulationDiverged)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,

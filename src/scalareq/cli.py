@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .compression import verify_pe_ct, verify_pe_dt
-from .errors import ConfigError, PEVerificationFailed
+from .errors import ConfigError, PEVerificationFailed, SimulationDiverged
 from .harness import (Config, ExperimentSpec, gen_instance, load_instance,
                       parse_config, parse_list, run_experiment, save_instance,
                       serialize)
@@ -30,8 +30,11 @@ def _list_of(cast):
 
 
 def _cmd_gen(args):
-    inst = gen_instance(args.n, args.m, args.v_star,
-                        graph_kind=args.graph, seed=args.seed, weight=args.weight)
+    try:
+        inst = gen_instance(args.n, args.m, args.v_star,
+                            graph_kind=args.graph, seed=args.seed, weight=args.weight)
+    except ValueError as exc:  # the arguments describe no instance
+        raise ConfigError(f"cannot generate an instance: {exc}") from exc
     save_instance(inst, args.out)
     print(f"wrote instance n={inst.n} m={inst.m} seed={inst.seed} to {args.out}")
     return 0
@@ -39,8 +42,21 @@ def _cmd_gen(args):
 
 def _cmd_run(args):
     config = args.config
-    inst = load_instance(args.instance) if args.instance else config.instance()
-    trace = run_simulation(inst, config.schedule(), config.run(args.mode), args.mode)
+    if args.instance:
+        try:
+            inst = load_instance(args.instance)
+        except ValueError as exc:  # malformed file, or one that holds no valid instance
+            raise ConfigError(f"--instance: {exc}") from exc
+    else:
+        inst = config.instance()
+    schedule = config.schedule()
+    if schedule.m != inst.m:
+        raise ConfigError(f"schedule has m={schedule.m} but the instance has m={inst.m}")
+    try:
+        trace = run_simulation(inst, schedule, config.run(args.mode), args.mode)
+    except SimulationDiverged as exc:
+        print(f"scalareq: error: run diverged: {exc}", file=sys.stderr)
+        return 1
     serialize(trace, args.out)
     status = (f"converged at {trace.hit_clock}" if trace.converged
               else f"not converged (final err {trace.final_err:.3e})")

@@ -11,6 +11,7 @@ l-bit quantizer, top-k sparsifier, uniform quantizer) transmit full
 m-vectors and exist for the communication comparison experiments.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,24 @@ def eval_ct(schedule, t):
     return schedule.table[idx % len(schedule.table)].copy()
 
 
+def _step_clock(schedule, k):
+    """Clock at which discrete step k (an int or an integer array)
+    samples the continuous rule of a trigonometric schedule."""
+    return k * (schedule.dwell if schedule.dwell is not None else 1.0)
+
+
+def _trig_rows(schedule, t):
+    """C(t) of a trigonometric schedule at every clock of the array t, as
+    an array of shape t.shape + (m,), from one sin and one cos call; each
+    row is what eval_ct gives at its clock."""
+    wt = np.multiply.outer(t, schedule.frequencies)
+    C = np.empty(wt.shape[:-1] + (schedule.m,))
+    C[..., 0::2] = np.sin(wt)
+    C[..., 1::2] = np.cos(wt)
+    C *= np.sqrt(2.0 / schedule.m)
+    return C
+
+
 def eval_dt(schedule, k):
     """Compression vector C[k] at step k >= 0 (unit norm)."""
     if k < 0:
@@ -134,9 +153,7 @@ def eval_dt(schedule, k):
         return _basis(schedule.m, k % schedule.m)
     if schedule.kind == "table":
         return schedule.table[k % len(schedule.table)].copy()
-    # trigonometric: sample the continuous rule at step times
-    step_time = schedule.dwell if schedule.dwell is not None else 1.0
-    return eval_ct(schedule, k * step_time)
+    return eval_ct(schedule, _step_clock(schedule, k))
 
 
 def pe_gram_dt(schedule, start, K):
@@ -170,12 +187,7 @@ def pe_gram_ct(schedule, start, T, quadrature_step=None):
     if schedule.kind == "trigonometric":
         step = quadrature_step if quadrature_step is not None else T / 1000.0
         N = max(1, int(round(T / step)))
-        # the rows of C are eval_ct at the N midpoints
-        wt = np.multiply.outer(start + (np.arange(N) + 0.5) * (T / N), schedule.frequencies)
-        C = np.empty((N, m))
-        C[:, 0::2] = np.sin(wt)
-        C[:, 1::2] = np.cos(wt)
-        C *= np.sqrt(2.0 / m)
+        C = _trig_rows(schedule, start + (np.arange(N) + 0.5) * (T / N))
         return (T / N) * (C.T @ C)
 
     dwell = schedule.dwell
@@ -264,63 +276,56 @@ def verify_pe_dt(schedule, K, start_samples=None):
     return _verify(starts, [pe_gram_dt(schedule, k0, K) for k0 in starts], K)
 
 
-def _check_unit(C):
-    if abs(np.linalg.norm(C) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("compression vector must have unit norm")
-
-
-def scalarize(C, x):
-    """The transmitted scalar y = C^T x."""
-    C = np.asarray(C, dtype=float)
-    _check_unit(C)
-    return float(np.dot(C, x))
-
-
-def unfold(C, y):
-    """Receiver-side reconstruction C * y; unfold(C, scalarize(C, x))
-    is the rank-1 orthogonal projection of x onto span(C)."""
-    C = np.asarray(C, dtype=float)
-    _check_unit(C)
-    return C * float(y)
-
-
 def compress_unbiased(x, l, noise=None, rng=None):
-    """Unbiased l-bit quantizer.
+    """Unbiased l-bit quantizer, applied to each row (last axis) of x.
 
-    Each entry is scaled to [0, 2^(l-1)] of the infinity norm and
+    Each entry is scaled to [0, 2^(l-1)] of its row's infinity norm and
     floored after adding uniform [0,1) dither, keeping the sign:
 
         out_i = (||x||_inf / 2^(l-1)) * sign(x_i) * floor(2^(l-1)|x_i| / ||x||_inf + w_i)
 
-    The zero vector maps to zero. Pass ``noise`` explicitly for
-    deterministic output, or ``rng`` to draw one uniform per entry.
+    A zero row maps to zero. Pass ``noise`` shaped like x for
+    deterministic output, or ``rng`` to draw one uniform per entry of the
+    nonzero rows in row order, which is what quantizing the rows one by
+    one draws.
     """
     x = np.asarray(x, dtype=float)
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    norm_inf = float(np.abs(x).max()) if x.size else 0.0
-    if norm_inf == 0.0:
-        return np.zeros_like(x)
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    out = np.zeros(rows.shape)
+    norm_inf = np.abs(rows).max(axis=1, initial=0.0)
+    live = np.flatnonzero(norm_inf)
+    if not live.size:
+        return out.reshape(x.shape)
     if noise is None:
         if rng is None:
             raise ValueError("provide explicit noise or an rng")
-        noise = rng.uniform(size=x.shape)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != x.shape or noise.min() < 0.0 or noise.max() >= 1.0:
-        raise ValueError("noise must match x in shape with entries in [0, 1)")
+        noise = rng.uniform(size=(live.size, rows.shape[1]))
+    else:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != x.shape or noise.min() < 0.0 or noise.max() >= 1.0:
+            raise ValueError("noise must match x in shape with entries in [0, 1)")
+        noise = noise.reshape(rows.shape)[live]
     levels = 2.0 ** (l - 1)
-    return (norm_inf / levels) * np.sign(x) * np.floor(levels * np.abs(x) / norm_inf + noise)
+    X, norm_inf = rows[live], norm_inf[live, None]
+    out[live] = (norm_inf / levels) * np.sign(X) * np.floor(levels * np.abs(X) / norm_inf + noise)
+    return out.reshape(x.shape)
 
 
 def compress_topk(x, k):
-    """Keep the k largest-magnitude entries (ties: lowest index), zero the rest."""
+    """Keep the k largest-magnitude entries of each row (last axis) of x
+    (ties: lowest index) and zero the rest."""
     x = np.asarray(x, dtype=float)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"need 1 <= k <= {x.size}, got {k}")
-    order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros_like(x)
-    out[order[:k]] = x[order[:k]]
-    return out
+    m = x.shape[-1]
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= {m}, got {k}")
+    rows = x.reshape(-1, m)
+    keep = np.argsort(-np.abs(rows), axis=1, kind="stable")[:, :k]
+    at = np.arange(len(rows))[:, None]
+    out = np.zeros(rows.shape)
+    out[at, keep] = rows[at, keep]
+    return out.reshape(x.shape)
 
 
 def compress_uniform(x):
@@ -333,8 +338,8 @@ class Compressor:
     """Per-run compressor selection for the discrete/continuous solvers.
 
     kind 'scalarized' and 'none' are structural (handled inside the
-    steppers); the baseline kinds apply a pointwise map to each
-    transmitted state vector.
+    steppers); the baseline kinds map each transmitted state vector, a
+    row of the stacked node states, to its compressed form.
     """
 
     kind: str
@@ -361,7 +366,8 @@ class Compressor:
         return self.kind
 
     def apply(self, x, rng=None):
-        """Pointwise baseline map; undefined for structural kinds."""
+        """Baseline map of each row (last axis) of x; undefined for
+        structural kinds."""
         if self.kind == "unbiased":
             return compress_unbiased(x, self.l, rng=rng)
         if self.kind == "topk":

@@ -9,23 +9,27 @@ baseline compressors transmit full (compressed) m-vectors instead.
 
 Every solver step, flow and certificate applies one consensus operator,
 (L (x) C C^T) x: node i sends y_i = C^T x_i and the receiver unfolds the
-weighted sum along C. Periodic schedules read C from a table of one
-period built once per run. ``run_simulation`` advances a run in blocks
+weighted sum along C. A baseline-compressor step exchanges the
+compressed states instead, L Q(X), with Q applied to every node's row of
+the stacked state X at once. ``run_simulation`` advances a run in blocks
 of B steps and does its bookkeeping (error norms, divergence guard,
-stopping step, trace rows) once per block, as array operations. Periodic
-runs of small networks (n m <= DENSE_MAX_DIM) advance a whole block with
-one product by the lifted affine maps x[k+j] = M_j x[k] + c_j, composed
-from the one-step maps read off the operator applied to the identity
-basis; every other run fills its block step by step. The node-by-node
-``solver_dt_step`` is the reference for the one-scalar-per-neighbor
-update and steps the baseline compressors.
+stopping step, trace rows) once per block, as array operations. Each
+block reads its compression vectors from a table of one schedule period,
+or evaluates a trigonometric schedule at all of its steps (and RK4
+stages) at once. Periodic runs of small networks (n m <= DENSE_MAX_DIM)
+advance a whole block with one product by the lifted affine maps
+x[k+j] = M_j x[k] + c_j, composed from the one-step maps read off the
+operator applied to the identity basis; every other run fills its block
+step by step, each step one map of the whole state. The node-by-node
+step and the RK4 integrator that the tests compare against live in
+tests/oracles.py.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, eval_ct, eval_dt
+from .compression import Compressor, _step_clock, _trig_rows, eval_ct, eval_dt
 from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
@@ -133,14 +137,6 @@ class Trace:
         return len(self.clock)
 
 
-@dataclass
-class Trajectory:
-    """Raw integrator output: states sampled every dt_int."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-
 def _exchange(L, X, C):
     """(L (x) C C^T) x on stacked states X of shape (..., n, m).
 
@@ -187,101 +183,6 @@ def solver_ct_rhs(inst, schedule, s, t, x):
     return _drift(_laplacian(inst), inst.H, inst.b, C, 1.0, s, X).reshape(-1)
 
 
-def _rk4_step(rhs, t, x, dt, freeze):
-    if freeze == "midpoint":
-        tm = t + 0.5 * dt
-        k1 = rhs(tm, x)
-        k2 = rhs(tm, x + 0.5 * dt * k1)
-        k3 = rhs(tm, x + 0.5 * dt * k2)
-        k4 = rhs(tm, x + dt * k3)
-    else:
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate(rhs, x0, t0, t1, dt_int, freeze="stage"):
-    """Classical fixed-step RK4 of dx/dt = rhs(t, x) over [t0, t1].
-
-    dt_int must tile the interval. freeze='midpoint' evaluates all four
-    stages at the step midpoint; use it for piecewise-constant-in-time
-    systems whose switching instants land on step boundaries (the step
-    then integrates each smooth piece at full order, since stepping a
-    stage across a switch would degrade accuracy).
-
-    Returns a :class:`Trajectory` sampled every dt_int.
-    """
-    if dt_int <= 0:
-        raise ValueError(f"need dt_int > 0, got {dt_int}")
-    span = t1 - t0
-    if span <= 0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    N = round(span / dt_int)
-    if N < 1 or abs(N * dt_int - span) > 1e-9 * max(span, 1.0):
-        raise ValueError(f"dt_int={dt_int} does not tile [{t0}, {t1}]")
-    if freeze not in ("stage", "midpoint"):
-        raise ValueError(f"freeze must be 'stage' or 'midpoint', got {freeze!r}")
-    x = np.array(x0, dtype=float)
-    times = t0 + dt_int * np.arange(N + 1)
-    states = np.empty((N + 1, x.size))
-    states[0] = x
-    for i in range(N):
-        x = _rk4_step(rhs, t0 + i * dt_int, x, dt_int, freeze)
-        nrm = float(np.linalg.norm(x))
-        if not np.isfinite(nrm) or nrm > DIVERGENCE_GUARD:
-            raise SimulationDiverged(
-                f"state norm {nrm:.3e} beyond guard at t={times[i + 1]:.6g}",
-                clock=float(times[i + 1]), norm=nrm,
-            )
-        states[i + 1] = x
-    return Trajectory(times=times, states=states)
-
-
-def solver_dt_step(inst, schedule, h, s, k, x, compressor=None, rng=None):
-    """One step of the discrete solver at step index k.
-
-    Scalarized mode is computed node by node from each node's own state
-    plus one received scalar per neighbor, so the scalar-communication
-    structure of the update is explicit in the code path. 'none'
-    exchanges raw states; the baseline kinds substitute the compressed
-    state vector for every transmitted state in the consensus term.
-    """
-    compressor = compressor or Compressor("scalarized")
-    H, b = inst.H, inst.b
-    n, m = H.shape
-    if n >= 2:
-        lambda_n = inst.spectrum.lambda_n
-        if not 0.0 < h < 2.0 / lambda_n:
-            raise ValueError(f"stepsize h={h} outside (0, {2.0 / lambda_n:.6g})")
-    X = np.asarray(x, dtype=float).reshape(n, m)
-
-    if compressor.kind == "scalarized":
-        C = eval_dt(schedule, k)
-        y = np.array([float(np.dot(X[i], C)) for i in range(n)])
-        Xn = np.empty_like(X)
-        for i in range(n):
-            acc = 0.0
-            for (j, w) in inst.graph.neighbors(i):
-                acc += w * (y[j] - y[i])
-            r_i = float(np.dot(H[i], X[i])) - b[i]
-            Xn[i] = X[i] + (h * acc) * C - (s * r_i) * H[i]
-        return Xn.reshape(-1)
-
-    L = _laplacian(inst)
-    r = (X * H).sum(axis=1) - b
-    if compressor.kind == "none":
-        Q = X
-    elif compressor.kind == "uniform":
-        Q = np.floor(X + 0.5)
-    else:
-        # per-node application keeps the noise stream identical to
-        # sequential node-order draws
-        Q = np.stack([compressor.apply(X[i], rng=rng) for i in range(n)])
-    return (X - h * (L @ Q) - s * r[:, None] * H).reshape(-1)
-
-
 def _phase(schedule, cfg, mode):
     """(count, stride) of a periodic linear run, whose step k applies
     schedule row (k // stride) % count: count is 1 without compression
@@ -295,32 +196,55 @@ def _phase(schedule, cfg, mode):
     return schedule.period_steps, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
 
 
-def _advance(L, H, schedule, cfg, mode):
-    """One solver step advance(k, X, b) of a scalarized or uncompressed
-    run: discrete step k, or RK4 step k of length dt_int. X may carry
-    leading batch axes. Periodic runs read C from one period of rows
-    evaluated once; trigonometric runs evaluate C at every step (dt) or
-    stage (ct)."""
+def _compression(schedule, cfg, mode):
+    """C_of(k, count): the compression of steps k .. k + count - 1, one
+    entry per step: the row C[k] in dt, and in ct the (3, m) stack of the
+    rows that the RK4 stages at t, t + dt/2 and t + dt apply (one row
+    thrice for periodic schedules: they switch on step boundaries, where
+    a midpoint-frozen step integrates each smooth piece at full order).
+    None without scalarization. Periodic schedules index a table of one
+    period; trigonometric ones are evaluated at a block's clocks at once."""
+    if cfg.compressor.kind != "scalarized":
+        return lambda k, count: [None] * count
     phase = _phase(schedule, cfg, mode)
+    if phase is None and mode == "dt":
+        return lambda k, count: _trig_rows(schedule,
+                                           _step_clock(schedule, np.arange(k, k + count)))
     if phase is None:
-        C_at = (lambda k, t: eval_dt(schedule, k)) if mode == "dt" else \
-            (lambda k, t: eval_ct(schedule, t))
-    elif cfg.compressor.kind == "none":
-        C_at = lambda k, t: None
-    else:
-        count, stride = phase
-        rows = np.array([eval_dt(schedule, j) for j in range(count)])
-        C_at = lambda k, t: rows[(k // stride) % count]
+        dt = cfg.dt_int
 
+        def stages(k, count):
+            t = np.arange(k, k + count) * dt
+            return _trig_rows(schedule, np.stack([t, t + 0.5 * dt, t + dt], axis=1))
+        return stages
+    period, stride = phase
+    rows = np.array([eval_dt(schedule, j) for j in range(period)])
+    if mode == "ct":
+        rows = np.repeat(rows[:, None], 3, axis=1)
+    return lambda k, count: rows[(np.arange(k, k + count) // stride) % period]
+
+
+def _advance(L, H, cfg, mode, rng=None):
+    """advance(C, X, b): one solver step of the stacked states X, which
+    may carry leading batch axes: discrete step, or RK4 step of length
+    dt_int, with C the step's entry of ``_compression``. A baseline
+    compressor Q steps X - h L Q(X) - s r H, its noise drawn from rng."""
+    h, s, dt = cfg.h, cfg.s, cfg.dt_int
+    if cfg.compressor.kind in Compressor.BASELINES:
+        Q = cfg.compressor.apply
+        # this order of evaluation fixes the last bits of baseline traces
+        return lambda C, X, b: (X - h * (L @ Q(X, rng))
+                                - s * ((X * H).sum(axis=-1) - b)[..., None] * H)
     if mode == "dt":
-        return lambda k, X, b: X + _drift(L, H, b, C_at(k, None), cfg.h, cfg.s, X)
-    # piecewise-constant schedules switch on step boundaries, where a
-    # midpoint-frozen step integrates each smooth piece at full order
-    freeze = "stage" if phase is None else "midpoint"
+        return lambda C, X, b: X + _drift(L, H, b, C, h, s, X)
 
-    def advance(k, X, b):
-        rhs = lambda t, Y: _drift(L, H, b, C_at(k, t), 1.0, cfg.s, Y)
-        return _rk4_step(rhs, k * cfg.dt_int, X, cfg.dt_int, freeze)
+    def advance(C, X, b):
+        C1, C2, C4 = (None, None, None) if C is None else C
+        k1 = _drift(L, H, b, C1, 1.0, s, X)
+        k2 = _drift(L, H, b, C2, 1.0, s, X + 0.5 * dt * k1)
+        k3 = _drift(L, H, b, C2, 1.0, s, X + 0.5 * dt * k2)
+        k4 = _drift(L, H, b, C4, 1.0, s, X + dt * k3)
+        return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return advance
 
 
@@ -360,25 +284,21 @@ def _stepper(inst, schedule, cfg, mode, rng, last):
     to the identity basis (b = 0) and to the zero state. When a period of
     lifted block maps fits in LIFT_BYTES, B is a multiple of the period
     and one product fills a block; otherwise the block is filled step by
-    step, through the one-step maps, the structured operator, or, for
-    baseline compressors, the node-by-node step.
+    step, through the one-step maps or the whole-state advance.
     """
     n, m = inst.H.shape
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
+    C_of = _compression(schedule, cfg, mode)
+    advance = _advance(_laplacian(inst), inst.H, cfg, mode, rng)
+    step = lambda k, C, x: advance(C, x.reshape(n, m), inst.b).reshape(-1)
     phase = _phase(schedule, cfg, mode)
-    if cfg.compressor.kind not in ("scalarized", "none"):
-        step = lambda k, x: solver_dt_step(inst, schedule, cfg.h, cfg.s, k, x,
-                                           cfg.compressor, rng=rng)
-    else:
-        advance = _advance(_laplacian(inst), inst.H, schedule, cfg, mode)
-        step = lambda k, x: advance(k, x.reshape(n, m), inst.b).reshape(-1)
     if phase is not None and d <= DENSE_MAX_DIM:
         count, stride = phase
         basis = np.eye(d).reshape(d, n, m)
-        maps = [(np.ascontiguousarray(advance(j * stride, basis, 0.0).reshape(d, d).T),
-                 advance(j * stride, np.zeros((n, m)), inst.b).reshape(d))
-                for j in range(count)]
+        maps = [(np.ascontiguousarray(advance(C, basis, 0.0).reshape(d, d).T),
+                 advance(C, np.zeros((n, m)), inst.b).reshape(d))
+                for C in C_of(0, count * stride)[::stride]]
         period = count * stride
         fits = LIFT_BYTES // (8 * d * d)
         if period <= fits:
@@ -387,14 +307,14 @@ def _stepper(inst, schedule, cfg, mode, rng, last):
                 S, c = _lift(maps, stride, B)
             return B, lambda k, x, count: (S[:count * d] @ x + c[:count * d]).reshape(count, d)
 
-        def step(k, x):
+        def step(k, C, x):
             A, w = maps[(k // stride) % count]
             return A @ x + w
 
     def fill(k, x, count):
         out = np.empty((count, d))
-        for j in range(count):
-            x = out[j] = step(k + j, x)
+        for j, C in enumerate(C_of(k, count)):
+            x = out[j] = step(k + j, C, x)
         return out
     return B, fill
 

@@ -365,12 +365,9 @@ def serialize(obj, path):
             fh.write(f"# final_err={_fmt(obj.final_err)}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_COLUMNS)
-            for i in range(len(obj)):
-                writer.writerow([
-                    _fmt(float(obj.clock[i])), _fmt(float(obj.err[i])),
-                    _fmt(float(obj.disagreement[i])),
-                    _fmt(int(obj.scalars_tx_cum[i])), _fmt(int(obj.bits_tx_cum[i])),
-                ])
+            floats = (map(repr, col.tolist()) for col in (obj.clock, obj.err, obj.disagreement))
+            ints = (map(str, col.tolist()) for col in (obj.scalars_tx_cum, obj.bits_tx_cum))
+            writer.writerows(zip(*floats, *ints))
         return path
     rows = list(obj)
     if not all(isinstance(r, ResultRow) for r in rows):

@@ -1,4 +1,14 @@
+import os
 import sys
+
+from hypothesis import settings
+
+# CI runs derandomized, so a property failure there recurs locally with
+# CI=1 instead of living only in the runner's example database; the
+# failure report carries the reproduction blob either way.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,19 +1,186 @@
 """Reference implementations that tests compare the package against.
 
-``run_simulation_stepwise`` is the single-step form of
-``dynamics.run_simulation``: it evaluates the error, the divergence
-guard and the trace record after every step, and steps with the
-node-by-node discrete update or an RK4 step of ``solver_ct_rhs``, so it
-shares neither the block loop nor the cached maps of the package.
+- ``solver_dt_step`` is the discrete solver step computed node by node:
+  each node combines its own state with one received scalar per
+  neighbor, and the baseline compressors quantize one node's vector at a
+  time.
+- ``integrate`` is a classical fixed-step RK4 integrator of any
+  right-hand side, returning a ``Trajectory``.
+- ``scalarize`` / ``unfold`` are the transmitted scalar y = C^T x and its
+  reconstruction C y at the receiver.
+- ``run_simulation_stepwise`` is the single-step form of
+  ``dynamics.run_simulation``: it evaluates the error, the divergence
+  guard and the trace record after every step, and steps with the node
+  loop or an RK4 step of ``solver_ct_rhs``, so it shares neither the
+  block loop nor the cached maps of the package.
+- ``serialize_trace_rows`` writes a trace CSV one formatted cell at a
+  time.
 """
+
+import csv
+from dataclasses import dataclass
 
 import numpy as np
 
-from scalareq.compression import make_schedule
-from scalareq.dynamics import (DIVERGENCE_GUARD, Trace, _rk4_step, solver_ct_rhs,
-                               solver_dt_step)
+from scalareq.compression import UNIT_NORM_TOL, Compressor, eval_dt, make_schedule
+from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _laplacian, solver_ct_rhs
 from scalareq.errors import SimulationDiverged
-from scalareq.harness import account
+from scalareq.harness import TRACE_COLUMNS, account
+
+
+def _check_unit(C):
+    if abs(np.linalg.norm(C) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError("compression vector must have unit norm")
+
+
+def scalarize(C, x):
+    """The transmitted scalar y = C^T x."""
+    C = np.asarray(C, dtype=float)
+    _check_unit(C)
+    return float(np.dot(C, x))
+
+
+def unfold(C, y):
+    """Receiver-side reconstruction C * y; unfold(C, scalarize(C, x))
+    is the rank-1 orthogonal projection of x onto span(C)."""
+    C = np.asarray(C, dtype=float)
+    _check_unit(C)
+    return C * float(y)
+
+
+@dataclass
+class Trajectory:
+    """Raw integrator output: states sampled every dt_int."""
+
+    times: np.ndarray
+    states: np.ndarray
+
+
+def rk4_step(rhs, t, x, dt, freeze):
+    """One classical RK4 step; freeze='midpoint' evaluates all four
+    stages at t + dt/2."""
+    if freeze == "midpoint":
+        tm = t + 0.5 * dt
+        k1 = rhs(tm, x)
+        k2 = rhs(tm, x + 0.5 * dt * k1)
+        k3 = rhs(tm, x + 0.5 * dt * k2)
+        k4 = rhs(tm, x + dt * k3)
+    else:
+        k1 = rhs(t, x)
+        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate(rhs, x0, t0, t1, dt_int, freeze="stage"):
+    """Classical fixed-step RK4 of dx/dt = rhs(t, x) over [t0, t1].
+
+    dt_int must tile the interval. freeze='midpoint' evaluates all four
+    stages at the step midpoint; use it for piecewise-constant-in-time
+    systems whose switching instants land on step boundaries (the step
+    then integrates each smooth piece at full order, since stepping a
+    stage across a switch would degrade accuracy).
+
+    Returns a :class:`Trajectory` sampled every dt_int.
+    """
+    if dt_int <= 0:
+        raise ValueError(f"need dt_int > 0, got {dt_int}")
+    span = t1 - t0
+    if span <= 0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    N = round(span / dt_int)
+    if N < 1 or abs(N * dt_int - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"dt_int={dt_int} does not tile [{t0}, {t1}]")
+    if freeze not in ("stage", "midpoint"):
+        raise ValueError(f"freeze must be 'stage' or 'midpoint', got {freeze!r}")
+    x = np.array(x0, dtype=float)
+    times = t0 + dt_int * np.arange(N + 1)
+    states = np.empty((N + 1, x.size))
+    states[0] = x
+    for i in range(N):
+        x = rk4_step(rhs, t0 + i * dt_int, x, dt_int, freeze)
+        nrm = float(np.linalg.norm(x))
+        if not np.isfinite(nrm) or nrm > DIVERGENCE_GUARD:
+            raise SimulationDiverged(
+                f"state norm {nrm:.3e} beyond guard at t={times[i + 1]:.6g}",
+                clock=float(times[i + 1]), norm=nrm,
+            )
+        states[i + 1] = x
+    return Trajectory(times=times, states=states)
+
+
+def solver_dt_step(inst, schedule, h, s, k, x, compressor=None, rng=None):
+    """One step of the discrete solver at step index k.
+
+    Scalarized mode is computed node by node from each node's own state
+    plus one received scalar per neighbor, so the scalar-communication
+    structure of the update is explicit in the code path. 'none'
+    exchanges raw states; the baseline kinds substitute the compressed
+    state vector, quantized one node at a time in node order, for every
+    transmitted state in the consensus term.
+    """
+    compressor = compressor or Compressor("scalarized")
+    H, b = inst.H, inst.b
+    n, m = H.shape
+    if n >= 2:
+        lambda_n = inst.spectrum.lambda_n
+        if not 0.0 < h < 2.0 / lambda_n:
+            raise ValueError(f"stepsize h={h} outside (0, {2.0 / lambda_n:.6g})")
+    X = np.asarray(x, dtype=float).reshape(n, m)
+
+    if compressor.kind == "scalarized":
+        C = eval_dt(schedule, k)
+        y = np.array([float(np.dot(X[i], C)) for i in range(n)])
+        Xn = np.empty_like(X)
+        for i in range(n):
+            acc = 0.0
+            for (j, w) in inst.graph.neighbors(i):
+                acc += w * (y[j] - y[i])
+            r_i = float(np.dot(H[i], X[i])) - b[i]
+            Xn[i] = X[i] + (h * acc) * C - (s * r_i) * H[i]
+        return Xn.reshape(-1)
+
+    L = _laplacian(inst)
+    r = (X * H).sum(axis=1) - b
+    if compressor.kind == "none":
+        Q = X
+    elif compressor.kind == "uniform":
+        Q = np.floor(X + 0.5)
+    else:
+        Q = np.stack([compressor.apply(X[i], rng=rng) for i in range(n)])
+    return (X - h * (L @ Q) - s * r[:, None] * H).reshape(-1)
+
+
+def _fmt(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def serialize_trace_rows(trace, path):
+    """Write a Trace as ``harness.serialize`` does, formatting one cell at
+    a time."""
+    with open(path, "w", newline="") as fh:
+        for key in sorted(trace.meta):
+            fh.write(f"# {key}={_fmt(trace.meta[key])}\n")
+        fh.write(f"# converged={_fmt(trace.converged)}\n")
+        hit = _fmt(trace.hit_clock) if trace.hit_clock is not None else "none"
+        fh.write(f"# hit_clock={hit}\n")
+        fh.write(f"# final_err={_fmt(trace.final_err)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for i in range(len(trace)):
+            writer.writerow([
+                _fmt(float(trace.clock[i])), _fmt(float(trace.err[i])),
+                _fmt(float(trace.disagreement[i])),
+                _fmt(int(trace.scalars_tx_cum[i])), _fmt(int(trace.bits_tx_cum[i])),
+            ])
+    return path
 
 
 def reference_step(inst, schedule, cfg, mode, rng):
@@ -27,7 +194,7 @@ def reference_step(inst, schedule, cfg, mode, rng):
         schedule = make_schedule("identity", schedule.m)
     freeze = "stage" if schedule.kind == "trigonometric" else "midpoint"
     rhs = lambda t, x: solver_ct_rhs(inst, schedule, cfg.s, t, x)
-    return lambda k, x: _rk4_step(rhs, k * cfg.dt_int, x, cfg.dt_int, freeze)
+    return lambda k, x: rk4_step(rhs, k * cfg.dt_int, x, cfg.dt_int, freeze)
 
 
 def run_simulation_stepwise(inst, schedule, cfg, mode):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,13 +218,48 @@ def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys
     assert err.startswith(f"scalareq: error: {message.format(bad=bad)}")
 
 
-def test_run_rejects_schedule_of_another_dimension(tmp_path):
+def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
     inst_path = tmp_path / "inst.txt"
     main(["gen", "--out", str(inst_path), "--n", "6", "--m", "2", "--v-star", "1,-2"])
     cfg = _write_config(tmp_path, "run.horizon = 50\n")
-    with pytest.raises(ValueError, match="schedule has m=5 but the instance has m=2"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--config", cfg, "--mode", "dt", "--instance", str(inst_path),
               "--out", str(tmp_path / "trace.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "scalareq: error: schedule has m=5 but the instance has m=2\n"
+
+
+@pytest.mark.parametrize("argv, extra, code, message", [
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.s = 5.0\n", 1,
+     r"run diverged: state norm \d\.\d{3}e\+\d\d beyond guard at step 7"),
+    (["run", "--mode", "dt", "--instance", "short.txt", "--out", "t.csv"], "", 2,
+     r"--instance: short\.txt, line 3: file ends before row 1"),
+    (["run", "--mode", "dt", "--instance", "rank1.txt", "--out", "t.csv"], "", 2,
+     r"--instance: instance invalid: "),
+    (["gen", "--m", "2", "--out", "i.txt"], None, 2,
+     r"cannot generate an instance: v_star must have length 2, got shape \(5,\)"),
+    (["gen", "--n", "1", "--out", "i.txt"], None, 2,
+     r"cannot generate an instance: need n >= m, got n=1, m=5"),
+], ids=["diverges", "short-instance", "rank-deficient-instance", "gen-m-without-v-star",
+        "gen-n-below-m"])
+def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
+                                           argv, extra, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.txt").write_text("2 1\n1.0 2.0\n")
+    (tmp_path / "rank1.txt").write_text("2 2\n1 1 2\n2 2 4\n0 1 1.0\nv_star 1 1\n")
+    if extra is not None:
+        argv = [argv[0], "--config", _write_config(tmp_path, "run.horizon = 50\n" + extra)] \
+            + argv[1:]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(f"scalareq: error: {message}.*\n", err)
 
 
 def test_bounds_rejects_schedule_of_another_dimension(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
                                   compress_topk, compress_unbiased,
                                   compress_uniform, eval_ct, eval_dt,
                                   make_schedule, pe_gram_ct, pe_gram_dt,
-                                  scalarize, unfold, verify_pe_ct,
-                                  verify_pe_dt)
+                                  verify_pe_ct, verify_pe_dt)
 from scalareq.errors import PEVerificationFailed
+
+from oracles import scalarize, unfold
 
 CYCLIC5 = make_schedule("cyclic-basis", 5, dwell=0.01)
 
@@ -209,6 +212,8 @@ def test_compress_unbiased_explicit_noise():
 
 def test_compress_unbiased_zero_and_validation():
     assert np.array_equal(compress_unbiased(np.zeros(3), 2), np.zeros(3))
+    assert compress_unbiased(np.zeros(0), 2).shape == (0,)
+    assert np.array_equal(compress_unbiased(np.zeros((2, 3)), 2), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="l >= 1"):
         compress_unbiased(np.ones(2), 0, noise=np.zeros(2))
     with pytest.raises(ValueError, match="noise or an rng"):
@@ -263,3 +268,30 @@ def test_compressor_apply():
     assert np.abs(out - [0.5, -0.25]).max() < 0.01
     with pytest.raises(ValueError, match="pointwise"):
         Compressor("scalarized").apply(np.zeros(2))
+
+
+# entries drawn from a small set give ties in |x| and zero rows often
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(Compressor.BASELINES), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_row_wise_apply_equals_per_row_calls(data, kind, n, m, seed):
+    X = np.array(data.draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    zero = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    X[np.array(zero)] = 0.0
+    comp = Compressor(kind, l=data.draw(st.integers(1, 4)), k=data.draw(st.integers(1, m)))
+    rng_whole, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = comp.apply(X, rng=rng_whole)
+    rows = np.stack([comp.apply(x, rng=rng_rows) for x in X])
+    assert whole.shape == X.shape
+    assert np.array_equal(whole, rows)
+    # both consumed the same noise, so both generators continue alike
+    assert rng_whole.random() == rng_rows.random()
+    # a 1-D vector is one row
+    rng_vec, rng_row = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(comp.apply(X[-1], rng=rng_vec), comp.apply(X[-1:], rng=rng_row)[0])
+    assert rng_vec.random() == rng_row.random()

@@ -3,27 +3,34 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scalareq.compression import Compressor, make_schedule
+from scalareq.compression import Compressor, eval_ct, eval_dt, make_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalareq.dynamics import (DENSE_MAX_DIM, RunConfig, Trace, consensus_rhs,
-                               integrate, run_simulation, solver_ct_rhs,
-                               solver_dt_step)
-from scalareq.dynamics import _advance, _stepper
+                               run_simulation, solver_ct_rhs)
+from scalareq.dynamics import _advance, _compression, _drift, _stepper
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
 
-from oracles import run_simulation_stepwise
+from oracles import integrate, reference_step, run_simulation_stepwise, solver_dt_step
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
+SCHED4 = make_schedule("cyclic-basis", 4, dwell=0.01)
+TRIG4 = make_schedule("trigonometric", 4, frequencies=(1.0, 2.0))
+TRIG4_DWELL = make_schedule("trigonometric", 4, dwell=0.3, frequencies=(1.0, 2.0))
 
 
 @pytest.fixture(scope="module")
 def inst10():
     return gen_instance(10, 5, V_STAR, seed=0)
+
+
+@pytest.fixture(scope="module")
+def inst10m4():
+    return gen_instance(10, 4, V_STAR[:4], seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -216,19 +223,22 @@ def test_baseline_compressor_steps_finite(inst10):
     x = rng.standard_normal(50)
     for comp in (Compressor("uniform"), Compressor("topk", k=2),
                  Compressor("unbiased", l=4)):
-        out = solver_dt_step(inst10, SCHED5, 0.2, 0.02, 0, x, comp,
-                             rng=np.random.default_rng(0))
+        cfg = RunConfig(h=0.2, s=0.02, compressor=comp)
+        _, fill = _stepper(inst10, SCHED5, cfg, "dt", np.random.default_rng(0), 1)
+        out = fill(0, x, 1)
         assert np.all(np.isfinite(out))
-        assert out.shape == (50,)
+        assert out.shape == (1, 50)
 
 
 def test_unbiased_step_noise_stream_is_node_sequential(inst10):
-    # drawing all node noises in one block must equal per-node draws
+    # the whole-state step draws all node noises in one block; it must
+    # equal per-node draws in node order
     comp = Compressor("unbiased", l=2)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(50)
-    out_a = solver_dt_step(inst10, SCHED5, 0.2, 0.02, 0, x, comp,
-                           rng=np.random.default_rng([9, 2]))
+    cfg = RunConfig(h=0.2, s=0.02, compressor=comp)
+    _, fill = _stepper(inst10, SCHED5, cfg, "dt", np.random.default_rng([9, 2]), 1)
+    out_a = fill(0, x, 1)[0]
     rng_b = np.random.default_rng([9, 2])
     X = x.reshape(10, 5)
     Q = np.stack([comp.apply(X[i], rng=rng_b) for i in range(10)])
@@ -236,6 +246,51 @@ def test_unbiased_step_noise_stream_is_node_sequential(inst10):
     r = (X * inst10.H).sum(axis=1) - inst10.b
     expect = X - 0.2 * (L @ Q) - 0.02 * r[:, None] * inst10.H
     assert np.array_equal(out_a, expect.reshape(-1))
+
+
+@pytest.mark.parametrize("mode, kind, sched", [
+    ("dt", "topk", SCHED4), ("dt", "unbiased", SCHED4), ("dt", "uniform", SCHED4),
+    ("dt", "scalarized", TRIG4), ("dt", "scalarized", TRIG4_DWELL), ("ct", "scalarized", TRIG4),
+], ids=["topk", "unbiased", "uniform", "trig-dt", "trig-dt-dwell", "trig-ct"])
+def test_whole_state_fill_matches_reference_bit_for_bit(inst10m4, mode, kind, sched):
+    # 300 steps in blocks of 204: the baselines against the node loop,
+    # which quantizes node by node; trigonometric ct against RK4 of
+    # solver_ct_rhs, which evaluates C at every stage; trigonometric dt
+    # against the operator step with C evaluated at every step
+    inst = inst10m4
+    n, m = inst.H.shape
+    comp = Compressor(kind, l=2, k=2)
+    cfg = RunConfig(h=0.2, s=0.5 if mode == "ct" else 0.02, dt_int=1e-3, compressor=comp)
+    if mode == "dt" and kind == "scalarized":
+        L = inst.spectrum.L
+        ref = lambda k, x: (x.reshape(n, m) + _drift(L, inst.H, inst.b, eval_dt(sched, k),
+                                                     cfg.h, cfg.s, x.reshape(n, m))).reshape(-1)
+    else:
+        ref = reference_step(inst, sched, cfg, mode, np.random.default_rng([4, 2]))
+    B, fill = _stepper(inst, sched, cfg, mode, np.random.default_rng([4, 2]), 300)
+    assert B == 204
+    x = np.random.default_rng([4, 1]).standard_normal(n * m)
+    got = fill(0, x, B)
+    got = np.concatenate([got, fill(B, got[-1], 300 - B)])
+    want = []
+    for k in range(300):
+        x = ref(k, x)
+        want.append(x)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sched", [TRIG4, TRIG4_DWELL], ids=["trig", "trig-dwell"])
+@pytest.mark.parametrize("k", [0, 204, 123_457])
+def test_block_trigonometric_vectors_equal_eval(sched, k):
+    cfg = RunConfig(dt_int=1e-3)
+    rows = _compression(sched, cfg, "dt")(k, 204)
+    assert np.array_equal(rows, [eval_dt(sched, k + j) for j in range(204)])
+    stages = _compression(sched, cfg, "ct")(k, 204)
+    dt = cfg.dt_int
+    for j, C in enumerate(stages):
+        t = (k + j) * dt
+        assert np.array_equal(C, [eval_ct(sched, t), eval_ct(sched, t + 0.5 * dt),
+                                  eval_ct(sched, t + dt)])
 
 
 def test_fast_dt_path_matches_stepper(inst10, cycle60):
@@ -298,16 +353,18 @@ def test_structured_advance_matches_oracles(seed):
     k = int(rng.integers(0, 30))
     X = rng.standard_normal((3, n, m))
 
-    advance = _advance(L, inst.H, sched, cfg, "dt")
-    for Xi, Yi in zip(X, advance(k, X, inst.b)):
+    C = _compression(sched, cfg, "dt")(k, 1)[0]
+    advance = _advance(L, inst.H, cfg, "dt")
+    for Xi, Yi in zip(X, advance(C, X, inst.b)):
         oracle = solver_dt_step(inst, sched, h, s, k, Xi.reshape(-1))
         assert np.abs(Yi.reshape(-1) - oracle).max() <= 1e-12
-        assert np.abs(advance(k, Xi, inst.b) - Yi).max() <= 1e-12
+        assert np.abs(advance(C, Xi, inst.b) - Yi).max() <= 1e-12
 
-    advance = _advance(L, inst.H, sched, cfg, "ct")
+    C = _compression(sched, cfg, "ct")(k, 1)[0]
+    advance = _advance(L, inst.H, cfg, "ct")
     t0 = k * cfg.dt_int
     rhs = lambda t, xv: solver_ct_rhs(inst, sched, s, t, xv)
-    for Xi, Yi in zip(X, advance(k, X, inst.b)):
+    for Xi, Yi in zip(X, advance(C, X, inst.b)):
         traj = integrate(rhs, Xi.reshape(-1), t0, t0 + cfg.dt_int, cfg.dt_int,
                          freeze="midpoint")
         assert np.abs(Yi.reshape(-1) - traj.states[-1]).max() <= 1e-12
@@ -555,15 +612,14 @@ def test_block_loop_hits_on_first_and_last_block_rows(inst10, cycle60, n, mode):
 
 
 def test_run_simulation_never_steps_past_the_horizon(inst10, monkeypatch):
-    import scalareq.dynamics as dynamics
-
+    # a uniform-quantizer step applies the compressor once to the whole state
     calls = []
-    node_step = dynamics.solver_dt_step
-    monkeypatch.setattr(dynamics, "solver_dt_step",
-                        lambda *args, **kw: calls.append(args[4]) or node_step(*args, **kw))
+    apply = Compressor.apply
+    monkeypatch.setattr(Compressor, "apply",
+                        lambda self, X, rng=None: calls.append(X.shape) or apply(self, X, rng))
     cfg = RunConfig(h=0.2, s=0.02, horizon=300, tol=1e-300, record_every=1,
                     compressor=Compressor("uniform"))
     assert 300 % _stepper(inst10, SCHED5, cfg, "dt", None, 300)[0] != 0
     tr = run_simulation(inst10, SCHED5, cfg, "dt")
-    assert calls == list(range(300))
+    assert calls == [(10, 5)] * 300
     assert tr.clock[-1] == 300 and len(tr) == 301

@@ -19,6 +19,8 @@ from scalareq.harness import (Config, ExperimentSpec, ProblemInstance,
                               serialize)
 from scalareq.linalg import least_squares
 
+from oracles import serialize_trace_rows
+
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
 
@@ -155,6 +157,39 @@ def test_serialize_is_deterministic(tmp_path, inst10):
     serialize(tr, p1)
     serialize(run_simulation(inst10, SCHED5, cfg, "dt"), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-17, 1.0, 1e300, 1.7976931348623157e308,
+                           float("inf"), float("-inf"), float("nan")])
+
+
+@st.composite
+def _traces(draw):
+    """Random traces: integer or fractional clocks, errors from subnormal
+    to huge, and NaN, infinite or missing outcome fields."""
+    rows = draw(st.integers(0, 40))
+    steps = np.cumsum(draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows)),
+                      dtype=np.int64)
+    unit = draw(st.sampled_from([1, 1e-3, 0.01, 2 ** -10, 0.1]))
+    values = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+    cols = [draw(st.lists(values, min_size=rows, max_size=rows)) for _ in range(2)]
+    links = draw(st.integers(0, 10**6))
+    hit = draw(st.one_of(st.none(), st.integers(0, 10**6), st.floats(0, 1e6)))
+    return Trace(clock=steps * unit, err=cols[0], disagreement=cols[1],
+                 scalars_tx_cum=steps * links, bits_tx_cum=steps * links * 64,
+                 converged=hit is not None, hit_clock=hit,
+                 final_err=draw(st.one_of(SPECIAL, st.floats())),
+                 meta={"mode": draw(st.sampled_from(["dt", "ct"])), "h": draw(st.floats()),
+                       "seed": draw(st.integers(0, 2**63 - 1)), "compressor": "topk(k=2)"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_traces())
+def test_serialize_trace_matches_cell_by_cell_writer(tmp_path_factory, trace):
+    d = tmp_path_factory.mktemp("writer")
+    serialize(trace, d / "columns.csv")
+    serialize_trace_rows(trace, d / "cells.csv")
+    assert (d / "columns.csv").read_bytes() == (d / "cells.csv").read_bytes()
 
 
 def test_serialize_results_roundtrip(tmp_path):
