@@ -49,9 +49,7 @@ def _cmd_run(args):
             raise ConfigError(f"--instance: {exc}") from exc
     else:
         inst = config.instance()
-    schedule = config.schedule()
-    if schedule.m != inst.m:
-        raise ConfigError(f"schedule has m={schedule.m} but the instance has m={inst.m}")
+    schedule = config.schedule(inst.m)
     try:
         trace = run_simulation(inst, schedule, config.run(args.mode), args.mode)
     except SimulationDiverged as exc:
@@ -77,14 +75,10 @@ def _cmd_compare(args):
 def _cmd_bounds(args):
     config = args.config
     inst = config.instance()
-    schedule = config.schedule()
+    schedule = config.schedule(inst.m)
     if schedule.kind == "identity":
-        print("bounds need a unit-vector schedule (identity carries no excitation window)",
-              file=sys.stderr)
-        return 2
-    if schedule.m != inst.m:
-        print(f"schedule has m={schedule.m} but the instance has m={inst.m}", file=sys.stderr)
-        return 2
+        raise ConfigError("bounds need a unit-vector schedule "
+                          "(identity carries no excitation window)")
     h, s = config.run_h, config.run_s
     spec = inst.spectrum
     sc = spectral_constants(inst.H)

@@ -13,14 +13,18 @@ weighted sum along C. A baseline-compressor step exchanges the
 compressed states instead, L Q(X), with Q applied to every node's row of
 the stacked state X at once. ``run_simulation`` advances a run in blocks
 of B steps and does its bookkeeping (error norms, divergence guard,
-stopping step, trace rows) once per block, as array operations. Each
-block reads its compression vectors from a table of one schedule period,
-or evaluates a trigonometric schedule at all of its steps (and RK4
-stages) at once. Periodic runs of small networks (n m <= DENSE_MAX_DIM)
-advance a whole block with one product by the lifted affine maps
-x[k+j] = M_j x[k] + c_j, composed from the one-step maps read off the
-operator applied to the identity basis; every other run fills its block
-step by step, each step one map of the whole state. The node-by-node
+stopping step, trace rows) once per block, as array operations: row
+norms from einsum, the node average as one product by an averaging
+matrix. Each block reads its compression vectors from a table of one
+schedule period, or evaluates a trigonometric schedule at all of its
+steps (and RK4 stages) at once. Periodic runs of small networks
+(n m <= DENSE_MAX_DIM) advance a whole block by two lifted affine maps,
+composed from the one-step maps read off the operator applied to the
+identity basis: an outer lift gives the states at k, k + L, ...,
+k + (q - 1) L in one matrix-vector product, and an inner lift
+x[k+j] = M_j x[k] + c_j, j <= L, gives the B = L q states of the block
+from those q starts in one matrix product. Every other run fills its
+block step by step, each step one map of the whole state. The node-by-node
 step and the RK4 integrator that the tests compare against live in
 tests/oracles.py.
 """
@@ -45,12 +49,13 @@ DENSE_MAX_DIM = 256
 # A block holds at most BLOCK_ELEMENTS state entries (B n m) and at most
 # MAX_BLOCK steps, since a run computes up to B - 1 states past its
 # stopping step and longer blocks no longer cut the bookkeeping per step.
-# Lifted runs round B to a multiple of their period.
+# Lifted runs take B = L q (see _block_shape).
 BLOCK_ELEMENTS = 8192
 MAX_BLOCK = 256
-# Largest stack of lifted block maps, B (n m)^2 floats, in bytes. On the
-# reference network (n m = 50) larger stacks raise the peak memory of a
-# run by more than 1 MiB.
+# Largest size of the lifted maps of one run, in bytes: the inner lift of
+# L steps and the outer lift of q - 1 repeats hold L + q - 1 maps of
+# (n m)^2 floats. On the reference network (n m = 50) larger lifts raise
+# the peak memory of a run by more than 1 MiB.
 LIFT_BYTES = 1 << 20
 
 
@@ -249,29 +254,45 @@ def _advance(L, H, cfg, mode, rng=None):
 
 
 def _lift(maps, stride, B):
-    """Stacked block maps (S, c) of a periodic affine run whose step i
-    applies maps[(i // stride) % len(maps)]: rows j d .. (j+1) d - 1 of
-    S x + c are the state j + 1 steps after x, for j < B, when x sits at
-    a multiple of the period len(maps) * stride, which divides B."""
+    """Lifted maps (T, c) of a periodic affine run whose step i maps the
+    row state x to x @ A + w, (A, w) = maps[(i // stride) % len(maps)]:
+    columns j d .. (j+1) d - 1 of x @ T + c are the state j + 1 steps
+    after x, for j < B, when x sits at a multiple of the period
+    len(maps) * stride, which divides B. T is C-contiguous (d, B d), the
+    layout in which a stack of row states multiplies it in one GEMM."""
     d = len(maps[0][1])
-    S, c = np.empty((B * d, d)), np.empty(B * d)
-    S[:d], c[:d] = maps[0]
+    T, c = np.empty((d, B * d)), np.empty(B * d)
+    T[:, :d], c[:d] = maps[0]
     period = len(maps) * stride
     for j in range(1, period):
         A, w = maps[(j // stride) % len(maps)]
-        np.matmul(A, S[(j - 1) * d:j * d], out=S[j * d:(j + 1) * d])
-        np.matmul(A, c[(j - 1) * d:j * d], out=c[j * d:(j + 1) * d])
+        np.matmul(T[:, (j - 1) * d:j * d], A, out=T[:, j * d:(j + 1) * d])
+        np.matmul(c[(j - 1) * d:j * d], A, out=c[j * d:(j + 1) * d])
         c[j * d:(j + 1) * d] += w
     done = period
     while done < B:
         # states done + 1, ... follow the state at done as 1, ... follow x
-        rows = min(done, B - done) * d
-        S_done, c_done = S[(done - 1) * d:done * d], c[(done - 1) * d:done * d]
-        np.matmul(S[:rows], S_done, out=S[done * d:done * d + rows])
-        np.matmul(S[:rows], c_done, out=c[done * d:done * d + rows])
-        c[done * d:done * d + rows] += c[:rows]
-        done += rows // d
-    return S, c
+        cols = min(done, B - done) * d
+        T_done, c_done = T[:, (done - 1) * d:done * d], c[(done - 1) * d:done * d]
+        np.matmul(T_done, T[:, :cols], out=T[:, done * d:done * d + cols])
+        np.matmul(c_done, T[:, :cols], out=c[done * d:done * d + cols])
+        c[done * d:done * d + cols] += c[:cols]
+        done += cols // d
+    return T, c
+
+
+def _block_shape(period, B, d):
+    """(L, q) of a two-level lifted block of at most about B steps, or
+    None when one period of d x d maps exceeds LIFT_BYTES: an inner lift
+    over L steps, the multiple of the period nearest sqrt(B), and an
+    outer lift of the L-step map over q - 1 repeats. A block has L q
+    steps, and the two lifts hold L + q - 1 maps, fewest near L = sqrt(B);
+    L and q shrink until those fit in LIFT_BYTES."""
+    fits = LIFT_BYTES // (8 * d * d)
+    if period > fits:
+        return None
+    L = period * max(1, min(round(np.sqrt(B) / period), fits // period))
+    return L, max(1, min(B // L, fits - L + 1))
 
 
 def _stepper(inst, schedule, cfg, mode, rng, last):
@@ -280,11 +301,14 @@ def _stepper(inst, schedule, cfg, mode, rng, last):
     multiple of B, as a (count, n m) array.
 
     Periodic linear runs with n m <= DENSE_MAX_DIM read the affine
-    one-step maps x -> A x + w of one schedule period off advance applied
-    to the identity basis (b = 0) and to the zero state. When a period of
-    lifted block maps fits in LIFT_BYTES, B is a multiple of the period
-    and one product fills a block; otherwise the block is filled step by
-    step, through the one-step maps or the whole-state advance.
+    one-step maps x -> x @ A + w of one schedule period off advance
+    applied to the identity basis (b = 0) and to the zero state. When a
+    period of them fits in LIFT_BYTES, a block of B = L q steps (see
+    ``_block_shape``) is filled from two lifts: the outer one makes the
+    states at k + L, ..., k + (q - 1) L from x in one matvec, and the
+    inner one all states of the block from those q starts in one GEMM.
+    Otherwise the block is filled step by step, through the one-step maps
+    or the whole-state advance.
     """
     n, m = inst.H.shape
     d = n * m
@@ -296,20 +320,27 @@ def _stepper(inst, schedule, cfg, mode, rng, last):
     if phase is not None and d <= DENSE_MAX_DIM:
         count, stride = phase
         basis = np.eye(d).reshape(d, n, m)
-        maps = [(np.ascontiguousarray(advance(C, basis, 0.0).reshape(d, d).T),
+        maps = [(advance(C, basis, 0.0).reshape(d, d),
                  advance(C, np.zeros((n, m)), inst.b).reshape(d))
                 for C in C_of(0, count * stride)[::stride]]
-        period = count * stride
-        fits = LIFT_BYTES // (8 * d * d)
-        if period <= fits:
-            B = period * max(1, min(B, fits) // period)
+        shape = _block_shape(count * stride, B, d)
+        if shape is not None:
+            L, q = shape
             with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
-                S, c = _lift(maps, stride, B)
-            return B, lambda k, x, count: (S[:count * d] @ x + c[:count * d]).reshape(count, d)
+                T, c = _lift(maps, stride, L)
+                U, u = _lift([(T[:, -d:], c[-d:])], 1, q - 1) if q > 1 else (T[:, :0], c[:0])
+
+            def lifted(k, x, count):
+                starts = np.empty((-(-count // L), d))
+                starts[0] = x
+                cols = (len(starts) - 1) * d
+                starts[1:] = (x @ U[:, :cols] + u[:cols]).reshape(-1, d)
+                return (starts @ T + c).reshape(-1, d)[:count]
+            return L * q, lifted
 
         def step(k, C, x):
             A, w = maps[(k // stride) % count]
-            return A @ x + w
+            return x @ A + w
 
     def fill(k, x, count):
         out = np.empty((count, d))
@@ -359,11 +390,13 @@ def run_simulation(inst, schedule, cfg, mode):
         last, unit = int(np.ceil(cfg.horizon / cfg.dt_int - 1e-9)), cfg.dt_int
 
     rows = []  # (steps, err, disagreement) of the recorded rows, block by block
+    # row norms and the node average by products, not strided reductions
+    norms = lambda D: np.sqrt(np.einsum("ij,ij->i", D, D))
+    average = np.kron(np.full((n, 1), 1.0 / n), np.eye(m))  # (n m, m)
 
     def record(ks, err, X):
-        R = X.reshape(len(X), n, m)
-        dis = np.linalg.norm(R - R.mean(axis=1, keepdims=True), axis=(1, 2))
-        rows.append((ks, err, dis))
+        D = X.reshape(len(X), n, m) - (X @ average)[:, None]
+        rows.append((ks, err, norms(D.reshape(len(X), n * m))))
 
     def finish(converged, hit_clock, last_err):
         ks, errs, diss = (np.concatenate(col) for col in zip(*rows))
@@ -385,14 +418,15 @@ def run_simulation(inst, schedule, cfg, mode):
         k, X = 0, x[None]  # X holds the states at steps k, k + 1, ...
         while True:
             ks = np.arange(k, k + len(X))
-            err = np.linalg.norm(X - ref, axis=1) / n
-            nrm = np.linalg.norm(X, axis=1)
-            # the initial state is not guarded; NaN fails the guard
-            bad = ~(nrm <= DIVERGENCE_GUARD) & (ks > 0)
-            stops = np.flatnonzero(bad | (err <= cfg.tol) | (ks >= last))
-            end = stops[0] if stops.size else len(X)
-            keep = np.flatnonzero(ks[:end] % cfg.record_every == 0)
-            if stops.size:
+            err = norms(X - ref) / n
+            nrm = norms(X)
+            # the initial state, alone in the first block, is not guarded;
+            # NaN fails the guard
+            bad = ~(nrm <= DIVERGENCE_GUARD) & (k > 0)
+            stops = np.flatnonzero(bad | (err <= cfg.tol))
+            end = stops[0] if stops.size else last - k  # no block passes the horizon
+            keep = slice(-k % cfg.record_every, end, cfg.record_every)
+            if end < len(X):
                 break
             record(ks[keep], err[keep], X[keep])
             k = int(ks[-1])
@@ -404,7 +438,7 @@ def run_simulation(inst, schedule, cfg, mode):
         at = f"step {clock}" if mode == "dt" else f"t={clock:.6g}"
         raise SimulationDiverged(f"state norm {nrm[end]:.3e} beyond guard at {at}",
                                  clock=clock, norm=float(nrm[end]))
-    keep = np.append(keep, end)
+    keep = np.append(np.arange(len(X))[keep], end)
     record(ks[keep], err[keep], X[keep])
     converged = bool(err[end] <= cfg.tol)
     return finish(converged, clock if converged else None, float(err[end]))

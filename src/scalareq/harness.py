@@ -150,17 +150,22 @@ class Config:
                             self.graph_weight)
 
     @_builds
-    def schedule(self):
+    def schedule(self, m=None):
+        """The compression schedule; m, when given, is the dimension of the
+        instance it will drive, and a schedule of another m is refused."""
         table = self.schedule_table_file
         if table is not None:
             try:
                 table = np.loadtxt(table, ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ValueError(f"schedule.table_file = {table}: {exc}") from None
-        return CompressionSchedule(
+        schedule = CompressionSchedule(
             kind=self.schedule_kind, dwell=self.schedule_dwell,
             m=self.instance_m if self.schedule_m is None else self.schedule_m,
             frequencies=self.schedule_frequencies, table=table)
+        if m is not None and schedule.m != m:
+            raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
+        return schedule
 
     @_builds
     def compressor(self, kind=None):
@@ -308,7 +313,7 @@ def run_experiment(spec):
     (hit_clock set to the horizon) without aborting its siblings.
     """
     config, mode = spec.config, spec.mode
-    base, schedule = config.run(mode), config.schedule()
+    base, schedule = config.run(mode), config.schedule(config.instance_m)
     instances = {seed: config.instance(seed) for seed in spec.seeds}
     rows = []
     for kind in spec.compressors:

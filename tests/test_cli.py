@@ -110,9 +110,13 @@ def test_bounds_prints_constants(tmp_path, capsys):
 
 def test_bounds_rejects_identity_schedule(tmp_path, capsys):
     cfg = _write_config(tmp_path, "schedule.kind = identity\n")
-    rc = main(["bounds", "--config", cfg])
-    assert rc == 2
-    assert "unit-vector schedule" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", cfg])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("scalareq: error: bounds need a unit-vector schedule "
+                            "(identity carries no excitation window)\n")
+    assert captured.out == ""
 
 
 def test_pe_check_passes_for_cyclic(tmp_path, capsys):
@@ -264,10 +268,24 @@ def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
 
 def test_bounds_rejects_schedule_of_another_dimension(tmp_path, capsys):
     cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nschedule.m = 3\n")
-    assert main(["bounds", "--config", cfg]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", cfg])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "schedule has m=3 but the instance has m=2" in captured.err
+    assert captured.err == "scalareq: error: schedule has m=3 but the instance has m=2\n"
     assert captured.out == ""
+
+
+def test_compare_rejects_schedule_of_another_dimension(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nschedule.m = 3\n"
+                                  "run.horizon = 50\n")
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", cfg, "--mode", "dt", "--seeds", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "scalareq: error: schedule has m=3 but the instance has m=2\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -7,9 +7,9 @@ from scalareq.compression import Compressor, eval_ct, eval_dt, make_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalareq.dynamics import (DENSE_MAX_DIM, RunConfig, Trace, consensus_rhs,
-                               run_simulation, solver_ct_rhs)
-from scalareq.dynamics import _advance, _compression, _drift, _stepper
+from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK, RunConfig,
+                               Trace, consensus_rhs, run_simulation, solver_ct_rhs)
+from scalareq.dynamics import _advance, _block_shape, _compression, _drift, _phase, _stepper
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
@@ -609,6 +609,71 @@ def test_block_loop_hits_on_first_and_last_block_rows(inst10, cycle60, n, mode):
         k = next(k for k in lows if k % B == row)
         trace = _run_both(inst, SCHED5, replace(cfg, tol=_tol_hitting_at(full, k)), mode)
         assert trace.hit_clock == full.clock[k] and trace.clock[-1] == full.clock[k]
+
+
+def _row_norms(a):
+    """2-norms of the rows of a, scaled by each row's largest entry: dt
+    steps with s·||h_i||² > 2 grow the state past 1e154 within a block,
+    where squaring the entries would overflow."""
+    top = np.abs(a).max(axis=1, keepdims=True)
+    return top[:, 0] * np.linalg.norm(a / np.where(top > 0, top, 1.0), axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dt", "ct"]),
+       st.sampled_from(["scalarized", "none"]), st.sampled_from(["table", "cyclic-basis"]),
+       st.integers(1, 400))
+def test_two_level_fill_matches_one_step_maps(seed, mode, kind, sched_kind, last):
+    # every prefix of a lifted block, from a block start, equals the
+    # states of the one-step reference step applied count times
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    d = n * m
+    if sched_kind == "cyclic-basis":
+        sched = make_schedule("cyclic-basis", m, dwell=0.05)
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n,
+                    s=float(rng.uniform(0.0, 0.5)), dt_int=0.01, compressor=Compressor(kind))
+    B, fill = _stepper(inst, sched, cfg, mode, None, last)
+    rows, stride = _phase(sched, cfg, mode)
+    L, q = _block_shape(rows * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last), d)
+    assert B == L * q and L % (rows * stride) == 0
+    assert (L + q - 1) * d * d * 8 <= LIFT_BYTES
+    k = B * int(rng.integers(0, 3))
+    x = rng.standard_normal(d)
+    step = reference_step(inst, sched, cfg, mode, None)
+    want = [step(k, x)]
+    for j in range(1, B):
+        want.append(step(k + j, want[-1]))
+    want = np.array(want)
+    scale = np.maximum(_row_norms(want), np.linalg.norm(x))
+    for count in range(1, B + 1):
+        got = fill(k, x, count)
+        assert got.shape == (count, d)
+        assert np.all(_row_norms(got - want[:count]) <= 1e-12 * scale[:count])
+
+
+@given(st.integers(1, 60), st.integers(1, MAX_BLOCK), st.integers(1, DENSE_MAX_DIM))
+def test_block_shape_fits_the_lift_budget(period, B, d):
+    shape = _block_shape(period, B, d)
+    maps = LIFT_BYTES // (8 * d * d)
+    if period > maps:
+        assert shape is None
+        return
+    L, q = shape
+    assert L % period == 0 and q >= 1 and L + q - 1 <= maps
+    # no longer than asked, unless one period is longer
+    assert L * q <= max(B, period)
+
+
+@pytest.mark.parametrize("mode, kind, B", [
+    ("dt", "scalarized", 150), ("dt", "none", 156), ("ct", "scalarized", 150), ("ct", "none", 156),
+])
+def test_reference_network_lifts_blocks_of_150_steps(inst10, mode, kind, B):
+    # inner lifts of 15, 13, 50 and 13 steps; a fallback to one-step maps
+    # would give blocks of 8192 // 50 = 163 steps
+    cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 1.0, dt_int=1e-3,
+                    compressor=Compressor(kind))
+    assert _stepper(inst10, SCHED5, cfg, mode, None, 2000)[0] == B
 
 
 def test_run_simulation_never_steps_past_the_horizon(inst10, monkeypatch):

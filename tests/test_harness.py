@@ -1,6 +1,6 @@
 import re
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from scalareq.harness import (Config, ExperimentSpec, ProblemInstance,
                               serialize)
 from scalareq.linalg import least_squares
 
-from oracles import serialize_trace_rows
+from oracles import run_simulation_stepwise, serialize_trace_rows
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -427,6 +427,25 @@ def test_run_experiment_grid():
     assert all(r.scalars_at_hit == 300 * 20 * scal for r in by_comp["scalarized"])
     scal, bits = account("none", 5)
     assert all(r.bits_at_hit == 300 * 20 * bits for r in by_comp["none"])
+
+
+def test_reference_grid_hit_clocks_match_stepwise_oracle():
+    # the dt reference grid: every cell hits (or misses) its tolerance at
+    # the step, and with the scalars, that a one-step-at-a-time run gives
+    config = Config(run_tol=1e-2, run_horizon=2000)
+    spec = ExperimentSpec(config, s_values=(0.02, 0.002, 0.0005), seeds=(0, 1, 2, 3, 4))
+    rows = run_experiment(spec)
+    assert len(rows) == 30
+    schedule = config.schedule()
+    for row in rows:
+        kind = "none" if row.compressor == "none" else "scalarized"
+        cfg = replace(config.run("dt"), s=row.s, seed=row.seed, compressor=config.compressor(kind),
+                      record_every=2000)
+        oracle = run_simulation_stepwise(config.instance(row.seed), schedule, cfg, "dt")
+        assert row.converged == oracle.converged
+        assert row.hit_clock == (oracle.hit_clock if oracle.converged else 2000)
+        assert row.scalars_at_hit == oracle.scalars_tx_cum[-1]
+    assert any(row.converged for row in rows) and not all(row.converged for row in rows)
 
 
 def test_run_experiment_isolates_divergence():
