@@ -110,12 +110,7 @@ def eval_ct(schedule, t):
     if schedule.kind == "identity":
         raise ValueError("identity schedule emits no unit vector; callers branch on kind")
     if schedule.kind == "trigonometric":
-        scale = np.sqrt(2.0 / schedule.m)
-        C = np.empty(schedule.m)
-        for i, w in enumerate(schedule.frequencies):
-            C[2 * i] = scale * np.sin(w * t)
-            C[2 * i + 1] = scale * np.cos(w * t)
-        return C
+        return _trig_rows(schedule, t)
     if schedule.dwell is None:
         raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
     idx = _interval_index(t, schedule.dwell)
@@ -293,23 +288,28 @@ def compress_unbiased(x, l, noise=None, rng=None):
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
-    out = np.zeros(rows.shape)
     norm_inf = np.abs(rows).max(axis=1, initial=0.0)
-    live = np.flatnonzero(norm_inf)
-    if not live.size:
-        return out.reshape(x.shape)
+    # when every row is live (the common case) they need no fancy indexing
+    every = noise is None and norm_inf.all()
+    live = slice(None) if every else np.flatnonzero(norm_inf)
+    X, norm_inf = rows[live], norm_inf[live, None]
+    if not len(X):
+        return np.zeros(x.shape)
     if noise is None:
         if rng is None:
             raise ValueError("provide explicit noise or an rng")
-        noise = rng.uniform(size=(live.size, rows.shape[1]))
+        noise = rng.uniform(size=X.shape)
     else:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != x.shape or noise.min() < 0.0 or noise.max() >= 1.0:
             raise ValueError("noise must match x in shape with entries in [0, 1)")
         noise = noise.reshape(rows.shape)[live]
     levels = 2.0 ** (l - 1)
-    X, norm_inf = rows[live], norm_inf[live, None]
-    out[live] = (norm_inf / levels) * np.sign(X) * np.floor(levels * np.abs(X) / norm_inf + noise)
+    q = (norm_inf / levels) * np.sign(X) * np.floor(levels * np.abs(X) / norm_inf + noise)
+    if every:
+        return q.reshape(x.shape)
+    out = np.zeros(rows.shape)
+    out[live] = q
     return out.reshape(x.shape)
 
 

@@ -12,21 +12,24 @@ Every solver step, flow and certificate applies one consensus operator,
 weighted sum along C. A baseline-compressor step exchanges the
 compressed states instead, L Q(X), with Q applied to every node's row of
 the stacked state X at once. ``run_simulation`` advances a run in blocks
-of B steps and does its bookkeeping (error norms, divergence guard,
-stopping step, trace rows) once per block, as array operations: row
-norms from einsum, the node average as one product by an averaging
-matrix. Each block reads its compression vectors from a table of one
-schedule period, or evaluates a trigonometric schedule at all of its
-steps (and RK4 stages) at once. Periodic runs of small networks
-(n m <= DENSE_MAX_DIM) advance a whole block by two lifted affine maps,
-composed from the one-step maps read off the operator applied to the
-identity basis: an outer lift gives the states at k, k + L, ...,
-k + (q - 1) L in one matrix-vector product, and an inner lift
-x[k+j] = M_j x[k] + c_j, j <= L, gives the B = L q states of the block
-from those q starts in one matrix product. Every other run fills its
-block step by step, each step one map of the whole state. The node-by-node
-step and the RK4 integrator that the tests compare against live in
-tests/oracles.py.
+of B steps, each block handed over as the errors E = X - 1 (x) v*, and
+does its bookkeeping (error norms, divergence guard, stopping step, trace
+rows) once per block, as array operations: row norms from einsum, the
+node average as two skinny products. The guard needs exact state norms
+only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches half
+of DIVERGENCE_GUARD. Each block reads its compression vectors from a
+table of one schedule period, or evaluates a trigonometric schedule at
+all of its steps (and RK4 stages) at once. Periodic runs of small
+networks (n m <= DENSE_MAX_DIM) step through affine one-step maps read
+off the drift on the identity basis (a ct RK4 step as the degree-4
+Taylor polynomial of its frozen field, in Horner form), shifted to map
+errors to errors; they advance a whole block by two lifts of those maps:
+an outer lift gives the errors at k, k + L, ..., k + (q - 1) L in one
+matrix-vector product, and an inner lift e[k+j] = e[k] M_j + c_j,
+j <= L, gives the B = L q errors of the block from those q starts in
+one matrix product. Every other run steps its exact states, each step one
+map of the whole state. The node-by-node step and the RK4 integrator that
+the tests compare against live in tests/oracles.py.
 """
 
 from dataclasses import dataclass, field
@@ -295,57 +298,97 @@ def _block_shape(period, B, d):
     return L, max(1, min(B // L, fits - L + 1))
 
 
-def _stepper(inst, schedule, cfg, mode, rng, last):
-    """(B, fill) for one run of at most last steps: fill(k, x, count)
-    returns the states count <= B steps after the state x at step k, a
-    multiple of B, as a (count, n m) array.
+def _affine_step(L, H, b, cfg, mode, C):
+    """(A, w) of one solver step x -> x @ A + w of the row state x, with C
+    the step's entry of ``_compression``, read off the drift on the
+    identity basis (its linear map D) and at the zero state (g). A dt
+    step is x + drift(x). A ct RK4 step of a field frozen over the step
+    is the degree-4 Taylor polynomial of exp(dt D): x @ P(Z) + dt g @ Q(Z)
+    with Z = dt D, Q(Z) = I + Z/2 + Z^2/6 + Z^3/24 and P(Z) = I + Z Q(Z),
+    built in Horner form (three d x d products, where RK4 applied to the
+    identity basis evaluates the drift four times)."""
+    n, m = H.shape
+    d = n * m
+    basis, zero, eye = np.eye(d).reshape(d, n, m), np.zeros((n, m)), np.eye(d)
+    if mode == "dt":
+        return (eye + _drift(L, H, 0.0, C, cfg.h, cfg.s, basis).reshape(d, d),
+                _drift(L, H, b, C, cfg.h, cfg.s, zero).reshape(d))
+    C = None if C is None else C[1]
+    Z = cfg.dt_int * _drift(L, H, 0.0, C, 1.0, cfg.s, basis).reshape(d, d)
+    Q = eye + Z / 4.0
+    for j in (3.0, 2.0):
+        Q = eye + (Z / j) @ Q
+    g = _drift(L, H, b, C, 1.0, cfg.s, zero).reshape(d)
+    return eye + Z @ Q, cfg.dt_int * (g @ Q)
 
-    Periodic linear runs with n m <= DENSE_MAX_DIM read the affine
-    one-step maps x -> x @ A + w of one schedule period off advance
-    applied to the identity basis (b = 0) and to the zero state. When a
-    period of them fits in LIFT_BYTES, a block of B = L q steps (see
-    ``_block_shape``) is filled from two lifts: the outer one makes the
-    states at k + L, ..., k + (q - 1) L from x in one matvec, and the
-    inner one all states of the block from those q starts in one GEMM.
-    Otherwise the block is filled step by step, through the one-step maps
-    or the whole-state advance.
+
+def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
+    """(B, fill) for one run of at most last steps: fill(k, z, count)
+    returns the states at steps k + 1, ..., k + count (k a multiple of B,
+    count <= B) less origin (default 0), as a (count, n m) array, given z,
+    the state at step k less origin. run_simulation passes
+    origin = 1 (x) v*, so that fill maps errors to errors.
+
+    Periodic linear runs with n m <= DENSE_MAX_DIM step through the
+    affine one-step maps x -> x @ A + w of one schedule period (see
+    ``_affine_step``), shifted to z -> z @ A + (origin @ A + w - origin).
+    When a period of them fits in LIFT_BYTES, a block of B = L q steps
+    (see ``_block_shape``) is filled from two lifts of the shifted maps:
+    the outer one makes z at k + L, ..., k + (q - 1) L in one matvec, and
+    the inner one all of the block from those q starts in one GEMM.
+    Otherwise the block is filled step by step through the shifted maps.
+    Every other run (baseline compressors, trigonometric schedules,
+    n m > DENSE_MAX_DIM) steps its exact states by the whole-state
+    advance and subtracts origin from the block; a call that continues
+    the block returned last starts from its exact last state, so
+    z + origin is formed only at a run's first block.
     """
     n, m = inst.H.shape
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
+    origin = np.zeros(d) if origin is None else origin
     C_of = _compression(schedule, cfg, mode)
-    advance = _advance(_laplacian(inst), inst.H, cfg, mode, rng)
-    step = lambda k, C, x: advance(C, x.reshape(n, m), inst.b).reshape(-1)
+    lap = _laplacian(inst)
     phase = _phase(schedule, cfg, mode)
     if phase is not None and d <= DENSE_MAX_DIM:
-        count, stride = phase
-        basis = np.eye(d).reshape(d, n, m)
-        maps = [(advance(C, basis, 0.0).reshape(d, d),
-                 advance(C, np.zeros((n, m)), inst.b).reshape(d))
-                for C in C_of(0, count * stride)[::stride]]
-        shape = _block_shape(count * stride, B, d)
+        rows, stride = phase
+        maps = [(A, origin @ A + w - origin) for A, w in
+                (_affine_step(lap, inst.H, inst.b, cfg, mode, C)
+                 for C in C_of(0, rows * stride)[::stride])]
+        shape = _block_shape(rows * stride, B, d)
         if shape is not None:
             L, q = shape
             with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
                 T, c = _lift(maps, stride, L)
                 U, u = _lift([(T[:, -d:], c[-d:])], 1, q - 1) if q > 1 else (T[:, :0], c[:0])
 
-            def lifted(k, x, count):
+            def lifted(k, z, count):
                 starts = np.empty((-(-count // L), d))
-                starts[0] = x
+                starts[0] = z
                 cols = (len(starts) - 1) * d
-                starts[1:] = (x @ U[:, :cols] + u[:cols]).reshape(-1, d)
+                starts[1:] = (z @ U[:, :cols] + u[:cols]).reshape(-1, d)
                 return (starts @ T + c).reshape(-1, d)[:count]
             return L * q, lifted
 
-        def step(k, C, x):
-            A, w = maps[(k // stride) % count]
-            return x @ A + w
+        def mapped(k, z, count):
+            out = np.empty((count, d))
+            for j in range(count):
+                A, w = maps[((k + j) // stride) % rows]
+                z = out[j] = z @ A + w
+            return out
+        return B, mapped
 
-    def fill(k, x, count):
+    advance = _advance(lap, inst.H, cfg, mode, rng)
+    end = [None, None]  # step and exact state of the last row returned
+
+    def fill(k, z, count):
+        x = end[1] if k == end[0] else (z + origin).reshape(n, m)
         out = np.empty((count, d))
         for j, C in enumerate(C_of(k, count)):
-            x = out[j] = step(k + j, C, x)
+            x = advance(C, x, inst.b)
+            out[j] = x.reshape(-1)
+        end[:] = k + count, x
+        out -= origin
         return out
     return B, fill
 
@@ -362,8 +405,14 @@ def run_simulation(inst, schedule, cfg, mode):
     step (ct).
 
     The run advances in blocks of B steps (see ``_stepper``), never past
-    the horizon, and evaluates each block's error norms, guard, stopping
-    step and every record_every-th trace row as array operations. States
+    the horizon, in error coordinates: each block is the errors
+    E = X - 1 (x) v* of its states. It evaluates each block's error
+    norms (one norm pass over E), guard, stopping step and every
+    record_every-th trace row (the disagreement of E, which is that of
+    X) as array operations. Since ||x|| <= n err + ||1 (x) v*||, the guard
+    computes the state norms ||E + 1 (x) v*|| only for a block where that
+    bound reaches half of DIVERGENCE_GUARD, or is not finite; the reported
+    clock and norm are those of the first state beyond the guard. States
     computed past the stopping step are discarded, and floating-point
     overflow in them is not reported.
     """
@@ -392,11 +441,13 @@ def run_simulation(inst, schedule, cfg, mode):
     rows = []  # (steps, err, disagreement) of the recorded rows, block by block
     # row norms and the node average by products, not strided reductions
     norms = lambda D: np.sqrt(np.einsum("ij,ij->i", D, D))
-    average = np.kron(np.full((n, 1), 1.0 / n), np.eye(m))  # (n m, m)
+    average = np.tile(np.eye(m) / n, (n, 1))  # (n m, m)
+    spread = np.tile(np.eye(m), (1, n))  # (m, n m): the average at every node
+    ref_norm = float(np.linalg.norm(ref))
 
-    def record(ks, err, X):
-        D = X.reshape(len(X), n, m) - (X @ average)[:, None]
-        rows.append((ks, err, norms(D.reshape(len(X), n * m))))
+    def record(ks, err, E):
+        # 1 (x) v* has no disagreement, so the errors' disagreement is the states'
+        rows.append((ks, err, norms(E - (E @ average) @ spread)))
 
     def finish(converged, hit_clock, last_err):
         ks, errs, diss = (np.concatenate(col) for col in zip(*rows))
@@ -412,25 +463,29 @@ def run_simulation(inst, schedule, cfg, mode):
             },
         )
 
-    B, fill = _stepper(inst, schedule, cfg, mode, noise_rng, last)
+    B, fill = _stepper(inst, schedule, cfg, mode, noise_rng, last, origin=ref)
     # states past the stopping step may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        k, X = 0, x[None]  # X holds the states at steps k, k + 1, ...
+        k, E = 0, (x - ref)[None]  # E holds the errors x - 1 (x) v* at steps k, k + 1, ...
         while True:
-            ks = np.arange(k, k + len(X))
-            err = norms(X - ref) / n
-            nrm = norms(X)
-            # the initial state, alone in the first block, is not guarded;
-            # NaN fails the guard
-            bad = ~(nrm <= DIVERGENCE_GUARD) & (k > 0)
+            ks = np.arange(k, k + len(E))
+            err = norms(E) / n
+            bad = np.zeros(len(E), dtype=bool)
+            # ||x|| <= n err + ||1 (x) v*||: below half the guard no state of
+            # the block can fail it; otherwise (NaN and inf too) take the
+            # exact norms. The initial state, alone in the first block, is
+            # not guarded; NaN fails the guard
+            if not n * err.max() + ref_norm < DIVERGENCE_GUARD / 2:
+                nrm = norms(E + ref)
+                bad = ~(nrm <= DIVERGENCE_GUARD) & (k > 0)
             stops = np.flatnonzero(bad | (err <= cfg.tol))
             end = stops[0] if stops.size else last - k  # no block passes the horizon
             keep = slice(-k % cfg.record_every, end, cfg.record_every)
-            if end < len(X):
+            if end < len(E):
                 break
-            record(ks[keep], err[keep], X[keep])
+            record(ks[keep], err[keep], E[keep])
             k = int(ks[-1])
-            X = fill(k, X[-1], min(B, last - k))
+            E = fill(k, E[-1], min(B, last - k))
             k += 1
 
     clock = int(ks[end]) * unit
@@ -438,7 +493,7 @@ def run_simulation(inst, schedule, cfg, mode):
         at = f"step {clock}" if mode == "dt" else f"t={clock:.6g}"
         raise SimulationDiverged(f"state norm {nrm[end]:.3e} beyond guard at {at}",
                                  clock=clock, norm=float(nrm[end]))
-    keep = np.append(np.arange(len(X))[keep], end)
-    record(ks[keep], err[keep], X[keep])
+    keep = np.append(np.arange(len(E))[keep], end)
+    record(ks[keep], err[keep], E[keep])
     converged = bool(err[end] <= cfg.tol)
     return finish(converged, clock if converged else None, float(err[end]))

@@ -256,8 +256,9 @@ def account(compressor, m, l=None, k_top=None):
 
 def fit_rate(trace):
     """Least-squares slope fit of log(err) over the trailing half of a
-    trace. Returns (rate_emp, r_squared) with rate_emp = exp(slope) per
-    clock unit, or (nan, nan) when the tail is unusable."""
+    trace, in the closed form of centred clocks and log errors. Returns
+    (rate_emp, r_squared) with rate_emp = exp(slope) per clock unit, or
+    (nan, nan) when the tail is unusable."""
     clock = np.asarray(trace.clock, dtype=float)
     err = np.asarray(trace.err, dtype=float)
     tail = slice(len(clock) // 2, None)
@@ -266,11 +267,12 @@ def fit_rate(trace):
     clock, err = clock[keep], err[keep]
     if len(clock) < 3 or clock[-1] == clock[0]:
         return float("nan"), float("nan")
-    log_err = np.log(err)
-    slope, intercept = np.polyfit(clock, log_err, 1)
-    pred = slope * clock + intercept
-    ss_res = float(np.sum((log_err - pred) ** 2))
-    ss_tot = float(np.sum((log_err - log_err.mean()) ** 2))
+    t = clock - clock.mean()
+    y = np.log(err)
+    y -= y.mean()
+    slope = float(t @ y) / float(t @ t)
+    res = y - slope * t
+    ss_res, ss_tot = float(res @ res), float(y @ y)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(np.exp(slope)), r2
 
@@ -368,11 +370,10 @@ def serialize(obj, path):
             fh.write(f"# converged={_fmt(obj.converged)}\n")
             fh.write(f"# hit_clock={_fmt(obj.hit_clock) if obj.hit_clock is not None else 'none'}\n")
             fh.write(f"# final_err={_fmt(obj.final_err)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACE_COLUMNS)
-            floats = (map(repr, col.tolist()) for col in (obj.clock, obj.err, obj.disagreement))
-            ints = (map(str, col.tolist()) for col in (obj.scalars_tx_cum, obj.bits_tx_cum))
-            writer.writerows(zip(*floats, *ints))
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            # str of a Python float is its repr; no cell needs CSV quoting
+            cols = (obj.clock, obj.err, obj.disagreement, obj.scalars_tx_cum, obj.bits_tx_cum)
+            fh.writelines(map("{},{},{},{},{}\n".format, *(col.tolist() for col in cols)))
         return path
     rows = list(obj)
     if not all(isinstance(r, ResultRow) for r in rows):

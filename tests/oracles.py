@@ -15,6 +15,7 @@
   block loop nor the cached maps of the package.
 - ``serialize_trace_rows`` writes a trace CSV one formatted cell at a
   time.
+- ``fit_rate_polyfit`` is ``harness.fit_rate`` by ``np.polyfit``.
 """
 
 import csv
@@ -249,3 +250,22 @@ def run_simulation_stepwise(inst, schedule, cfg, mode):
         if not np.isfinite(nrm) or nrm > DIVERGENCE_GUARD:
             raise SimulationDiverged(f"state norm {nrm:.3e} beyond guard",
                                      clock=clock_at(k), norm=nrm)
+
+
+def fit_rate_polyfit(trace):
+    """(rate_emp, r_squared) of ``harness.fit_rate``, fitted by np.polyfit."""
+    clock = np.asarray(trace.clock, dtype=float)
+    err = np.asarray(trace.err, dtype=float)
+    tail = slice(len(clock) // 2, None)
+    clock, err = clock[tail], err[tail]
+    keep = np.isfinite(err) & (err > 0)
+    clock, err = clock[keep], err[keep]
+    if len(clock) < 3 or clock[-1] == clock[0]:
+        return float("nan"), float("nan")
+    log_err = np.log(err)
+    slope, intercept = np.polyfit(clock, log_err, 1)
+    pred = slope * clock + intercept
+    ss_res = float(np.sum((log_err - pred) ** 2))
+    ss_tot = float(np.sum((log_err - log_err.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(np.exp(slope)), r2

@@ -7,13 +7,16 @@ from scalareq.compression import Compressor, eval_ct, eval_dt, make_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalareq.dynamics as dynamics
 from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK, RunConfig,
                                Trace, consensus_rhs, run_simulation, solver_ct_rhs)
-from scalareq.dynamics import _advance, _block_shape, _compression, _drift, _phase, _stepper
+from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compression, _drift,
+                               _laplacian, _phase, _stepper)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
 
+import oracles
 from oracles import integrate, reference_step, run_simulation_stepwise, solver_dt_step
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
@@ -650,6 +653,110 @@ def test_two_level_fill_matches_one_step_maps(seed, mode, kind, sched_kind, last
         got = fill(k, x, count)
         assert got.shape == (count, d)
         assert np.all(_row_norms(got - want[:count]) <= 1e-12 * scale[:count])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dt", "ct"]),
+       st.sampled_from(["scalarized", "none"]), st.sampled_from(["table", "cyclic-basis"]),
+       st.integers(1, 400))
+def test_error_coordinate_fill_matches_reference_steps(seed, mode, kind, sched_kind, last):
+    # with origin 1 (x) v*, two consecutive lifted blocks map the error at a
+    # block start to the errors of the one-step reference step applied
+    # count times, as the run loop calls them; s ||h_i||^2 <= 1 keeps a dt
+    # step's growth below 2, so 2 B <= 512 reference steps cannot overflow
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    d = n * m
+    if sched_kind == "cyclic-basis":
+        sched = make_schedule("cyclic-basis", m, dwell=0.05)
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n,
+                    s=float(rng.uniform(0.0, 1.0)) / float(np.max(np.sum(inst.H ** 2, axis=1))),
+                    dt_int=0.01, compressor=Compressor(kind))
+    ref = np.tile(inst.v_star, n)
+    B, fill = _stepper(inst, sched, cfg, mode, None, last, origin=ref)
+    k = B * int(rng.integers(0, 3))
+    x = rng.standard_normal(d)
+    step = reference_step(inst, sched, cfg, mode, None)
+    want = [step(k, x)]
+    for j in range(1, 2 * B):
+        want.append(step(k + j, want[-1]))
+    want = np.array(want)
+    first = fill(k, x - ref, B)
+    got = np.concatenate([first, fill(k + B, first[-1], B)])
+    scale = np.maximum(_row_norms(want), np.linalg.norm(x))
+    assert np.all(_row_norms(got - (want - ref)) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scalarized", "none"]),
+       st.floats(1e-4, 0.05), st.floats(0.0, 3.0))
+def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
+    # the Horner-built ct map equals the midpoint-frozen RK4 step applied to
+    # the identity basis and to the zero state; the dt map is that step
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    d = n * m
+    L = _laplacian(inst)
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
+                    dt_int=dt, compressor=Compressor(kind))
+    basis, zero = np.eye(d).reshape(d, n, m), np.zeros((n, m))
+    for mode in ("ct", "dt"):
+        k = int(rng.integers(0, 30))
+        C = _compression(sched, cfg, mode)(k, 1)[0]
+        advance = _advance(L, inst.H, cfg, mode)
+        A, w = _affine_step(L, inst.H, inst.b, cfg, mode, C)
+        A_rk4 = advance(C, basis, 0.0).reshape(d, d)
+        w_rk4 = advance(C, zero, inst.b).reshape(d)
+        assert np.abs(A - A_rk4).max() <= 1e-13
+        assert np.abs(w - w_rk4).max() <= 1e-13 * max(1.0, np.abs(w_rk4).max())
+
+
+def _patch_guard(monkeypatch, guard):
+    """Lower DIVERGENCE_GUARD for the block loop and the stepwise oracle."""
+    for module in (dynamics, oracles):
+        monkeypatch.setattr(module, "DIVERGENCE_GUARD", guard)
+
+
+@pytest.mark.parametrize("mode, kind", [("dt", "scalarized"), ("dt", "uniform"),
+                                        ("ct", "scalarized"), ("ct", "none")])
+def test_guard_bound_above_half_takes_exact_norms(inst10, monkeypatch, mode, kind):
+    # a guard of 30 on the reference network, where ||1 (x) v*|| = 17.6:
+    # the bound n err + ||1 (x) v*|| stays above half the guard in every
+    # block, and above the guard itself over the first steps, while no
+    # state leaves the ball of radius 23 (rank_check refuses instances
+    # whose ||v*|| comes near the real guard). The exact norms must keep
+    # the run going, as the stepwise oracle does
+    _patch_guard(monkeypatch, 30.0)
+    ref = np.tile(V_STAR, 10)
+    u = np.random.default_rng(5).standard_normal(50)
+    x0 = ref + 20.0 * u / np.linalg.norm(u)
+    assert 15.0 < np.linalg.norm(ref) and np.linalg.norm(x0) < 30.0
+    assert np.linalg.norm(x0 - ref) + np.linalg.norm(ref) > 30.0
+    cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 1.0, dt_int=1e-3, tol=1e-300,
+                    horizon=400 if mode == "dt" else 0.4, record_every=3, x0=x0,
+                    compressor=Compressor(kind))
+    trace = _run_both(inst10, SCHED5, cfg, mode)
+    assert trace is not None and trace.clock[-1] == cfg.horizon
+
+
+@pytest.mark.parametrize("guard, s, x0, clock, norm", [
+    (1.5, 3.0, 1.0 - 0.75 / 2**10, 11, 2.5),
+    (0.9, 0.5, 1.001, 1, 1.0005),
+], ids=["bound-passes-early", "guard-below-solution"])
+def test_guard_bound_above_half_reports_the_exact_norm(monkeypatch, guard, s, x0, clock, norm):
+    # x[k] - 1 = (1 - s)^k (x[0] - 1), v* = 1. Under a guard of 1.5 with
+    # s = 3 the bound |x - 1| + 1 first passes the guard at k = 10, where
+    # x = 0.25, and the first state beyond it is x[11] = 2.5. Under a
+    # guard of 0.9, below ||1 (x) v*||, the errors stay small while every
+    # state is beyond the guard, from x[1] = 1.0005 on
+    _patch_guard(monkeypatch, guard)
+    sched = make_schedule("cyclic-basis", 1, dwell=1.0)
+    cfg = RunConfig(h=0.1, s=s, horizon=1000, tol=1e-300, x0=np.array([x0]))
+    for run in (run_simulation, run_simulation_stepwise):
+        with pytest.raises(SimulationDiverged) as exc:
+            run(SCALAR_INST, sched, cfg, "dt")
+        assert exc.value.clock == clock
+        assert exc.value.norm == pytest.approx(norm, rel=1e-12)
 
 
 @given(st.integers(1, 60), st.integers(1, MAX_BLOCK), st.integers(1, DENSE_MAX_DIM))

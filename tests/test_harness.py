@@ -19,7 +19,7 @@ from scalareq.harness import (Config, ExperimentSpec, ProblemInstance,
                               serialize)
 from scalareq.linalg import least_squares
 
-from oracles import run_simulation_stepwise, serialize_trace_rows
+from oracles import fit_rate_polyfit, run_simulation_stepwise, serialize_trace_rows
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -119,6 +119,27 @@ def test_fit_rate_degenerate_tails():
     assert np.isnan(rate)
     rate, _ = fit_rate(_make_trace(np.array([4.0, 3.0, 2.0, 1.0])))
     assert np.isnan(rate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 3000), st.sampled_from([1.0, 1e-3, 0.01]))
+def test_fit_rate_matches_polyfit(seed, rows, unit):
+    # random tails: clocks with random gaps, log errors on a random slope
+    # with noise from negligible to dominant, and some unusable entries
+    rng = np.random.default_rng(seed)
+    clock = unit * np.cumsum(rng.integers(1, 30, size=rows))
+    log_err = (rng.uniform(-1e-2, 1e-3) / unit * clock
+               + 10.0 ** rng.uniform(-12.0, 1.0) * rng.standard_normal(rows))
+    err = np.exp(log_err)
+    err[rng.random(rows) < 0.05] = rng.choice([0.0, -1.0, np.inf, np.nan])
+    tr = _make_trace(err, clock)
+    rate, r2 = fit_rate(tr)
+    want_rate, want_r2 = fit_rate_polyfit(tr)
+    if np.isnan(want_rate):
+        assert np.isnan(rate) and np.isnan(r2) and np.isnan(want_r2)
+        return
+    assert rate == pytest.approx(want_rate, rel=1e-10)
+    assert r2 == pytest.approx(want_r2, abs=1e-10)
 
 
 def test_serialize_trace_roundtrip(tmp_path, inst10):
