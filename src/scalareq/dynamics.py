@@ -27,11 +27,18 @@ errors to errors; they advance a whole block by two lifts of those maps:
 an outer lift gives the errors at k, k + L, ..., k + (q - 1) L in one
 matrix-vector product, and an inner lift e[k+j] = e[k] M_j + c_j,
 j <= L, gives the B = L q errors of the block from those q starts in
-one matrix product. Every other run steps its exact states, each step one
-map of the whole state. The node-by-node step and the RK4 integrator that
-the tests compare against live in tests/oracles.py.
+one matrix product. Scalarized trigonometric runs of small networks
+(n m <= TRIG_MAP_MAX_DIM) step their exact states through dense per-step
+maps D_k = D0 - h (L (x) C_k C_k^T), built a chunk at a time by one
+product of the chunk's C_k C_k^T coefficients with a table read off the
+exchange on the identity basis: a dt step is one matrix-vector product,
+a ct RK4 step four, with C at every stage time. Every other run steps
+its exact states, each step one map of the whole state. The
+node-by-node step and the RK4 integrator that the tests compare against
+live in tests/oracles.py.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +67,18 @@ MAX_BLOCK = 256
 # (n m)^2 floats. On the reference network (n m = 50) larger lifts raise
 # the peak memory of a run by more than 1 MiB.
 LIFT_BYTES = 1 << 20
+# Largest n m whose scalarized trigonometric runs step through dense
+# per-step maps (see _trig_steps) rather than the structured operator.
+# A map costs (m (m + 1) / 2 + 1) (n m)^2 multiply-adds to build, against
+# a structured step whose cost at these sizes is mostly fixed per-call
+# overhead. Measured per step, map against structured (2-vCPU x86 host,
+# one BLAS thread, 600-step runs with their set-up, best of 7
+# alternating): m = 4, dt 14.4 / 23.5 us and ct 46 / 96 us at n m = 64,
+# dt 36.5 / 22.7 and ct 107 / 95 us at 96 (crossing near 85 and 95);
+# m = 6, dt 14.4 / 14.6 us at 60 and 18.1 / 15.5 at 66, ct 49 / 71 at 66
+# and 84 / 74 at 72. The constant sits at the m = 6 dt crossover. The
+# table and buffers of a run count against LIFT_BYTES (see _trig_chunk).
+TRIG_MAP_MAX_DIM = 64
 
 
 @dataclass
@@ -322,6 +341,113 @@ def _affine_step(L, H, b, cfg, mode, C):
     return eye + Z @ Q, cfg.dt_int * (g @ Q)
 
 
+def _apply_maps(z, maps, out):
+    """Step the row state z through the affine maps (A, w) in turn, each
+    state z @ A + w into the next row of out; returns the last state.
+    The product is np.dot, whose 1-D by 2-D call costs about half that
+    of @ at these sizes (2.4 against 4.2 us at 40 x 40)."""
+    for j, (A, w) in enumerate(maps):
+        z = out[j] = np.dot(z, A) + w
+    return z
+
+
+def _trig_chunk(d, m, mode, B):
+    """Steps per chunk of the dense per-step maps of a scalarized
+    trigonometric run of n m = d, or None when the run applies the
+    structured operator instead: d above TRIG_MAP_MAX_DIM, or the table
+    and the buffers of one step do not fit in LIFT_BYTES. The run holds
+    a table of r = m (m + 1) / 2 + 1 maps, g and the r - 1 index pairs
+    of the table rows, and per map of a chunk one d x d buffer and one
+    row of r coefficients; a chunk of c steps holds c maps in dt and
+    2 c + 1 in ct (see _trig_steps)."""
+    if d > TRIG_MAP_MAX_DIM:
+        return None
+    rows = m * (m + 1) // 2 + 1
+    maps = (LIFT_BYTES // 8 - rows * d * d - d - 2 * rows) // (d * d + rows)
+    steps = maps if mode == "dt" else (maps - 1) // 2
+    return min(steps, B) if steps >= 1 else None
+
+
+def _half_steps(k, count, dt):
+    """Clocks j dt / 2, j = 2 k, ..., 2 (k + count), of the RK4 stages of
+    steps k .. k + count - 1: step i's stages sit at rows 2 (i - k),
+    2 (i - k) + 1 and 2 (i - k) + 2. Even rows equal i dt exactly; odd
+    ones are within one rounding of i dt + dt / 2."""
+    return np.arange(2 * k, 2 * (k + count) + 1) * (0.5 * dt)
+
+
+def _trig_steps(L, inst, schedule, cfg, mode, chunk):
+    """steps(k, x, out) of a scalarized trigonometric run through dense
+    per-step maps: the exact row states at steps k + 1, ..., k + len(out)
+    into out, given the state x at step k; returns the last one.
+
+    The drift of a step with compression C is x @ D(C) + g, where
+    D(C) = D0 - h (L (x) C C^T) is linear in the upper triangle of C C^T
+    (h = 1 in ct). The table holds D0 and, for each pair a <= b, the
+    exchange map of E_ab + E_ba, read off _exchange on the identity
+    basis: with C = e_a for a = b, and for a < b by polarization,
+    exchange(e_a + e_b) - exchange(e_a) - exchange(e_b), exact since
+    every entry is 0 or an entry of L. A chunk's maps are one product of
+    its coefficient rows (1, C_a C_b for a <= b) with the table, into
+    buffers allocated once.
+    A dt step is x @ (I + D(C[k])) + g. A ct step is RK4 with C at the
+    stage times t, t + dt/2 and t + dt: four matrix-vector products by
+    maps on the half-step grid j dt / 2, the map at t + dt shared with
+    the next step, the table scaled by dt / 2."""
+    H = inst.H
+    n, m = H.shape
+    d = n * m
+    basis, zero, unit = np.eye(d).reshape(d, n, m), np.zeros((n, m)), np.eye(m)
+    a, b = np.triu_indices(m)
+    h = cfg.h if mode == "dt" else 1.0
+    table = np.empty((len(a) + 1, d * d))
+    table[0] = _drift(L, H, 0.0, np.zeros(m), h, cfg.s, basis).reshape(-1)
+    single = [_exchange(L, basis, e).reshape(-1) for e in unit]
+    for p, (i, j) in enumerate(zip(a, b), start=1):
+        table[p] = single[i] if i == j else (_exchange(L, basis, unit[i] + unit[j]).reshape(-1)
+                                             - single[i] - single[j])
+    table[1:] *= -h
+    g = _drift(L, H, inst.b, np.zeros(m), h, cfg.s, zero).reshape(-1)
+    if mode == "dt":
+        table[0] += np.eye(d).reshape(-1)
+    else:
+        table *= 0.5 * cfg.dt_int
+        g *= 0.5 * cfg.dt_int
+    maps = chunk if mode == "dt" else 2 * chunk + 1
+    coef, buf = np.empty((maps, len(a) + 1)), np.empty((maps, d, d))
+    coef[:, 0] = 1.0
+
+    def build(t):
+        """The maps at the clocks t, one per clock, in the buffer."""
+        C = _trig_rows(schedule, t)
+        np.multiply(C[:, a], C[:, b], out=coef[:len(t), 1:])
+        np.dot(coef[:len(t)], table, out=buf[:len(t)].reshape(len(t), -1))
+        return buf[:len(t)]
+
+    if mode == "dt":
+        def steps(k, x, out):
+            for j in range(0, len(out), chunk):
+                c = min(chunk, len(out) - j)
+                D = build(_step_clock(schedule, np.arange(k + j, k + j + c)))
+                x = _apply_maps(x, zip(D, itertools.repeat(g)), out[j:j + c])
+            return x
+        return steps
+
+    def steps(k, x, out):
+        # a_i = (dt / 2) k_i of the RK4 stages
+        for j in range(0, len(out), chunk):
+            c = min(chunk, len(out) - j)
+            D = build(_half_steps(k + j, c, cfg.dt_int))
+            for i in range(c):
+                a1 = np.dot(x, D[2 * i]) + g
+                a2 = np.dot(x + a1, D[2 * i + 1]) + g
+                a3 = np.dot(x + a2, D[2 * i + 1]) + g
+                a4 = np.dot(x + 2.0 * a3, D[2 * i + 2]) + g
+                x = out[j + i] = x + (a1 + 2.0 * (a2 + a3) + a4) / 3.0
+        return x
+    return steps
+
+
 def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     """(B, fill) for one run of at most last steps: fill(k, z, count)
     returns the states at steps k + 1, ..., k + count (k a multiple of B,
@@ -337,11 +463,14 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     the outer one makes z at k + L, ..., k + (q - 1) L in one matvec, and
     the inner one all of the block from those q starts in one GEMM.
     Otherwise the block is filled step by step through the shifted maps.
-    Every other run (baseline compressors, trigonometric schedules,
-    n m > DENSE_MAX_DIM) steps its exact states by the whole-state
-    advance and subtracts origin from the block; a call that continues
-    the block returned last starts from its exact last state, so
-    z + origin is formed only at a run's first block.
+    Scalarized trigonometric runs with n m <= TRIG_MAP_MAX_DIM whose
+    table and buffers fit in LIFT_BYTES (see ``_trig_chunk``) step their
+    exact states through dense per-step maps (see ``_trig_steps``); every
+    other run (baseline compressors, larger trigonometric runs,
+    n m > DENSE_MAX_DIM) steps them by the whole-state advance. Both
+    subtract origin from the block; a call that continues the block
+    returned last starts from its exact last state, so z + origin is
+    formed only at a run's first block.
     """
     n, m = inst.H.shape
     d = n * m
@@ -372,22 +501,30 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
 
         def mapped(k, z, count):
             out = np.empty((count, d))
-            for j in range(count):
-                A, w = maps[((k + j) // stride) % rows]
-                z = out[j] = z @ A + w
+            _apply_maps(z, (maps[((k + j) // stride) % rows] for j in range(count)), out)
             return out
         return B, mapped
 
-    advance = _advance(lap, inst.H, cfg, mode, rng)
+    chunk = None
+    if phase is None and cfg.compressor.kind == "scalarized":
+        chunk = _trig_chunk(d, m, mode, B)
+    if chunk is not None:
+        steps = _trig_steps(lap, inst, schedule, cfg, mode, chunk)
+    else:
+        advance = _advance(lap, inst.H, cfg, mode, rng)
+
+        def steps(k, x, out):
+            x = x.reshape(n, m)
+            for j, C in enumerate(C_of(k, len(out))):
+                x = advance(C, x, inst.b)
+                out[j] = x.reshape(-1)
+            return x
     end = [None, None]  # step and exact state of the last row returned
 
     def fill(k, z, count):
-        x = end[1] if k == end[0] else (z + origin).reshape(n, m)
+        x = end[1] if k == end[0] else z + origin
         out = np.empty((count, d))
-        for j, C in enumerate(C_of(k, count)):
-            x = advance(C, x, inst.b)
-            out[j] = x.reshape(-1)
-        end[:] = k + count, x
+        end[:] = k + count, steps(k, x, out)
         out -= origin
         return out
     return B, fill

@@ -117,8 +117,10 @@ def rank_check(H, b, tol=RANK_TOL):
     unique exact least-squares solution.
 
     The verdict holds iff the m-th singular value of H exceeds
-    tol * sigma_max and the (m+1)-th singular value of [H b] stays below
-    tol * sigma_max, with sigma_max the largest singular value of [H b].
+    tol * sigma_1(H), and the (m+1)-th singular value of [H b] stays
+    below tol * sigma_1([H b]). Each test is relative to the matrix it
+    examines, so scaling b (the units of v*) does not change whether H
+    has full column rank.
     """
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -131,10 +133,9 @@ def rank_check(H, b, tol=RANK_TOL):
     sig_a = _singular_values(np.column_stack([H, b]))
     sigma_m = float(sig_h[0])
     sigma_aug = float(sig_a[0])
-    sigma_max = max(float(sig_a[-1]), 1e-300)
-    if sigma_m <= tol * sigma_max:
+    if sigma_m <= tol * max(float(sig_h[-1]), 1e-300):
         return RankVerdict(False, f"rank(H) < {m}: sigma_m = {sigma_m:.3e}", sigma_m, sigma_aug)
-    if sigma_aug > tol * sigma_max:
+    if sigma_aug > tol * max(float(sig_a[-1]), 1e-300):
         return RankVerdict(
             False,
             f"inconsistent augmentation: sigma_{m + 1}([H b]) = {sigma_aug:.3e}",

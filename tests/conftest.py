@@ -3,12 +3,16 @@ import sys
 
 from hypothesis import settings
 
-# CI runs derandomized, so a property failure there recurs locally with
-# CI=1 instead of living only in the runner's example database; the
-# failure report carries the reproduction blob either way.
+# HYPOTHESIS_PROFILE names the profile to load; without it CI runs the
+# derandomized "ci" profile, so a property failure there recurs locally
+# with CI=1 instead of living only in the runner's example database.
+# HYPOTHESIS_PROFILE=default draws fresh examples on every run. Both
+# profiles print the reproduction blob of a failure.
 settings.register_profile("ci", derandomize=True, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+settings.register_profile("default", print_blob=True)
+_profile = os.environ.get("HYPOTHESIS_PROFILE") or ("ci" if os.environ.get("CI") else None)
+if _profile:
+    settings.load_profile(_profile)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

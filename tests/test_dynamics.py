@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalareq.dynamics as dynamics
-from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK, RunConfig,
-                               Trace, consensus_rhs, run_simulation, solver_ct_rhs)
+from scalareq.compression import _trig_rows
+from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK,
+                               TRIG_MAP_MAX_DIM, RunConfig, Trace, consensus_rhs, run_simulation,
+                               solver_ct_rhs)
 from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compression, _drift,
-                               _laplacian, _phase, _stepper)
+                               _half_steps, _laplacian, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import ProblemInstance, account, gen_instance
@@ -34,6 +37,14 @@ def inst10():
 @pytest.fixture(scope="module")
 def inst10m4():
     return gen_instance(10, 4, V_STAR[:4], seed=0)
+
+
+@pytest.fixture(scope="module")
+def inst17m4():
+    # above TRIG_MAP_MAX_DIM: trigonometric runs apply the structured operator
+    inst = gen_instance(17, 4, V_STAR[:4], seed=0)
+    assert inst.n * inst.m > TRIG_MAP_MAX_DIM
+    return inst
 
 
 @pytest.fixture(scope="module")
@@ -251,35 +262,93 @@ def test_unbiased_step_noise_stream_is_node_sequential(inst10):
     assert np.array_equal(out_a, expect.reshape(-1))
 
 
-@pytest.mark.parametrize("mode, kind, sched", [
-    ("dt", "topk", SCHED4), ("dt", "unbiased", SCHED4), ("dt", "uniform", SCHED4),
-    ("dt", "scalarized", TRIG4), ("dt", "scalarized", TRIG4_DWELL), ("ct", "scalarized", TRIG4),
+def _trig_reference(inst, sched, cfg, mode):
+    """The reference step of a scalarized trigonometric run: RK4 of
+    solver_ct_rhs, which evaluates C at every stage, in ct; in dt the
+    operator step with C evaluated at every step (the node loop sums the
+    scalarized exchange in another order)."""
+    if mode == "ct":
+        return reference_step(inst, sched, cfg, mode, None)
+    n, m = inst.H.shape
+    L = inst.spectrum.L
+    return lambda k, x: (x.reshape(n, m) + _drift(L, inst.H, inst.b, eval_dt(sched, k),
+                                                  cfg.h, cfg.s, x.reshape(n, m))).reshape(-1)
+
+
+@pytest.mark.parametrize("mode, kind, sched, n", [
+    ("dt", "topk", SCHED4, 10), ("dt", "unbiased", SCHED4, 10), ("dt", "uniform", SCHED4, 10),
+    ("dt", "scalarized", TRIG4, 17), ("dt", "scalarized", TRIG4_DWELL, 17),
+    ("ct", "scalarized", TRIG4, 17),
 ], ids=["topk", "unbiased", "uniform", "trig-dt", "trig-dt-dwell", "trig-ct"])
-def test_whole_state_fill_matches_reference_bit_for_bit(inst10m4, mode, kind, sched):
-    # 300 steps in blocks of 204: the baselines against the node loop,
-    # which quantizes node by node; trigonometric ct against RK4 of
-    # solver_ct_rhs, which evaluates C at every stage; trigonometric dt
-    # against the operator step with C evaluated at every step
-    inst = inst10m4
+def test_whole_state_fill_matches_reference_bit_for_bit(inst10m4, inst17m4, mode, kind, sched, n):
+    # 300 steps in blocks of B (204 at n = 10, 120 at n = 17): the
+    # baselines against the node loop, which quantizes node by node; the
+    # trigonometric runs, on a network above TRIG_MAP_MAX_DIM, where they
+    # apply the structured operator, against _trig_reference
+    inst = inst10m4 if n == 10 else inst17m4
     n, m = inst.H.shape
     comp = Compressor(kind, l=2, k=2)
     cfg = RunConfig(h=0.2, s=0.5 if mode == "ct" else 0.02, dt_int=1e-3, compressor=comp)
-    if mode == "dt" and kind == "scalarized":
-        L = inst.spectrum.L
-        ref = lambda k, x: (x.reshape(n, m) + _drift(L, inst.H, inst.b, eval_dt(sched, k),
-                                                     cfg.h, cfg.s, x.reshape(n, m))).reshape(-1)
+    if kind == "scalarized":
+        ref = _trig_reference(inst, sched, cfg, mode)
     else:
         ref = reference_step(inst, sched, cfg, mode, np.random.default_rng([4, 2]))
     B, fill = _stepper(inst, sched, cfg, mode, np.random.default_rng([4, 2]), 300)
-    assert B == 204
+    assert B == BLOCK_ELEMENTS // (n * m)
     x = np.random.default_rng([4, 1]).standard_normal(n * m)
-    got = fill(0, x, B)
-    got = np.concatenate([got, fill(B, got[-1], 300 - B)])
+    got = [x]
+    for k in range(0, 300, B):
+        got.extend(fill(k, got[-1], min(B, 300 - k)))
     want = []
     for k in range(300):
         x = ref(k, x)
         want.append(x)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got[1:], want)
+
+
+@pytest.mark.parametrize("mode, sched", [("dt", TRIG4), ("dt", TRIG4_DWELL), ("ct", TRIG4)],
+                         ids=["trig-dt", "trig-dt-dwell", "trig-ct"])
+@pytest.mark.parametrize("k", [0, 204, 123_457])
+def test_trigonometric_map_fill_matches_reference(inst10m4, mode, sched, k):
+    # n m = 40 steps through the dense per-step maps: two blocks of 204
+    # steps from step k follow _trig_reference to 1e-12 per row
+    inst = inst10m4
+    d = inst.n * inst.m
+    assert d <= TRIG_MAP_MAX_DIM
+    cfg = RunConfig(h=0.2, s=0.5 if mode == "ct" else 0.02, dt_int=1e-3)
+    B, fill = _stepper(inst, sched, cfg, mode, None, k + 408)
+    assert B == 204
+    x = np.random.default_rng([4, 1]).standard_normal(d)
+    first = fill(k, x, B)
+    got = np.concatenate([first, fill(k + B, first[-1], B)])
+    ref = _trig_reference(inst, sched, cfg, mode)
+    want = [ref(k, x)]
+    for j in range(1, 2 * B):
+        want.append(ref(k + j, want[-1]))
+    want = np.array(want)
+    scale = np.maximum(_row_norms(want), np.linalg.norm(x))
+    assert np.all(_row_norms(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [0, 204, 123_457])
+def test_half_step_clocks_match_the_rk4_stage_times(k):
+    # the ct map path reads its stage vectors off a half-step clock grid:
+    # t = k dt exactly, t + dt / 2 and t + dt (which is the next step's
+    # t) within one rounding of the clock, so the rows match eval_ct to
+    # 1e-15 while the clock is below 1 and to twice the frequency times
+    # the clock's spacing beyond
+    dt = 1e-3
+    clocks = _half_steps(k, 204, dt)
+    rows = _trig_rows(TRIG4, clocks)
+    for j in range(204):
+        t = (k + j) * dt
+        assert clocks[2 * j] == t
+        for i, t_stage in ((1, t + 0.5 * dt), (2, t + dt)):
+            assert abs(clocks[2 * j + i] - t_stage) <= np.spacing(t_stage)
+        for row, t_stage in ((rows[2 * j], t), (rows[2 * j + 1], t + 0.5 * dt),
+                             (rows[2 * j + 2], t + dt)):
+            bound = max(1e-15, 2.0 * max(TRIG4.frequencies) * np.spacing(t_stage))
+            assert np.abs(row - eval_ct(TRIG4, t_stage)).max() <= bound
 
 
 @pytest.mark.parametrize("sched", [TRIG4, TRIG4_DWELL], ids=["trig", "trig-dwell"])
@@ -324,12 +393,8 @@ def test_fast_ct_path_matches_reference_integrator(inst10, cycle60):
         assert tr.err[-1] == pytest.approx(err_ref, rel=1e-9)
 
 
-def _random_problem(seed):
-    """A random connected weighted graph, a planted instance on it and a
-    random unit-vector table schedule."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 9))
-    m = int(rng.integers(1, min(n, 4) + 1))
+def _random_instance(rng, n, m):
+    """A planted instance on a random connected weighted graph of n nodes."""
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     for _ in range(int(rng.integers(0, n))):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -338,7 +403,16 @@ def _random_problem(seed):
                                             for (i, j) in sorted(edges)])
     H = rng.standard_normal((n, m))
     v = rng.standard_normal(m)
-    inst = ProblemInstance(H=H, b=H @ v, graph=graph, v_star=v)
+    return ProblemInstance(H=H, b=H @ v, graph=graph, v_star=v)
+
+
+def _random_problem(seed):
+    """A random connected weighted graph, a planted instance on it and a
+    random unit-vector table schedule."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, min(n, 4) + 1))
+    inst = _random_instance(rng, n, m)
     table = rng.standard_normal((int(rng.integers(1, 7)), m))
     table /= np.linalg.norm(table, axis=1, keepdims=True)
     return inst, make_schedule("table", m, dwell=0.05, table=table), rng
@@ -612,6 +686,82 @@ def test_block_loop_hits_on_first_and_last_block_rows(inst10, cycle60, n, mode):
         k = next(k for k in lows if k % B == row)
         trace = _run_both(inst, SCHED5, replace(cfg, tol=_tol_hitting_at(full, k)), mode)
         assert trace.hit_clock == full.clock[k] and trace.clock[-1] == full.clock[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dt", "ct"]), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(1, 300), st.integers(1, 40))
+def test_trigonometric_runs_match_stepwise_oracle_across_the_crossover(
+        seed, mode, above, dwell, unstable, steps, every):
+    # random networks just below or just above TRIG_MAP_MAX_DIM (dense
+    # per-step maps or the structured operator), random frequencies,
+    # dwell, h and s; an unstable dt run must diverge at the oracle's clock
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([2, 4]))
+    top = TRIG_MAP_MAX_DIM // m
+    n = int(rng.integers(top + 1, top + 4)) if above else int(rng.integers(max(2, m), top + 1))
+    inst = _random_instance(rng, n, m)
+    sched = make_schedule("trigonometric", m,
+                          dwell=float(rng.uniform(0.01, 0.5)) if dwell else None,
+                          frequencies=rng.uniform(0.2, 3.0, m // 2))
+    h = float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n
+    s = float(rng.uniform(0.0, 1.0)) / float(np.max(np.sum(inst.H ** 2, axis=1)))
+    if unstable and mode == "dt":
+        s = float(rng.uniform(2.5, 6.0)) / float(np.max(np.sum(inst.H ** 2, axis=1)))
+    dt_int = float(rng.uniform(1e-3, 0.05))
+    cfg = RunConfig(h=h, s=s, dt_int=dt_int, tol=1e-300, record_every=every,
+                    horizon=steps if mode == "dt" else steps * dt_int,
+                    seed=int(rng.integers(0, 1000)))
+    B = _stepper(inst, sched, cfg, mode, None, steps)[0]
+    assert (_trig_chunk(n * m, m, mode, B) is None) == above
+    _run_both(inst, sched, cfg, mode)
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+@pytest.mark.parametrize("m", [2, 4])
+def test_trigonometric_map_path_flips_at_the_constant(monkeypatch, mode, m):
+    # the run at n m = TRIG_MAP_MAX_DIM builds its table and buffers, and
+    # the numpy memory they hold fits in LIFT_BYTES; one node more and the
+    # run applies the structured operator
+    held = []
+    build = dynamics._trig_steps
+
+    def spy(*args):
+        tracemalloc.start()
+        numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        before = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        steps = build(*args)
+        after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        tracemalloc.stop()
+        held.append(sum(stat.size_diff for stat in after.compare_to(before, "filename")))
+        return steps
+    monkeypatch.setattr(dynamics, "_trig_steps", spy)
+    sched = make_schedule("trigonometric", m, frequencies=np.arange(1.0, m // 2 + 1.0))
+    cfg = RunConfig(h=0.2, s=0.02, dt_int=1e-3)
+    top = TRIG_MAP_MAX_DIM // m
+    for n, eligible in ((top, True), (top + 1, False)):
+        held.clear()
+        inst = gen_instance(n, m, V_STAR[:m], seed=0)
+        B = _stepper(inst, sched, cfg, mode, None, 1000)[0]
+        assert (_trig_chunk(n * m, m, mode, B) is not None) == eligible
+        assert len(held) == eligible
+        assert all(0 < size <= LIFT_BYTES for size in held)
+
+
+def test_trigonometric_chunks_fit_the_lift_budget():
+    for m in range(1, 13):
+        rows = m * (m + 1) // 2 + 1
+        for d in range(m, TRIG_MAP_MAX_DIM + 2 * m, m):
+            for mode, per_step, extra in (("dt", 1, 0), ("ct", 2, 1)):
+                for B in (1, 7, BLOCK_ELEMENTS // d):
+                    c = _trig_chunk(d, m, mode, B)
+                    if d > TRIG_MAP_MAX_DIM:
+                        assert c is None
+                    elif c is not None:
+                        maps = per_step * c + extra
+                        assert 1 <= c <= B
+                        assert 8 * (rows * d * d + d + 2 * rows + maps * (d * d + rows)) \
+                            <= LIFT_BYTES
 
 
 def _row_norms(a):

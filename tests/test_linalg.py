@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalareq.errors import RankDeficientError
+from scalareq.harness import gen_instance
 from scalareq.linalg import (least_squares, rank_check, spectral_constants,
                              sym_eig)
 
@@ -179,6 +180,35 @@ def test_rank_check_resolves_planted_sigma_near_threshold(n, m):
         if verdict or "rank(H)" not in verdict.reason:
             wrong.append((seed, verdict.reason, verdict.sigma_m))
     assert wrong == []
+
+
+def test_gen_instance_accepts_a_large_planted_solution():
+    # sigma_m(H) = 0.85 is full rank whatever the units of v*
+    v = 1e8 * np.array([2.0, 1.0, 3.0, 4.0, -1.0])
+    inst = gen_instance(10, 5, v, seed=0)
+    assert np.array_equal(inst.H, gen_instance(10, 5, v / 1e8, seed=0).H)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_check_verdict_does_not_depend_on_the_scale_of_b(seed):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((10, 5))
+    v = rng.standard_normal(5)
+    for scale in 10.0 ** np.arange(-8, 9):
+        verdict = rank_check(H, H @ (scale * v))
+        assert verdict, (scale, verdict.reason)
+        assert verdict.sigma_m == rank_check(H, H @ v).sigma_m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_check_rejects_rank_deficient_h_at_every_scale(seed):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((10, 5))
+    H[:, 4] = H[:, :4] @ rng.standard_normal(4)  # rank 4
+    v = rng.standard_normal(5)
+    for scale in 10.0 ** np.arange(-8, 9):
+        verdict = rank_check(H, H @ (scale * v))
+        assert not verdict and "rank(H) < 5" in verdict.reason, (scale, verdict.reason)
 
 
 def test_rank_check_shape_preconditions():
