@@ -116,13 +116,14 @@ def _cmd_bounds(args):
 
 
 def _cmd_pe_check(args):
+    if not 0 < args.window < np.inf:
+        raise ConfigError(f"--window {args.window:g} is not finite and positive")
+    if args.domain == "dt" and not args.window.is_integer():
+        raise ConfigError(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
     schedule = args.config.schedule()
-    starts = {} if args.starts is None else {"start_samples": args.starts}
     try:
-        if args.domain == "ct":
-            witness = verify_pe_ct(schedule, args.window, **starts)
-        else:
-            witness = verify_pe_dt(schedule, int(args.window), **starts)
+        witness = (verify_pe_ct(schedule, args.window) if args.domain == "ct"
+                   else verify_pe_dt(schedule, int(args.window)))
     except PEVerificationFailed as exc:
         print(f"FAIL: {exc}")
         if exc.eigenvalues is not None:
@@ -172,19 +173,13 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    pe = sub.add_parser("pe-check", help="verify persistent excitation of a schedule")
-    pe.add_argument("--config", required=True)
-    pe.add_argument("--domain", default="ct", choices=["ct", "dt"])
-    pe.add_argument("--window", type=float, required=True)
-    pe.add_argument("--starts", type=int)
-    pe.set_defaults(func=_cmd_pe_check)
+    p = sub.add_parser("pe-check", help="verify persistent excitation of a schedule")
+    p.add_argument("--config", required=True)
+    p.add_argument("--domain", default="ct", choices=["ct", "dt"])
+    p.add_argument("--window", type=float, required=True)
+    p.set_defaults(func=_cmd_pe_check)
 
     args = parser.parse_args(argv)
-    if args.command == "pe-check":
-        if args.starts is not None and args.starts < 1:
-            pe.error(f"--starts must be positive, got {args.starts}")
-        if args.domain == "dt" and not args.window.is_integer():
-            pe.error(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
     try:
         if hasattr(args, "config"):
             args.config = parse_config(args.config)

@@ -3,7 +3,8 @@
 A schedule emits the unit compression vector C(t) (continuous clock) or
 C[k] (step index). Persistent excitation (PE) means the windowed gram
 of C C^T is bounded below by alpha * I; ``verify_pe_ct`` /
-``verify_pe_dt`` certify this and return the witness (alpha, window).
+``verify_pe_dt`` certify this exactly, over every window start, and
+return the witness (alpha, window).
 
 The scalarized compressor transmits the single scalar C^T x and unfolds
 it along C at the receiver. The three baseline compressors (unbiased
@@ -151,60 +152,67 @@ def eval_dt(schedule, k):
     return eval_ct(schedule, _step_clock(schedule, k))
 
 
+def _piecewise_grams(schedule, dwell, T, starts=None):
+    """(starts, window grams over [a, a+T] for a in starts) of a cyclic-basis
+    or table schedule holding each row for one dwell; by default the starts
+    of verify_pe_ct. Whole periods in T add dwell * sum_j C_j C_j^T each, and
+    the rest r = T mod period the overlaps of [a, a+r] (a mod period) with
+    the dwell intervals of [0, 2*period) times C_j C_j^T, in one product."""
+    if dwell is None:
+        raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
+    rows = np.eye(schedule.m) if schedule.kind == "cyclic-basis" else schedule.table
+    period = len(rows) * dwell
+    r = math.fmod(T, period)
+    if starts is None:
+        k = np.arange(len(rows)) * dwell
+        starts = np.concatenate([k, np.mod(k - r, period)])
+    a = np.mod(starts, period)[:, None]
+    edges = np.arange(2 * len(rows) + 1) * dwell
+    overlap = np.clip(np.minimum(a + r, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
+    outer = rows[:, :, None] * rows[:, None, :]
+    grams = np.tensordot(overlap, np.concatenate([outer, outer]), axes=1)
+    return starts, grams + round((T - r) / period) * dwell * outer.sum(axis=0)
+
+
+def _trig_gram(schedule, start, T):
+    """Closed-form window gram of a trigonometric schedule: each entry is
+    2/m times half a sum of sinusoids at the sum and difference f of two
+    frequencies, and int e^{ift} dt = T e^{ifc} sinc(fT/2) over a window of
+    midpoint c, which np.sinc evaluates without division at f = 0."""
+    w = np.asarray(schedule.frequencies)
+    diff, both = (T * np.exp(1j * f * (start + T / 2)) * np.sinc(f * T / (2 * np.pi))
+                  for f in (w[:, None] - w, w[:, None] + w))
+    G = np.empty((schedule.m, schedule.m))
+    G[0::2, 0::2], G[1::2, 1::2] = (diff - both).real, (diff + both).real
+    G[0::2, 1::2], G[1::2, 0::2] = (both + diff).imag, (both - diff).imag
+    return G / schedule.m
+
+
 def pe_gram_dt(schedule, start, K):
-    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T."""
+    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T
+    (for cyclic-basis and table schedules, the continuous one at dwell 1)."""
     if K < 1:
         raise ValueError(f"need window K >= 1, got {K}")
     if schedule.kind == "identity":
         return K * np.eye(schedule.m)
-    G = np.zeros((schedule.m, schedule.m))
-    for j in range(int(K)):
-        C = eval_dt(schedule, int(start) + j)
-        G += np.outer(C, C)
-    return G
+    if schedule.kind != "trigonometric":
+        return _piecewise_grams(schedule, 1, int(K), [int(start)])[1][0]
+    Cs = (eval_dt(schedule, int(start) + j) for j in range(int(K)))
+    return sum(np.outer(C, C) for C in Cs)
 
 
-def pe_gram_ct(schedule, start, T, quadrature_step=None):
-    """Continuous window gram: integral of C C^T over [start, start+T].
-
-    Piecewise-constant schedules (cyclic-basis, table) are integrated by
-    exact interval sums, so the result is exact for any start. A
-    quadrature step passed for those kinds must divide the dwell (it is
-    then redundant). Trigonometric schedules use the midpoint rule.
-    """
-    if T <= 0:
-        raise ValueError(f"need window T > 0, got {T}")
+def pe_gram_ct(schedule, start, T):
+    """Exact continuous window gram: integral of C C^T over [start, start+T],
+    by whole periods and interval overlaps, or in closed form (trigonometric)."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"need a finite window T > 0, got {T}")
     if start < 0:
         raise ValueError(f"need start >= 0, got {start}")
-    m = schedule.m
     if schedule.kind == "identity":
-        return T * np.eye(m)
+        return T * np.eye(schedule.m)
     if schedule.kind == "trigonometric":
-        step = quadrature_step if quadrature_step is not None else T / 1000.0
-        N = max(1, int(round(T / step)))
-        C = _trig_rows(schedule, start + (np.arange(N) + 0.5) * (T / N))
-        return (T / N) * (C.T @ C)
-
-    dwell = schedule.dwell
-    if dwell is None:
-        raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
-    if quadrature_step is not None:
-        ratio = dwell / quadrature_step
-        if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
-            raise ValueError(
-                f"quadrature step {quadrature_step} does not align with dwell {dwell}"
-            )
-    G = np.zeros((m, m))
-    end = start + T
-    idx = _interval_index(start, dwell)
-    t = start
-    while t < end - 1e-12 * dwell:
-        seg_end = min((idx + 1) * dwell, end)
-        C = eval_ct(schedule, idx * dwell)
-        G += (seg_end - t) * np.outer(C, C)
-        t = seg_end
-        idx += 1
-    return G
+        return _trig_gram(schedule, start, T)
+    return _piecewise_grams(schedule, schedule.dwell, T, [start])[1][0]
 
 
 @dataclass(frozen=True)
@@ -239,35 +247,29 @@ def _verify(starts, grams, window):
     return PEWitness(alpha=alpha, window=window)
 
 
-def verify_pe_ct(schedule, T, start_samples=8):
-    """Certify continuous PE over windows of length T.
+def verify_pe_ct(schedule, T):
+    """Certify continuous PE over windows of length T, exactly: alpha is
+    the smallest gram eigenvalue over every window start.
 
-    Window starts are sampled across one schedule period (or across
-    [0, T] when no period is defined); alpha is the worst smallest gram
-    eigenvalue over the sampled starts.
+    Piecewise-constant schedules: between breakpoints the gram is affine in
+    the start and its smallest eigenvalue concave, so the minimum lies where
+    the window begins or ends on a dwell boundary, at a start k dwell or
+    (k dwell - T) mod period, k < period_steps. Trigonometric schedules:
+    C(t + tau) = R(tau) C(t), R rotating each (sin, cos) pair, so every
+    start's gram R G(0) R^T has the spectrum of start 0's.
     """
-    if start_samples < 1:
-        raise ValueError("need start_samples >= 1")
-    if schedule.kind in ("cyclic-basis", "table") and schedule.dwell is not None:
-        period = schedule.period_steps * schedule.dwell
-    elif schedule.kind == "trigonometric":
-        period = 2 * np.pi / min(schedule.frequencies)
-    else:
-        period = T
-    starts = [j * period / start_samples for j in range(start_samples)]
-    return _verify(starts, [pe_gram_ct(schedule, s, T) for s in starts], T)
+    if schedule.kind in ("cyclic-basis", "table") and 0 < T < math.inf:
+        return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
+    return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
 
 
-def verify_pe_dt(schedule, K, start_samples=None):
-    """Certify discrete PE over windows of K steps.
-
-    Defaults to checking every start in one schedule period.
-    """
-    if start_samples is None:
-        start_samples = schedule.period_steps
-    if start_samples < 1:
-        raise ValueError("need start_samples >= 1")
-    starts = range(start_samples)
+def verify_pe_dt(schedule, K):
+    """Certify discrete PE over windows of K steps, exactly: every start in
+    one schedule period is checked, for a trigonometric schedule start 0,
+    as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
+    starts = range(schedule.period_steps)
+    if schedule.kind in ("cyclic-basis", "table") and K >= 1:
+        return _verify(*_piecewise_grams(schedule, 1, int(K), np.array(starts)), K)
     return _verify(starts, [pe_gram_dt(schedule, k0, K) for k0 in starts], K)
 
 

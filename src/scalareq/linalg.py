@@ -1,9 +1,8 @@
 """Small dense real linear algebra.
 
-Symmetric eigendecomposition, least squares, rank/consistency
-verification for stacked linear systems, and the two spectral constants
-of the data matrix (rho_m, h_M) that drive every solver rate bound
-downstream.
+Symmetric eigendecomposition, rank/consistency verification for stacked
+linear systems, and the two spectral constants of the data matrix
+(rho_m, h_M) that drive every solver rate bound downstream.
 
 ``numpy.linalg`` (LAPACK) is the only eigensolver and singular-value
 routine in the package: ``sym_eig`` wraps ``eigh`` for every spectral
@@ -21,7 +20,6 @@ from .errors import RankDeficientError
 
 SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-8
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -68,35 +66,6 @@ def _singular_values(M):
     """
     sig = np.linalg.svd(M, compute_uv=False)[::-1]
     return np.concatenate([np.zeros(M.shape[1] - sig.size), sig])
-
-
-def least_squares(H, b):
-    """Least-squares solution of H v = b (LAPACK, via ``numpy.linalg.lstsq``).
-
-    Requires full column rank, checked on the singular values of H. For
-    consistent systems the residual H v - b vanishes to rounding.
-
-    Raises:
-        RankDeficientError: rank-deficient H (message carries the
-            smallest singular value) or condition number beyond 1e12.
-    """
-    H = np.asarray(H, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if H.ndim != 2 or b.shape != (H.shape[0],):
-        raise ValueError(f"shape mismatch: H {H.shape}, b {b.shape}")
-    sig = _singular_values(H)
-    sig_min, sig_max = float(sig[0]), float(sig[-1])
-    if sig_min <= RANK_TOL * max(sig_max, 1.0):
-        raise RankDeficientError(
-            f"rank-deficient system: smallest singular value {sig_min:.3e}",
-            sigma_min=sig_min,
-        )
-    if sig_max / sig_min > COND_LIMIT:
-        raise RankDeficientError(
-            f"condition number {sig_max / sig_min:.3e} beyond {COND_LIMIT:.0e}",
-            sigma_min=sig_min,
-        )
-    return np.linalg.lstsq(H, b, rcond=None)[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@
 - ``serialize_trace_rows`` writes a trace CSV one formatted cell at a
   time.
 - ``fit_rate_polyfit`` is ``harness.fit_rate`` by ``np.polyfit``.
+- ``interval_gram_ct`` is the continuous window gram of a cyclic-basis
+  or table schedule summed one dwell interval at a time;
+  ``midpoint_gram_ct`` is the N-point midpoint rule for a trigonometric
+  one; ``sampled_alpha`` is the PE level read off evenly spaced window
+  starts in one period, an upper bound on the exact witness.
 """
 
 import csv
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalareq.compression import UNIT_NORM_TOL, Compressor, eval_dt, make_schedule
+from scalareq.compression import (UNIT_NORM_TOL, Compressor, eval_ct, eval_dt,
+                                  make_schedule)
 from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _laplacian, solver_ct_rhs
 from scalareq.errors import SimulationDiverged
 from scalareq.harness import TRACE_COLUMNS, account
@@ -269,3 +275,42 @@ def fit_rate_polyfit(trace):
     ss_tot = float(np.sum((log_err - log_err.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(np.exp(slope)), r2
+
+
+def interval_gram_ct(schedule, start, T):
+    """Integral of C C^T over [start, start+T] for a cyclic-basis or table
+    schedule, as one outer product per dwell interval the window meets."""
+    dwell = schedule.dwell
+    G = np.zeros((schedule.m, schedule.m))
+    idx = int(np.floor(start / dwell + 1e-9))
+    t, end = start, start + T
+    while t < end - 1e-12 * dwell:
+        seg_end = min((idx + 1) * dwell, end)
+        C = eval_ct(schedule, idx * dwell)
+        G += (seg_end - t) * np.outer(C, C)
+        t, idx = seg_end, idx + 1
+    return G
+
+
+def midpoint_gram_ct(schedule, start, T, N=1000):
+    """Midpoint rule with N points for the window gram of a trigonometric
+    schedule. Each entry is within T^3 w_max^2 / (6 m N^2) of the integral:
+    the rule's error is at most T h^2 max|f''| / 24 with h = T / N, and an
+    entry f = (2/m) sin or cos (w_i t) times sin or cos (w_j t) has
+    |f''| <= (2/m)(w_i^2 + w_j^2) <= 4 w_max^2 / m."""
+    t = start + (np.arange(N) + 0.5) * (T / N)
+    wt = np.multiply.outer(t, schedule.frequencies)
+    C = np.sqrt(2.0 / schedule.m) * np.stack([np.sin(wt), np.cos(wt)], axis=-1).reshape(N, -1)
+    return (T / N) * (C.T @ C)
+
+
+def sampled_alpha(schedule, T, samples=8):
+    """Smallest gram eigenvalue over ``samples`` window starts evenly
+    spread across one period (2 pi / min frequency when trigonometric,
+    whose grams take the midpoint rule)."""
+    if schedule.kind == "trigonometric":
+        period, gram = 2 * np.pi / min(schedule.frequencies), midpoint_gram_ct
+    else:
+        period, gram = schedule.period_steps * schedule.dwell, interval_gram_ct
+    return min(float(np.linalg.eigvalsh(gram(schedule, j * period / samples, T))[0])
+               for j in range(samples))

@@ -288,15 +288,40 @@ def test_compare_rejects_schedule_of_another_dimension(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["--domain", "ct", "--window", "0.05", "--starts", "0"],
-    ["--domain", "ct", "--window", "0.05", "--starts", "-2"],
-    ["--domain", "dt", "--window", "5", "--starts", "0"],
-    ["--domain", "dt", "--window", "5.9"],
-])
-def test_pe_check_rejects_bad_arguments(tmp_path, capsys, args):
-    cfg = _write_config(tmp_path)
+TRIG_SCHEDULE = "schedule.kind = trigonometric\nschedule.m = 4\nschedule.frequencies = 1 2\n"
+
+
+def _assert_pe_check_usage_error(capsys, cfg, args):
     with pytest.raises(SystemExit) as exc:
         main(["pe-check", "--config", cfg] + args)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("scalareq: error: --window ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "dt", "--window", "5.9"],
+    ["--domain", "ct", "--window", "0"],
+    ["--domain", "dt", "--window", "0"],
+    ["--domain", "ct", "--window", "-1"],
+    ["--domain", "dt", "--window", "-1"],
+    ["--domain", "ct", "--window", "nan"],
+    ["--domain", "ct", "--window", "inf"],
+    ["--domain", "dt", "--window", "inf"],
+])
+def test_pe_check_rejects_bad_arguments(tmp_path, capsys, args):
+    _assert_pe_check_usage_error(capsys, _write_config(tmp_path), args)
+
+
+def test_pe_check_rejects_infinite_window_on_trigonometric_schedule(tmp_path, capsys):
+    _assert_pe_check_usage_error(capsys, _write_config(tmp_path, TRIG_SCHEDULE),
+                                 ["--window", "inf"])
+
+
+@pytest.mark.parametrize("domain,extra", [("ct", ""), ("dt", ""), ("ct", TRIG_SCHEDULE)])
+def test_pe_check_long_window_costs_no_more(tmp_path, capsys, domain, extra):
+    # whole periods of a window are summed in closed form, so 1e300 is quick
+    cfg = _write_config(tmp_path, extra)
+    assert main(["pe-check", "--config", cfg, "--domain", domain, "--window", "1e300"]) == 0
+    assert "PE witness" in capsys.readouterr().out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
@@ -10,7 +10,8 @@ from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
                                   verify_pe_ct, verify_pe_dt)
 from scalareq.errors import PEVerificationFailed
 
-from oracles import scalarize, unfold
+from oracles import (interval_gram_ct, midpoint_gram_ct, sampled_alpha, scalarize,
+                     unfold)
 
 CYCLIC5 = make_schedule("cyclic-basis", 5, dwell=0.01)
 
@@ -103,39 +104,32 @@ def test_pe_gram_ct_misaligned_start():
     assert np.abs(G - 0.01 * np.eye(5)).max() < 1e-12
 
 
-def test_pe_gram_ct_rejects_misaligned_quadrature():
-    with pytest.raises(ValueError, match="align"):
-        pe_gram_ct(CYCLIC5, 0.0, 0.05, quadrature_step=0.003)
-    # aligned quadrature is accepted (and redundant)
-    G = pe_gram_ct(CYCLIC5, 0.0, 0.05, quadrature_step=0.005)
-    assert np.abs(G - 0.01 * np.eye(5)).max() < 1e-12
-
-
 def test_pe_gram_ct_trigonometric_full_period():
     sched = make_schedule("trigonometric", 2, frequencies=(1.0,))
-    T = 2 * np.pi
-    G = pe_gram_ct(sched, 0.0, T, quadrature_step=T / 20000)
-    assert np.abs(G - np.pi * np.eye(2)).max() < 1e-6
+    G = pe_gram_ct(sched, 0.0, 2 * np.pi)
+    assert np.abs(G - np.pi * np.eye(2)).max() < 1e-14
 
 
-def _pe_gram_ct_trig_loop(schedule, start, T, quadrature_step=None):
-    """Reference: the midpoint rule as one eval_ct call per point."""
-    step = quadrature_step if quadrature_step is not None else T / 1000.0
-    N = max(1, int(round(T / step)))
+def _pe_gram_ct_trig_loop(schedule, start, T, step=None):
+    """Reference: the midpoint rule of spacing about step (T / 1000 by
+    default) as one eval_ct call per point; returns (gram, points)."""
+    N = max(1, int(round(T / (step if step is not None else T / 1000.0))))
     G = np.zeros((schedule.m, schedule.m))
     for i in range(N):
         C = eval_ct(schedule, start + (i + 0.5) * (T / N))
         G += np.outer(C, C)
-    return (T / N) * G
+    return (T / N) * G, N
 
 
 @pytest.mark.parametrize("m,freqs", [(2, (1.0,)), (4, (1.0, 2.0)), (6, (0.5, 1.3, 3.0))])
 @pytest.mark.parametrize("start,T,step", [(0.0, 2 * np.pi, None), (0.37, 2 * np.pi / 16, None),
                                           (5.0, 1.0, 0.003), (0.0, 0.01, 1.0)])
 def test_pe_gram_ct_trigonometric_matches_pointwise_loop(m, freqs, start, T, step):
+    # the closed form is within the midpoint rule's error bound of it
     sched = make_schedule("trigonometric", m, frequencies=freqs)
-    G = pe_gram_ct(sched, start, T, quadrature_step=step)
-    assert np.abs(G - _pe_gram_ct_trig_loop(sched, start, T, step)).max() <= 1e-13
+    ref, N = _pe_gram_ct_trig_loop(sched, start, T, step)
+    bound = T**3 * max(freqs) ** 2 / (6 * m * N**2) + 1e-14 * T
+    assert np.abs(pe_gram_ct(sched, start, T) - ref).max() <= bound
 
 
 def test_pe_gram_identity_windows():
@@ -164,6 +158,123 @@ def test_verify_pe_constant_vector_fails():
     assert min(exc.value.eigenvalues) < 1e-10
     with pytest.raises(PEVerificationFailed):
         verify_pe_dt(frozen, 5)
+
+
+def _seeded_table(seed, p, m, dwell=1.0):
+    """Table schedule of p unit rows in R^m drawn from seed."""
+    rows = np.random.default_rng(seed).standard_normal((p, m))
+    table = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return make_schedule("table", m, dwell=dwell, table=table)
+
+
+@st.composite
+def _table_windows(draw):
+    """A random table schedule and a window that is no whole number of
+    dwells (up to three periods long)."""
+    m, p = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    dwell = draw(st.floats(0.01, 2.0))
+    sched = _seeded_table(draw(st.integers(0, 2**32 - 1)), p, m, dwell)
+    return sched, dwell * draw(st.floats(0.05, 3.0 * p).filter(lambda x: not x.is_integer()))
+
+
+FREQUENCIES = st.lists(st.one_of(st.sampled_from([0.5, 1.0, 1.3, 3.0]), st.floats(0.1, 5.0)),
+                       min_size=1, max_size=3)
+
+
+@st.composite
+def _trig_windows(draw):
+    """A random trigonometric schedule, frequencies possibly repeated, and
+    a window."""
+    freqs = draw(FREQUENCIES)
+    sched = make_schedule("trigonometric", 2 * len(freqs), frequencies=freqs)
+    return sched, draw(st.floats(0.05, 20.0))
+
+
+def _alpha(schedule, T):
+    """The exact witness level, read off the failure below the PE floor."""
+    try:
+        return verify_pe_ct(schedule, T).alpha
+    except PEVerificationFailed as exc:
+        return exc.eigenvalues[0]
+
+
+def _period(schedule):
+    if schedule.kind == "trigonometric":
+        return 2 * np.pi / min(schedule.frequencies)
+    return schedule.period_steps * schedule.dwell
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_table_windows(), _trig_windows()), st.integers(0, 2**32 - 1))
+@example((_seeded_table(17, 5, 3), 2.64), 0)
+def test_exact_alpha_at_most_gram_minimum_at_random_starts(case, seed):
+    schedule, T = case
+    starts = np.random.default_rng(seed).uniform(0.0, 2 * _period(schedule), 1000)
+    lam = np.linalg.eigvalsh(np.array([pe_gram_ct(schedule, a, T) for a in starts]))
+    assert _alpha(schedule, T) <= lam[:, 0].min() + 1e-13 * T
+
+
+@settings(deadline=None)
+@given(_table_windows())
+@example((_seeded_table(17, 5, 3), 2.64))
+def test_exact_alpha_at_most_sampled_alpha_on_piecewise(case):
+    # not on trigonometric schedules: there the sampler's midpoint rule
+    # can read below the integral (1.4720997 against 1.4721057 at
+    # frequencies (0.5, 1.3, 3.0), T = 4 pi)
+    schedule, T = case
+    assert _alpha(schedule, T) <= sampled_alpha(schedule, T) + 1e-13 * T
+
+
+@settings(deadline=None)
+@given(_table_windows(), st.floats(0.0, 50.0))
+def test_pe_gram_ct_matches_interval_sums(case, start):
+    schedule, T = case
+    G = pe_gram_ct(schedule, start, T)
+    assert np.abs(G - interval_gram_ct(schedule, start, T)).max() <= 1e-12 * (T + start)
+
+
+@settings(deadline=None)
+@given(_trig_windows(), st.floats(0.0, 50.0))
+def test_trigonometric_gram_matches_midpoint_rule_as_n_grows(case, start):
+    # within the midpoint rule's bound T^3 w_max^2 / (6 m N^2) at every N
+    schedule, T = case
+    G = pe_gram_ct(schedule, start, T)
+    w, m = max(schedule.frequencies), schedule.m
+    for N in (10, 100, 1000, 10000):
+        err = np.abs(G - midpoint_gram_ct(schedule, start, T, N)).max()
+        assert err <= T**3 * w**2 / (6 * m * N**2) + 1e-13 * (T + start)
+
+
+@settings(deadline=None)
+@given(_trig_windows(), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
+def test_trigonometric_spectrum_does_not_depend_on_start(case, starts):
+    schedule, T = case
+    spectra = np.linalg.eigvalsh([pe_gram_ct(schedule, a, T) for a in [0.0] + starts])
+    assert np.abs(spectra - spectra[0]).max() <= 1e-13 * (T + max(starts))
+
+
+def test_verify_pe_ct_exact_on_unaligned_windows():
+    # seed 138, five 2-D rows, T = 1.64: evenly spaced samples read 1.3e-3,
+    # the exact minimum over starts is six orders lower
+    sched, T = _seeded_table(138, 5, 2), 1.64
+    assert verify_pe_ct(sched, T).alpha == pytest.approx(1.0443e-9, rel=1e-4)
+    assert sampled_alpha(sched, T) == pytest.approx(1.2973e-3, rel=1e-4)
+    # seed 17, five 3-D rows: the minimum lies only where a window ends on a
+    # dwell boundary; windows that begin on one read 1.19e-3
+    sched, T = _seeded_table(17, 5, 3), 2.64
+    assert verify_pe_ct(sched, T).alpha == pytest.approx(9.2081e-4, rel=1e-4)
+    assert sampled_alpha(sched, T) == pytest.approx(1.0185e-3, rel=1e-4)
+
+
+def test_pe_gram_long_window_is_whole_periods_plus_rest():
+    table = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
+    sched = make_schedule("table", 2, dwell=0.3, table=table)
+    q, start, rest = 10**6, 0.17, 0.41
+    G = pe_gram_ct(sched, start, q * 0.9 + rest)
+    expect = q * pe_gram_ct(sched, start, 0.9) + pe_gram_ct(sched, start, rest)
+    assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
+    G = pe_gram_dt(sched, 2, 3 * q + 2)
+    assert np.array_equal(G, q * pe_gram_dt(sched, 2, 3) + pe_gram_dt(sched, 2, 2))
 
 
 def test_pe_witness_validation():

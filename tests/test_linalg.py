@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from scalareq.errors import RankDeficientError
 from scalareq.harness import gen_instance
-from scalareq.linalg import (least_squares, rank_check, spectral_constants,
-                             sym_eig)
+from scalareq.linalg import rank_check, spectral_constants, sym_eig
 
 
 def test_sym_eig_identity():
@@ -71,43 +70,6 @@ def test_sym_eig_rejects_nonsquare_and_nonfinite():
         sym_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_least_squares_identity():
-    b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(least_squares(np.eye(3), b), b, atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_least_squares_planted_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    n, m = 12, 4
-    H = rng.standard_normal((n, m))
-    v = rng.standard_normal(m)
-    assert np.abs(least_squares(H, H @ v) - v).max() < 1e-9
-
-
-def test_least_squares_recovers_planted_solution():
-    v_star = np.array([2.0, 1.0, 3.0, 4.0, -1.0])
-    H = np.random.default_rng([0, 0]).standard_normal((10, 5))
-    assert np.abs(least_squares(H, H @ v_star) - v_star).max() < 1e-9
-
-
-def test_least_squares_inconsistent_minimizes_residual():
-    rng = np.random.default_rng(7)
-    H = rng.standard_normal((8, 3))
-    b = rng.standard_normal(8)
-    v = least_squares(H, b)
-    # first-order optimality of the normal equations
-    assert np.abs(H.T @ (H @ v - b)).max() < 1e-9
-
-
-def test_least_squares_rank_deficient_raises():
-    H = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(RankDeficientError) as exc:
-        least_squares(H, np.ones(3))
-    assert exc.value.sigma_min is not None
-    assert exc.value.sigma_min < 1e-7
 
 
 def test_rank_check_identity_consistent():
