@@ -13,8 +13,7 @@ from .compression import (CompressionSchedule, Compressor, PEWitness,
                           compress_topk, compress_unbiased, compress_uniform,
                           eval_ct, eval_dt, make_schedule, pe_gram_ct,
                           pe_gram_dt, verify_pe_ct, verify_pe_dt)
-from .dynamics import (RunConfig, Trace, consensus_rhs, run_simulation,
-                       solver_ct_rhs)
+from .dynamics import RunConfig, Trace, run_simulation
 from .errors import (DisconnectedGraphError, PEVerificationFailed,
                      RankDeficientError, SimulationDiverged)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,
@@ -25,8 +24,7 @@ from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
                       run_experiment, save_instance, serialize)
 from .linalg import (RankVerdict, SpectralConstants, rank_check,
                      spectral_constants, sym_eig)
-from .theory import (RateConstants, consensus_rate, dt_stepsize_and_rate,
-                     lemma1_constants, lyapunov_v1, observability_gram,
-                     solver_ct_rate)
+from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
+                     lyapunov_v1, observability_gram, solver_ct_rate)
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from .harness import (Config, ExperimentSpec, gen_instance, load_instance,
                       parse_config, parse_list, run_experiment, save_instance,
                       serialize)
 from .linalg import spectral_constants
-from .theory import (RateConstants, consensus_rate, dt_stepsize_and_rate,
-                     lemma1_constants, observability_gram, solver_ct_rate)
+from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
+                     observability_gram, solver_ct_rate)
 from .dynamics import run_simulation
 
 def _list_of(cast):
@@ -84,7 +84,7 @@ def _cmd_bounds(args):
     sc = spectral_constants(inst.H)
 
     values = {}
-    if schedule.kind == "trigonometric":
+    if schedule.rows is None:
         T = 2 * np.pi / min(schedule.frequencies)
     else:
         T = schedule.period_steps * schedule.dwell
@@ -96,7 +96,7 @@ def _cmd_bounds(args):
     values.update(gamma=gamma, c=c, gamma_f=gamma_f, alpha_bar=alpha_bar,
                   alpha_prime=alpha_prime, k_x=k_x, gamma_x=gamma_x)
 
-    if schedule.kind in ("cyclic-basis", "table") and schedule.period_steps >= schedule.m:
+    if schedule.rows is not None and schedule.period_steps >= schedule.m:
         K = schedule.period_steps
         _, g = observability_gram(spec, schedule, h, 0, K)
         if g > 0:
@@ -106,12 +106,10 @@ def _cmd_bounds(args):
                 _, beta, gamma_d = dt_stepsize_and_rate(g, K, sc.h_M, sc.rho_m, s)
                 values.update(beta=beta, gamma_d=gamma_d)
 
-    constants = RateConstants(**values)
-    listing = constants.as_dict()
-    for key, val in listing.items():
-        print(f"{key} = {val!r}")
-    print(",".join(listing))
-    print(",".join(repr(float(v)) for v in listing.values()))
+    for key, val in values.items():
+        print(f"{key} = {float(val)!r}")
+    print(",".join(values))
+    print(",".join(repr(float(v)) for v in values.values()))
     return 0
 
 

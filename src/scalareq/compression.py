@@ -1,10 +1,13 @@
 """Compression-vector schedules, persistent-excitation checks, and compressors.
 
 A schedule emits the unit compression vector C(t) (continuous clock) or
-C[k] (step index). Persistent excitation (PE) means the windowed gram
-of C C^T is bounded below by alpha * I; ``verify_pe_ct`` /
-``verify_pe_dt`` certify this exactly, over every window start, and
-return the witness (alpha, window).
+C[k] (step index), read from its period table ``rows`` or evaluated as
+(sin, cos) pairs. Persistent excitation (PE) means the windowed gram of
+C C^T is bounded below by alpha * I; ``verify_pe_ct`` / ``verify_pe_dt``
+certify this exactly, over every window start, and return the witness
+(alpha, window). Every gram is in closed form: whole periods plus
+interval overlaps of a table, or for (sin, cos) pairs the integral or
+the Dirichlet-kernel sum of e^{ift} over the window.
 
 The scalarized compressor transmits the single scalar C^T x and unfolds
 it along C at the receiver. The three baseline compressors (unbiased
@@ -39,6 +42,9 @@ class CompressionSchedule:
                         exchange); has no unit vector to emit.
         'table'         explicit unit vectors, cycled; continuous clocks
                         dwell per row when ``dwell`` is set.
+
+    rows is the period table, step k reading rows[k % len(rows)]: np.eye(m)
+    (cyclic-basis), the validated table (table), or None (otherwise).
     """
 
     kind: str
@@ -46,6 +52,7 @@ class CompressionSchedule:
     dwell: float | None = None
     frequencies: tuple = field(default_factory=tuple)
     table: np.ndarray | None = None
+    rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -75,15 +82,13 @@ class CompressionSchedule:
             if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
                 raise ValueError("table rows must be unit vectors to 1e-12")
             object.__setattr__(self, "table", tab)
+        rows = {"cyclic-basis": np.eye(self.m), "table": self.table}.get(self.kind)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def period_steps(self):
         """Number of steps after which the discrete sequence repeats."""
-        if self.kind == "cyclic-basis":
-            return self.m
-        if self.kind == "table":
-            return len(self.table)
-        return 1
+        return 1 if self.rows is None else len(self.rows)
 
 
 def make_schedule(kind, m, dwell=None, frequencies=(), table=None):
@@ -92,32 +97,19 @@ def make_schedule(kind, m, dwell=None, frequencies=(), table=None):
                                frequencies=tuple(frequencies), table=table)
 
 
-def _basis(m, i):
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
-
-
-def _interval_index(t, dwell):
-    # nudge so clocks sitting a rounding error below a dwell boundary
-    # land in the interval they denote
-    return int(np.floor(t / dwell + 1e-9))
-
-
 def eval_ct(schedule, t):
     """Compression vector C(t) at continuous time t >= 0 (unit norm)."""
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     if schedule.kind == "identity":
         raise ValueError("identity schedule emits no unit vector; callers branch on kind")
-    if schedule.kind == "trigonometric":
+    if schedule.rows is None:
         return _trig_rows(schedule, t)
     if schedule.dwell is None:
         raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
-    idx = _interval_index(t, schedule.dwell)
-    if schedule.kind == "cyclic-basis":
-        return _basis(schedule.m, idx % schedule.m)
-    return schedule.table[idx % len(schedule.table)].copy()
+    # nudge so clocks sitting a rounding error below a dwell boundary
+    # land in the interval they denote
+    return schedule.rows[int(np.floor(t / schedule.dwell + 1e-9)) % len(schedule.rows)].copy()
 
 
 def _step_clock(schedule, k):
@@ -145,22 +137,20 @@ def eval_dt(schedule, k):
     k = int(k)
     if schedule.kind == "identity":
         raise ValueError("identity schedule emits no unit vector; callers branch on kind")
-    if schedule.kind == "cyclic-basis":
-        return _basis(schedule.m, k % schedule.m)
-    if schedule.kind == "table":
-        return schedule.table[k % len(schedule.table)].copy()
-    return eval_ct(schedule, _step_clock(schedule, k))
+    if schedule.rows is None:
+        return eval_ct(schedule, _step_clock(schedule, k))
+    return schedule.rows[k % len(schedule.rows)].copy()
 
 
 def _piecewise_grams(schedule, dwell, T, starts=None):
-    """(starts, window grams over [a, a+T] for a in starts) of a cyclic-basis
-    or table schedule holding each row for one dwell; by default the starts
+    """(starts, window grams over [a, a+T] for a in starts) of a schedule
+    with a period table, holding each row for one dwell; by default the starts
     of verify_pe_ct. Whole periods in T add dwell * sum_j C_j C_j^T each, and
     the rest r = T mod period the overlaps of [a, a+r] (a mod period) with
     the dwell intervals of [0, 2*period) times C_j C_j^T, in one product."""
     if dwell is None:
         raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
-    rows = np.eye(schedule.m) if schedule.kind == "cyclic-basis" else schedule.table
+    rows = schedule.rows
     period = len(rows) * dwell
     r = math.fmod(T, period)
     if starts is None:
@@ -174,44 +164,76 @@ def _piecewise_grams(schedule, dwell, T, starts=None):
     return starts, grams + round((T - r) / period) * dwell * outer.sum(axis=0)
 
 
-def _trig_gram(schedule, start, T):
-    """Closed-form window gram of a trigonometric schedule: each entry is
-    2/m times half a sum of sinusoids at the sum and difference f of two
-    frequencies, and int e^{ift} dt = T e^{ifc} sinc(fT/2) over a window of
-    midpoint c, which np.sinc evaluates without division at f = 0."""
+def _trig_gram(schedule, kernel):
+    """Window gram of a trigonometric schedule, given kernel(f), the integral
+    or sum of e^{ift} over the window: each entry is 2/m times half a sum of
+    sinusoids at the sum and difference f of two frequencies."""
     w = np.asarray(schedule.frequencies)
-    diff, both = (T * np.exp(1j * f * (start + T / 2)) * np.sinc(f * T / (2 * np.pi))
-                  for f in (w[:, None] - w, w[:, None] + w))
+    diff, both = kernel(w[:, None] - w), kernel(w[:, None] + w)
     G = np.empty((schedule.m, schedule.m))
     G[0::2, 0::2], G[1::2, 1::2] = (diff - both).real, (diff + both).real
     G[0::2, 1::2], G[1::2, 0::2] = (both + diff).imag, (both - diff).imag
     return G / schedule.m
 
 
+def _split(x):
+    """(hi, lo) with x = hi + lo and 26 significant bits in hi (Veltkamp)."""
+    c = (2.0**27 + 1) * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _dirichlet(schedule, start, K):
+    """kernel(f) = sum_{j<K} e^{i phi (start+j)}, phi = f d the angle per step
+    of clock d: e^{i phi c} sin(K phi/2) / sin(phi/2) with c = start + (K-1)/2
+    (K times d is never formed, so K may be as large as a float), K at phi = 0.
+    phi is first reduced mod 2 pi, which changes no term: atan2 reduces the
+    rounded product p = fl(f d) exactly, and Dekker's split adds f d - p. So
+    a resonant angle keeps the size the exact sum sees, not a ratio of
+    rounding errors; the sign (-1)^(n (K-1)) of reducing phi/2 by n pi
+    cancels against the phase's."""
+    d = _step_clock(schedule, 1.0)
+    c = start + (K - 1) / 2
+
+    def kernel(f):
+        p = f * d
+        (f1, f2), (d1, d2) = _split(f), _split(d)
+        phi = np.arctan2(np.sin(p), np.cos(p)) + (((f1 * d1 - p) + f1 * d2 + f2 * d1) + f2 * d2)
+        half = np.sin(phi / 2)
+        ratio = np.divide(np.sin(float(K) * phi / 2), half, out=np.full(phi.shape, float(K)),
+                          where=half != 0)
+        return np.exp(1j * phi * c) * ratio
+    return kernel
+
+
 def pe_gram_dt(schedule, start, K):
-    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T
-    (for cyclic-basis and table schedules, the continuous one at dwell 1)."""
-    if K < 1:
-        raise ValueError(f"need window K >= 1, got {K}")
+    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T:
+    the continuous one at dwell 1 for a period table, and for a
+    trigonometric schedule the Dirichlet-kernel sums of the steps'
+    sinusoids (see _dirichlet), whose cost does not grow with K."""
+    if K < 1 or start < 0:
+        raise ValueError(f"need window K >= 1 and start >= 0, got K={K}, start={start}")
+    K = int(K)
     if schedule.kind == "identity":
         return K * np.eye(schedule.m)
-    if schedule.kind != "trigonometric":
-        return _piecewise_grams(schedule, 1, int(K), [int(start)])[1][0]
-    Cs = (eval_dt(schedule, int(start) + j) for j in range(int(K)))
-    return sum(np.outer(C, C) for C in Cs)
+    if schedule.rows is not None:
+        return _piecewise_grams(schedule, 1, K, [int(start)])[1][0]
+    return _trig_gram(schedule, _dirichlet(schedule, int(start), K))
 
 
 def pe_gram_ct(schedule, start, T):
     """Exact continuous window gram: integral of C C^T over [start, start+T],
-    by whole periods and interval overlaps, or in closed form (trigonometric)."""
+    by whole periods and interval overlaps, or for (sin, cos) pairs as
+    T e^{ifc} sinc(fT/2), c the window's midpoint (np.sinc is 1 at f = 0)."""
     if not 0 < T < math.inf:
         raise ValueError(f"need a finite window T > 0, got {T}")
     if start < 0:
         raise ValueError(f"need start >= 0, got {start}")
     if schedule.kind == "identity":
         return T * np.eye(schedule.m)
-    if schedule.kind == "trigonometric":
-        return _trig_gram(schedule, start, T)
+    if schedule.rows is None:
+        return _trig_gram(schedule, lambda f: T * np.exp(1j * f * (start + T / 2))
+                          * np.sinc(f * T / (2 * np.pi)))
     return _piecewise_grams(schedule, schedule.dwell, T, [start])[1][0]
 
 
@@ -258,7 +280,7 @@ def verify_pe_ct(schedule, T):
     C(t + tau) = R(tau) C(t), R rotating each (sin, cos) pair, so every
     start's gram R G(0) R^T has the spectrum of start 0's.
     """
-    if schedule.kind in ("cyclic-basis", "table") and 0 < T < math.inf:
+    if schedule.rows is not None and 0 < T < math.inf:
         return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
     return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
 
@@ -267,10 +289,10 @@ def verify_pe_dt(schedule, K):
     """Certify discrete PE over windows of K steps, exactly: every start in
     one schedule period is checked, for a trigonometric schedule start 0,
     as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
-    starts = range(schedule.period_steps)
-    if schedule.kind in ("cyclic-basis", "table") and K >= 1:
-        return _verify(*_piecewise_grams(schedule, 1, int(K), np.array(starts)), K)
-    return _verify(starts, [pe_gram_dt(schedule, k0, K) for k0 in starts], K)
+    if schedule.rows is not None and K >= 1:
+        starts = np.arange(schedule.period_steps)
+        return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
+    return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
 
 
 def compress_unbiased(x, l, noise=None, rng=None):

@@ -1,13 +1,12 @@
-"""Right-hand sides, steppers, and trace recording for the three dynamics:
+"""Steppers and trace recording for the continuous and discrete solvers:
 
-- compressed consensus flow        dx/dt = -(L (x) C C^T) x
 - continuous solver                dx_i/dt = sum_j a_ij C (y_j - y_i) - s H_i (H_i^T x_i - b_i)
 - discrete solver                  x[k+1] = x[k] - h (L (x) C C^T) x[k] - s (H x[k] - B)
 
 Node i transmits only the scalar y_i = C^T x_i in scalarized mode; the
 baseline compressors transmit full (compressed) m-vectors instead.
 
-Every solver step, flow and certificate applies one consensus operator,
+Every solver step and certificate applies one consensus operator,
 (L (x) C C^T) x: node i sends y_i = C^T x_i and the receiver unfolds the
 weighted sum along C. A baseline-compressor step exchanges the
 compressed states instead, L Q(X), with Q applied to every node's row of
@@ -17,8 +16,8 @@ does its bookkeeping (error norms, divergence guard, stopping step, trace
 rows) once per block, as array operations: row norms from einsum, the
 node average as two skinny products. The guard needs exact state norms
 only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches half
-of DIVERGENCE_GUARD. Each block reads its compression vectors from a
-table of one schedule period, or evaluates a trigonometric schedule at
+of DIVERGENCE_GUARD. Each block reads its compression vectors from the
+schedule's period table, or evaluates a trigonometric schedule at
 all of its steps (and RK4 stages) at once. Periodic runs of small
 networks (n m <= DENSE_MAX_DIM) step through affine one-step maps read
 off the drift on the identity basis (a ct RK4 step as the degree-4
@@ -34,8 +33,8 @@ product of the chunk's C_k C_k^T coefficients with a table read off the
 exchange on the identity basis: a dt step is one matrix-vector product,
 a ct RK4 step four, with C at every stage time. Every other run steps
 its exact states, each step one map of the whole state. The
-node-by-node step and the RK4 integrator that the tests compare against
-live in tests/oracles.py.
+node-by-node step, the right-hand sides and the RK4 integrator that the
+tests compare against live in tests/oracles.py.
 """
 
 import itertools
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, _step_clock, _trig_rows, eval_ct, eval_dt
+from .compression import Compressor, _step_clock, _trig_rows
 from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
@@ -122,7 +121,7 @@ class RunConfig:
                 raise ValueError(
                     "continuous runs support the scalarized or none compressors only"
                 )
-            if schedule.kind in ("cyclic-basis", "table") and self.compressor.kind == "scalarized":
+            if schedule.rows is not None and self.compressor.kind == "scalarized":
                 if schedule.dwell is None:
                     raise ValueError("continuous runs need a schedule dwell")
                 ratio = schedule.dwell / self.dt_int
@@ -190,26 +189,6 @@ def _laplacian(inst):
     return inst.spectrum.L if inst.n >= 2 else inst.graph.laplacian()
 
 
-def consensus_rhs(L, schedule, t, x):
-    """Compressed consensus flow -(L (x) C(t) C(t)^T) x.
-
-    Each node needs only the scalars y_j = C^T x_j from its neighbors.
-    An identity schedule degenerates to plain consensus -(L (x) I) x.
-    """
-    X = np.asarray(x, dtype=float).reshape(L.shape[0], -1)
-    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
-    return -_exchange(L, X, C).reshape(-1)
-
-
-def solver_ct_rhs(inst, schedule, s, t, x):
-    """Continuous solver flow: compressed consensus plus the local
-    projection -s H_i (H_i^T x_i - b_i). At s = 0 this is the consensus
-    flow; at x = 1 (x) v* it vanishes identically."""
-    X = np.asarray(x, dtype=float).reshape(inst.H.shape)
-    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
-    return _drift(_laplacian(inst), inst.H, inst.b, C, 1.0, s, X).reshape(-1)
-
-
 def _phase(schedule, cfg, mode):
     """(count, stride) of a periodic linear run, whose step k applies
     schedule row (k // stride) % count: count is 1 without compression
@@ -218,7 +197,7 @@ def _phase(schedule, cfg, mode):
     trigonometric and baseline-compressor runs."""
     if cfg.compressor.kind == "none":
         return 1, 1
-    if schedule.kind == "trigonometric" or cfg.compressor.kind != "scalarized":
+    if schedule.rows is None or cfg.compressor.kind != "scalarized":
         return None
     return schedule.period_steps, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
 
@@ -229,8 +208,8 @@ def _compression(schedule, cfg, mode):
     rows that the RK4 stages at t, t + dt/2 and t + dt apply (one row
     thrice for periodic schedules: they switch on step boundaries, where
     a midpoint-frozen step integrates each smooth piece at full order).
-    None without scalarization. Periodic schedules index a table of one
-    period; trigonometric ones are evaluated at a block's clocks at once."""
+    None without scalarization. Periodic schedules index their period
+    table; trigonometric ones are evaluated at a block's clocks at once."""
     if cfg.compressor.kind != "scalarized":
         return lambda k, count: [None] * count
     phase = _phase(schedule, cfg, mode)
@@ -245,9 +224,7 @@ def _compression(schedule, cfg, mode):
             return _trig_rows(schedule, np.stack([t, t + 0.5 * dt, t + dt], axis=1))
         return stages
     period, stride = phase
-    rows = np.array([eval_dt(schedule, j) for j in range(period)])
-    if mode == "ct":
-        rows = np.repeat(rows[:, None], 3, axis=1)
+    rows = schedule.rows if mode == "dt" else np.repeat(schedule.rows[:, None], 3, axis=1)
     return lambda k, count: rows[(np.arange(k, k + count) // stride) % period]
 
 

@@ -225,8 +225,9 @@ def parse_config(path):
     return config
 
 
-def account(compressor, m, l=None, k_top=None):
-    """Per-message cost (scalars, bits) of one transmitted state.
+def account(compressor, m):
+    """Per-message cost (scalars, bits) of one state transmitted under
+    the Compressor compressor.
 
     scalarized: 1 scalar (the projection coefficient), 64 bits.
     none / uniform: m scalars, 64 m bits.
@@ -234,24 +235,17 @@ def account(compressor, m, l=None, k_top=None):
     unbiased(l): m quantized entries + the norm scalar = m + 1 scalars;
         m l + 64 bits.
     """
-    if isinstance(compressor, Compressor):
-        kind, l, k_top = compressor.kind, compressor.l, compressor.k
-    else:
-        kind = compressor
+    kind, k = compressor.kind, compressor.k
     if kind == "scalarized":
         return 1, 64
     if kind in ("none", "uniform"):
         return m, 64 * m
     if kind == "topk":
-        if not k_top or not 1 <= k_top <= m:
-            raise ValueError(f"topk accounting needs 1 <= k <= {m}, got {k_top}")
+        if not 1 <= k <= m:
+            raise ValueError(f"topk accounting needs 1 <= k <= {m}, got {k}")
         idx_bits = math.ceil(math.log2(m)) if m > 1 else 0
-        return 2 * k_top, 64 * k_top + idx_bits * k_top
-    if kind == "unbiased":
-        if not l or l < 1:
-            raise ValueError(f"unbiased accounting needs l >= 1, got {l}")
-        return m + 1, m * l + 64
-    raise ValueError(f"unknown compressor kind {kind!r}")
+        return 2 * k, 64 * k + idx_bits * k
+    return m + 1, m * compressor.l + 64  # unbiased
 
 
 def fit_rate(trace):

@@ -6,8 +6,6 @@ discrete observability grammian with its excitation level g, and the
 discrete step-size bound s* with the per-step Lyapunov decrease beta.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .compression import eval_dt
@@ -15,27 +13,6 @@ from .dynamics import _exchange
 
 G_FLOOR = 1e-10
 TELESCOPE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RateConstants:
-    """Bundle of computed bound constants; fields are None when the
-    inputs needed for them were not supplied."""
-
-    gamma: float | None = None
-    c: float | None = None
-    gamma_f: float | None = None
-    alpha_bar: float | None = None
-    alpha_prime: float | None = None
-    k_x: float | None = None
-    gamma_x: float | None = None
-    g: float | None = None
-    s_star: float | None = None
-    beta: float | None = None
-    gamma_d: float | None = None
-
-    def as_dict(self):
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def consensus_rate(alpha, T, lambda2, lambda_n):

@@ -1,5 +1,8 @@
 """Reference implementations that tests compare the package against.
 
+- ``consensus_rhs`` / ``solver_ct_rhs`` are the right-hand sides of the
+  compressed consensus flow and the continuous solver, one clock at a
+  time, on the package's consensus operator.
 - ``solver_dt_step`` is the discrete solver step computed node by node:
   each node combines its own state with one received scalar per
   neighbor, and the baseline compressors quantize one node's vector at a
@@ -20,7 +23,9 @@
   or table schedule summed one dwell interval at a time;
   ``midpoint_gram_ct`` is the N-point midpoint rule for a trigonometric
   one; ``sampled_alpha`` is the PE level read off evenly spaced window
-  starts in one period, an upper bound on the exact witness.
+  starts in one period, an upper bound on the exact witness;
+  ``stepwise_gram_dt`` is the discrete window gram summed one step at a
+  time.
 """
 
 import csv
@@ -30,9 +35,29 @@ import numpy as np
 
 from scalareq.compression import (UNIT_NORM_TOL, Compressor, eval_ct, eval_dt,
                                   make_schedule)
-from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _laplacian, solver_ct_rhs
+from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange, _laplacian
 from scalareq.errors import SimulationDiverged
 from scalareq.harness import TRACE_COLUMNS, account
+
+
+def consensus_rhs(L, schedule, t, x):
+    """Compressed consensus flow -(L (x) C(t) C(t)^T) x.
+
+    Each node needs only the scalars y_j = C^T x_j from its neighbors.
+    An identity schedule degenerates to plain consensus -(L (x) I) x.
+    """
+    X = np.asarray(x, dtype=float).reshape(L.shape[0], -1)
+    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
+    return -_exchange(L, X, C).reshape(-1)
+
+
+def solver_ct_rhs(inst, schedule, s, t, x):
+    """Continuous solver flow: compressed consensus plus the local
+    projection -s H_i (H_i^T x_i - b_i). At s = 0 this is the consensus
+    flow; at x = 1 (x) v* it vanishes identically."""
+    X = np.asarray(x, dtype=float).reshape(inst.H.shape)
+    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
+    return _drift(_laplacian(inst), inst.H, inst.b, C, 1.0, s, X).reshape(-1)
 
 
 def _check_unit(C):
@@ -314,3 +339,8 @@ def sampled_alpha(schedule, T, samples=8):
         period, gram = schedule.period_steps * schedule.dwell, interval_gram_ct
     return min(float(np.linalg.eigvalsh(gram(schedule, j * period / samples, T))[0])
                for j in range(samples))
+
+
+def stepwise_gram_dt(schedule, start, K):
+    """sum_{j<K} C[start+j] C[start+j]^T, one eval_dt call per step."""
+    return sum(np.outer(C, C) for C in (eval_dt(schedule, start + j) for j in range(K)))

@@ -13,7 +13,7 @@ import pytest
 
 from scalareq.compression import (Compressor, compress_unbiased, eval_dt,
                                   make_schedule)
-from scalareq.dynamics import RunConfig, consensus_rhs, run_simulation
+from scalareq.dynamics import RunConfig, run_simulation
 from scalareq.errors import PEVerificationFailed
 from scalareq.graph import build_graph, disagreement_basis, laplacian_spectrum
 from scalareq.harness import (Config, ExperimentSpec, fit_rate, gen_instance,
@@ -23,7 +23,7 @@ from scalareq.compression import pe_gram_ct, pe_gram_dt, verify_pe_ct, verify_pe
 from scalareq.theory import (consensus_rate, dt_stepsize_and_rate,
                              lyapunov_v1, observability_gram, solver_ct_rate)
 
-from oracles import integrate, solver_dt_step
+from oracles import consensus_rhs, integrate, solver_dt_step
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)

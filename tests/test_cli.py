@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalareq
 from scalareq.cli import main
 from scalareq.harness import load_instance, parse_results, parse_trace
 
@@ -325,3 +330,36 @@ def test_pe_check_long_window_costs_no_more(tmp_path, capsys, domain, extra):
     cfg = _write_config(tmp_path, extra)
     assert main(["pe-check", "--config", cfg, "--domain", domain, "--window", "1e300"]) == 0
     assert "PE witness" in capsys.readouterr().out
+
+
+TRIG_INSTANCE = "instance.m = 4\ninstance.v_star = 2 1 3 4\n" + TRIG_SCHEDULE
+
+
+@pytest.mark.parametrize("window", ["1e9", "1e300"])
+def test_pe_check_dt_trigonometric_returns_at_any_window(tmp_path, window):
+    # the discrete gram is a Dirichlet kernel in closed form, where a sum
+    # over the window's steps would not return
+    cfg = _write_config(tmp_path, TRIG_INSTANCE)
+    src = str(Path(scalareq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "scalareq.cli", "pe-check", "--config", cfg,
+                           "--domain", "dt", "--window", window],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PE witness: alpha=")
+
+
+@pytest.mark.parametrize("extra", [
+    "",
+    "schedule.kind = table\nschedule.table_file = {table}\n",
+    TRIG_INSTANCE,
+], ids=["cyclic", "table", "trigonometric"])
+def test_bounds_prints_plain_floats(tmp_path, capsys, extra):
+    table = tmp_path / "table.txt"
+    table.write_text("1 0 0 0 0\n0 1 0 0 0\n0.6 0.8 0 0 0\n0 0 1 0 0\n0 0 0 1 0\n0 0 0 0 1\n")
+    cfg = _write_config(tmp_path, extra.format(table=table))
+    assert main(["bounds", "--config", cfg]) == 0
+    pairs = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
+    assert len(pairs) >= 7
+    for key, value in pairs:
+        assert np.isfinite(float(value)), key

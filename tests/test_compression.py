@@ -11,7 +11,7 @@ from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
 from scalareq.errors import PEVerificationFailed
 
 from oracles import (interval_gram_ct, midpoint_gram_ct, sampled_alpha, scalarize,
-                     unfold)
+                     stepwise_gram_dt, unfold)
 
 CYCLIC5 = make_schedule("cyclic-basis", 5, dwell=0.01)
 
@@ -130,6 +130,13 @@ def test_pe_gram_ct_trigonometric_matches_pointwise_loop(m, freqs, start, T, ste
     ref, N = _pe_gram_ct_trig_loop(sched, start, T, step)
     bound = T**3 * max(freqs) ** 2 / (6 * m * N**2) + 1e-14 * T
     assert np.abs(pe_gram_ct(sched, start, T) - ref).max() <= bound
+
+
+@pytest.mark.parametrize("schedule", [CYCLIC5, make_schedule("trigonometric", 2, frequencies=(1.0,))])
+@pytest.mark.parametrize("start,K", [(0, 0), (-1, 3)])
+def test_pe_gram_dt_rejects_empty_window_or_negative_start(schedule, start, K):
+    with pytest.raises(ValueError, match="K >= 1 and start >= 0"):
+        pe_gram_dt(schedule, start, K)
 
 
 def test_pe_gram_identity_windows():
@@ -275,6 +282,58 @@ def test_pe_gram_long_window_is_whole_periods_plus_rest():
     assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
     G = pe_gram_dt(sched, 2, 3 * q + 2)
     assert np.array_equal(G, q * pe_gram_dt(sched, 2, 3) + pe_gram_dt(sched, 2, 2))
+
+
+@st.composite
+def _trig_step_windows(draw):
+    """A trigonometric schedule of 1-3 frequencies, with no dwell (steps of
+    1), a random dwell or a dwell 2 pi / N (at which half-integer
+    frequencies resonate), a start and a window of K steps. The per-step
+    sum rounds each clock k d and angle w k d, which moves an entry by up
+    to about 1.4e-16 w k d; w d <= 1.5 pi keeps that below 1e-12 at
+    k <= 1000, where a window of one step sees it undiluted."""
+    freqs = draw(st.lists(st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.05, 1.5)),
+                          min_size=1, max_size=3))
+    dwell = draw(st.one_of(st.none(), st.floats(0.01, np.pi),
+                           st.integers(2, 32).map(lambda N: 2 * np.pi / N)))
+    sched = make_schedule("trigonometric", 2 * len(freqs), dwell=dwell, frequencies=freqs)
+    return sched, draw(st.integers(0, 1000)), draw(st.integers(1, 5000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trig_step_windows())
+@example((make_schedule("trigonometric", 4, dwell=2 * np.pi / 16, frequencies=(8, 8)), 0, 17))
+@example((make_schedule("trigonometric", 4, dwell=np.pi, frequencies=(0.5, 1)), 999, 5000))
+@example((make_schedule("trigonometric", 4, dwell=np.pi, frequencies=(1.5, 0.5)), 1000, 3001))
+def test_dirichlet_gram_matches_stepwise_sum(case):
+    schedule, start, K = case
+    G = pe_gram_dt(schedule, start, K)
+    assert np.abs(G - stepwise_gram_dt(schedule, start, K)).max() <= 1e-12 * K
+
+
+@pytest.mark.parametrize("freqs,dwell", [((8, 8), 2 * np.pi / 16), ((8, 3), 2 * np.pi / 16),
+                                         ((1, 2), 2 * np.pi), ((0.5, 1), np.pi),
+                                         ((1, 3), np.pi / 2)])
+def test_resonant_trigonometric_steps_are_not_exciting(freqs, dwell):
+    # every step repeats or mirrors a few vectors that do not span R^4
+    sched = make_schedule("trigonometric", 4, dwell=dwell, frequencies=freqs)
+    with pytest.raises(PEVerificationFailed):
+        verify_pe_dt(sched, 64)
+
+
+def test_trigonometric_steps_sixteen_per_turn_are_exciting():
+    sched = make_schedule("trigonometric", 4, dwell=2 * np.pi / 16, frequencies=(1, 2))
+    assert verify_pe_dt(sched, 64).alpha == pytest.approx(16.0, abs=1e-12 * 64)
+
+
+@pytest.mark.parametrize("K", [10**9, int(1e300)])
+def test_trigonometric_dt_gram_cost_does_not_grow_with_the_window(K):
+    # the gram's trace is K, and at this dwell the steps excite every
+    # direction evenly, so alpha is K / m to rounding
+    sched = make_schedule("trigonometric", 4, frequencies=(1, 2))
+    G = pe_gram_dt(sched, 0, K)
+    assert np.trace(G) == pytest.approx(K, rel=1e-12)
+    assert verify_pe_dt(sched, K).alpha == pytest.approx(K / 4, rel=1e-6)
 
 
 def test_pe_witness_validation():

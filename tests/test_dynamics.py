@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 import scalareq.dynamics as dynamics
 from scalareq.compression import _trig_rows
 from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK,
-                               TRIG_MAP_MAX_DIM, RunConfig, Trace, consensus_rhs, run_simulation,
-                               solver_ct_rhs)
+                               TRIG_MAP_MAX_DIM, RunConfig, Trace, run_simulation)
 from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compression, _drift,
                                _half_steps, _laplacian, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
-from scalareq.harness import ProblemInstance, account, gen_instance
+from scalareq.harness import (Config, ExperimentSpec, ProblemInstance, account, gen_instance,
+                              run_experiment)
 
 import oracles
-from oracles import integrate, reference_step, run_simulation_stepwise, solver_dt_step
+from oracles import (consensus_rhs, integrate, reference_step, run_simulation_stepwise,
+                     solver_ct_rhs, solver_dt_step)
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -457,23 +458,68 @@ def test_run_simulation_converges_immediately_at_solution(inst10):
     assert tr.scalars_tx_cum[0] == 0
 
 
-def test_run_simulation_counter_ledger(inst10):
-    cfg = RunConfig(h=0.2, s=0.02, horizon=7, tol=1e-300, record_every=1)
-    tr = run_simulation(inst10, SCHED5, cfg, "dt")
-    # cycle-10: 20 directed links; scalarized sends 1 scalar / 64 bits
-    assert np.array_equal(tr.clock, np.arange(8))
-    assert np.array_equal(tr.scalars_tx_cum, 20 * np.arange(8))
-    assert np.array_equal(tr.bits_tx_cum, 64 * 20 * np.arange(8))
-    assert not tr.converged
-    assert tr.hit_clock is None
+LEDGER_KINDS = {"dt": ("scalarized", "none", "topk", "unbiased", "uniform"),
+                "ct": ("scalarized", "none")}
+
+
+@st.composite
+def _ledger_configs(draw):
+    """(config, mode, record_every) of a run that neither converges nor
+    diverges: any compressor of its mode, a random network and horizon,
+    h lambda_n <= 1 and a small gain s."""
+    mode = draw(st.sampled_from(["dt", "ct"]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(max(m, 3), 8))
+    steps = draw(st.integers(1, 300))
+    config = Config(graph_kind=draw(st.sampled_from(["cycle", "path", "complete"])), graph_n=n,
+                    instance_m=m, instance_v_star=tuple(float(v) for v in range(1, m + 1)),
+                    schedule_dwell=0.05, compressor_kind=draw(st.sampled_from(LEDGER_KINDS[mode])),
+                    compressor_l=draw(st.integers(1, 4)), compressor_k=draw(st.integers(1, m)),
+                    run_h=1.0 / n, run_s=0.01, run_tol=1e-300, run_dt_int=0.01,
+                    run_horizon=steps if mode == "dt" else steps * 0.01,
+                    run_seed=draw(st.integers(0, 1000)))
+    return config, mode, draw(st.integers(1, 50))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ledger_configs())
+def test_run_simulation_counter_ledger(case):
+    # every recorded row has sent rounds * 2|E| messages (one per directed
+    # link and round) at the compressor's per-message cost, and a diverged
+    # grid cell is charged the same way up to its divergence
+    config, mode, record_every = case
+    inst = config.instance()
+    schedule = config.schedule(inst.m)
+    cfg = replace(config.run(mode), record_every=record_every)
+    tr = run_simulation(inst, schedule, cfg, mode)
+    links = 2 * len(inst.graph.edges)
+    scalars, bits = account(cfg.compressor, inst.m)
+    unit = 1 if mode == "dt" else cfg.dt_int
+    rounds = np.rint(tr.clock / unit).astype(np.int64)
+    assert rounds[-1] == round(cfg.horizon / unit)
+    assert np.all(rounds[:-1] % record_every == 0)
+    assert np.array_equal(tr.scalars_tx_cum, rounds * links * scalars)
+    assert np.array_equal(tr.bits_tx_cum, rounds * links * bits)
+    assert not tr.converged and tr.hit_clock is None
     assert tr.final_err == tr.err[-1]
+
+    wild = replace(config, run_s=1e4, run_horizon=300 if mode == "dt" else 3.0)
+    with pytest.raises(SimulationDiverged) as exc:
+        run_simulation(inst, schedule, wild.run(mode), mode)
+    rounds = round(exc.value.clock / unit)
+    spec = ExperimentSpec(config=wild, mode=mode, compressors=(config.compressor_kind,),
+                          seeds=(config.run_seed,))
+    (row,) = run_experiment(spec)
+    assert not row.converged
+    assert row.scalars_at_hit == rounds * links * scalars
+    assert row.bits_at_hit == rounds * links * bits
 
 
 def test_run_simulation_counts_full_vectors_without_compression(inst10):
     cfg = RunConfig(h=0.2, s=0.02, horizon=4, tol=1e-300, record_every=1,
                     compressor=Compressor("none"))
     tr = run_simulation(inst10, SCHED5, cfg, "dt")
-    scal, bits = account("none", 5)
+    scal, bits = account(Compressor("none"), 5)
     assert tr.scalars_tx_cum[-1] == 4 * 20 * scal
     assert tr.bits_tx_cum[-1] == 4 * 20 * bits
 

@@ -75,24 +75,25 @@ def test_problem_instance_validation():
 
 
 def test_account_conventions():
-    assert account("scalarized", 5) == (1, 64)
-    assert account("none", 5) == (5, 320)
-    assert account("uniform", 5) == (5, 320)
-    assert account("topk", 5, k_top=2) == (4, 134)
-    assert account("unbiased", 5, l=2) == (6, 74)
+    assert account(Compressor("scalarized"), 5) == (1, 64)
+    assert account(Compressor("none"), 5) == (5, 320)
+    assert account(Compressor("uniform"), 5) == (5, 320)
     assert account(Compressor("topk", k=2), 5) == (4, 134)
     assert account(Compressor("unbiased", l=2), 5) == (6, 74)
     # scalar states carry no index bits
-    assert account("topk", 1, k_top=1) == (2, 64)
+    assert account(Compressor("topk", k=1), 1) == (2, 64)
 
 
 def test_account_validation():
+    # a topk compressor keeps at most m entries of an m-vector
     with pytest.raises(ValueError, match="topk"):
-        account("topk", 5)
+        account(Compressor("topk", k=6), 5)
+    with pytest.raises(ValueError, match="topk"):
+        Compressor("topk")
     with pytest.raises(ValueError, match="unbiased"):
-        account("unbiased", 5)
+        Compressor("unbiased")
     with pytest.raises(ValueError, match="unknown"):
-        account("wavelet", 5)
+        Compressor("wavelet")
 
 
 def _make_trace(err, clock=None):
@@ -443,9 +444,9 @@ def test_run_experiment_grid():
         assert row.hit_clock == 300
         assert row.rate_emp < 1.0
         by_comp.setdefault(row.compressor, []).append(row)
-    scal, bits = account("scalarized", 5)
+    scal, bits = account(Compressor("scalarized"), 5)
     assert all(r.scalars_at_hit == 300 * 20 * scal for r in by_comp["scalarized"])
-    scal, bits = account("none", 5)
+    scal, bits = account(Compressor("none"), 5)
     assert all(r.bits_at_hit == 300 * 20 * bits for r in by_comp["none"])
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from scalareq.compression import eval_dt, make_schedule
 from scalareq.graph import build_graph, laplacian_spectrum
-from scalareq.theory import (RateConstants, consensus_rate,
-                             dt_stepsize_and_rate, lemma1_constants,
+from scalareq.theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                              lyapunov_v1, observability_gram, solver_ct_rate)
 
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -266,9 +265,3 @@ def test_dt_stepsize_half_bound_always_contracts(seed):
         g, K, h_M, rho_m, s=dt_stepsize_and_rate(g, K, h_M, rho_m)[0] / 2)
     assert 0.0 < beta < 1.0
     assert gamma_d == 1.0 - beta
-
-
-def test_rate_constants_as_dict():
-    rc = RateConstants(gamma=0.9, c=1.1)
-    assert rc.as_dict() == {"gamma": 0.9, "c": 1.1}
-    assert RateConstants().as_dict() == {}
