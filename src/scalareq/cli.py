@@ -76,9 +76,6 @@ def _cmd_bounds(args):
     config = args.config
     inst = config.instance()
     schedule = config.schedule(inst.m)
-    if schedule.kind == "identity":
-        raise ConfigError("bounds need a unit-vector schedule "
-                          "(identity carries no excitation window)")
     h, s = config.run_h, config.run_s
     spec = inst.spectrum
     sc = spectral_constants(inst.H)
@@ -127,6 +124,8 @@ def _cmd_pe_check(args):
         if exc.eigenvalues is not None:
             print("gram eigenvalues:", " ".join(f"{v:.3e}" for v in exc.eigenvalues))
         return 1
+    except ValueError as exc:  # a window whose gram overflows
+        raise ConfigError(str(exc)) from exc
     print(f"PE witness: alpha={witness.alpha!r} window={witness.window!r}")
     return 0
 

@@ -25,7 +25,7 @@ from .errors import PEVerificationFailed
 UNIT_NORM_TOL = 1e-12
 PE_FLOOR = 1e-10
 
-KINDS = ("cyclic-basis", "trigonometric", "identity", "table")
+KINDS = ("cyclic-basis", "trigonometric", "table")
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,11 @@ class CompressionSchedule:
         'trigonometric' interleaved (sin, cos) pairs at the given
                         frequencies, scaled to unit norm; m must equal
                         2 * len(frequencies).
-        'identity'      sentinel for no compression (full-vector
-                        exchange); has no unit vector to emit.
         'table'         explicit unit vectors, cycled; continuous clocks
                         dwell per row when ``dwell`` is set.
 
     rows is the period table, step k reading rows[k % len(rows)]: np.eye(m)
-    (cyclic-basis), the validated table (table), or None (otherwise).
+    (cyclic-basis), the validated table (table), or None (trigonometric).
     """
 
     kind: str
@@ -101,8 +99,6 @@ def eval_ct(schedule, t):
     """Compression vector C(t) at continuous time t >= 0 (unit norm)."""
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    if schedule.kind == "identity":
-        raise ValueError("identity schedule emits no unit vector; callers branch on kind")
     if schedule.rows is None:
         return _trig_rows(schedule, t)
     if schedule.dwell is None:
@@ -135,8 +131,6 @@ def eval_dt(schedule, k):
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     k = int(k)
-    if schedule.kind == "identity":
-        raise ValueError("identity schedule emits no unit vector; callers branch on kind")
     if schedule.rows is None:
         return eval_ct(schedule, _step_clock(schedule, k))
     return schedule.rows[k % len(schedule.rows)].copy()
@@ -161,7 +155,7 @@ def _piecewise_grams(schedule, dwell, T, starts=None):
     overlap = np.clip(np.minimum(a + r, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
     outer = rows[:, :, None] * rows[:, None, :]
     grams = np.tensordot(overlap, np.concatenate([outer, outer]), axes=1)
-    return starts, grams + round((T - r) / period) * dwell * outer.sum(axis=0)
+    return starts, grams + np.round((T - r) / period) * dwell * outer.sum(axis=0)
 
 
 def _trig_gram(schedule, kernel):
@@ -213,12 +207,9 @@ def pe_gram_dt(schedule, start, K):
     sinusoids (see _dirichlet), whose cost does not grow with K."""
     if K < 1 or start < 0:
         raise ValueError(f"need window K >= 1 and start >= 0, got K={K}, start={start}")
-    K = int(K)
-    if schedule.kind == "identity":
-        return K * np.eye(schedule.m)
     if schedule.rows is not None:
-        return _piecewise_grams(schedule, 1, K, [int(start)])[1][0]
-    return _trig_gram(schedule, _dirichlet(schedule, int(start), K))
+        return _piecewise_grams(schedule, 1, int(K), [int(start)])[1][0]
+    return _trig_gram(schedule, _dirichlet(schedule, int(start), int(K)))
 
 
 def pe_gram_ct(schedule, start, T):
@@ -229,8 +220,6 @@ def pe_gram_ct(schedule, start, T):
         raise ValueError(f"need a finite window T > 0, got {T}")
     if start < 0:
         raise ValueError(f"need start >= 0, got {start}")
-    if schedule.kind == "identity":
-        return T * np.eye(schedule.m)
     if schedule.rows is None:
         return _trig_gram(schedule, lambda f: T * np.exp(1j * f * (start + T / 2))
                           * np.sinc(f * T / (2 * np.pi)))
@@ -255,8 +244,12 @@ class PEWitness:
 
 def _verify(starts, grams, window):
     """Witness from the smallest eigenvalue over the window grams of all
-    starts, read off one batched eigvalsh."""
-    lam = np.linalg.eigvalsh(np.asarray(grams))
+    starts, read off one batched eigvalsh; a window whose grams overflow
+    is refused."""
+    grams = np.asarray(grams)
+    if not np.isfinite(grams).all():
+        raise ValueError(f"window {window:g} overflows the PE gram")
+    lam = np.linalg.eigvalsh(grams)
     worst = int(np.argmin(lam[:, 0]))
     alpha = float(lam[worst, 0])
     if alpha <= PE_FLOOR:
@@ -280,19 +273,21 @@ def verify_pe_ct(schedule, T):
     C(t + tau) = R(tau) C(t), R rotating each (sin, cos) pair, so every
     start's gram R G(0) R^T has the spectrum of start 0's.
     """
-    if schedule.rows is not None and 0 < T < math.inf:
-        return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
-    return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
+    with np.errstate(over="ignore", invalid="ignore"):  # _verify refuses what overflows
+        if schedule.rows is not None and 0 < T < math.inf:
+            return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
+        return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
 
 
 def verify_pe_dt(schedule, K):
     """Certify discrete PE over windows of K steps, exactly: every start in
     one schedule period is checked, for a trigonometric schedule start 0,
     as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
-    if schedule.rows is not None and K >= 1:
-        starts = np.arange(schedule.period_steps)
-        return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
-    return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
+    with np.errstate(over="ignore", invalid="ignore"):  # _verify refuses what overflows
+        if schedule.rows is not None and K >= 1:
+            starts = np.arange(schedule.period_steps)
+            return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
+        return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
 
 
 def compress_unbiased(x, l, noise=None, rng=None):

@@ -107,8 +107,6 @@ class RunConfig:
             raise ValueError(f"need s >= 0, got {self.s}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.compressor.kind == "scalarized" and schedule.kind == "identity":
-            raise ValueError("scalarized compression needs a unit-vector schedule")
         if mode == "dt":
             if self.h <= 0:
                 raise ValueError(f"need h > 0, got {self.h}")
@@ -190,16 +188,17 @@ def _laplacian(inst):
 
 
 def _phase(schedule, cfg, mode):
-    """(count, stride) of a periodic linear run, whose step k applies
-    schedule row (k // stride) % count: count is 1 without compression
-    and the schedule period for scalarized cyclic-basis and table runs;
-    stride is 1 in dt and the steps per dwell in ct. None for
-    trigonometric and baseline-compressor runs."""
+    """(rows, stride) of a periodic linear run, whose step k applies the
+    compression rows[(k // stride) % len(rows)]: [None], the full
+    exchange, without compression, and the schedule's period table for
+    scalarized cyclic-basis and table runs; stride is 1 in dt and the
+    steps per dwell in ct. None for trigonometric and baseline-compressor
+    runs."""
     if cfg.compressor.kind == "none":
-        return 1, 1
+        return [None], 1
     if schedule.rows is None or cfg.compressor.kind != "scalarized":
         return None
-    return schedule.period_steps, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
+    return schedule.rows, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
 
 
 def _compression(schedule, cfg, mode):
@@ -223,9 +222,9 @@ def _compression(schedule, cfg, mode):
             t = np.arange(k, k + count) * dt
             return _trig_rows(schedule, np.stack([t, t + 0.5 * dt, t + dt], axis=1))
         return stages
-    period, stride = phase
-    rows = schedule.rows if mode == "dt" else np.repeat(schedule.rows[:, None], 3, axis=1)
-    return lambda k, count: rows[(np.arange(k, k + count) // stride) % period]
+    rows, stride = phase
+    rows = rows if mode == "dt" else np.repeat(rows[:, None], 3, axis=1)
+    return lambda k, count: rows[(np.arange(k, k + count) // stride) % len(rows)]
 
 
 def _advance(L, H, cfg, mode, rng=None):
@@ -296,10 +295,10 @@ def _block_shape(period, B, d):
 
 def _affine_step(L, H, b, cfg, mode, C):
     """(A, w) of one solver step x -> x @ A + w of the row state x, with C
-    the step's entry of ``_compression``, read off the drift on the
-    identity basis (its linear map D) and at the zero state (g). A dt
-    step is x + drift(x). A ct RK4 step of a field frozen over the step
-    is the degree-4 Taylor polynomial of exp(dt D): x @ P(Z) + dt g @ Q(Z)
+    the step's compression row (None for the full exchange), read off the
+    drift on the identity basis (its linear map D) and at the zero state
+    (g). A dt step is x + drift(x). A ct RK4 step of a field frozen over
+    the step is the degree-4 Taylor polynomial of exp(dt D): x @ P(Z) + dt g @ Q(Z)
     with Z = dt D, Q(Z) = I + Z/2 + Z^2/6 + Z^3/24 and P(Z) = I + Z Q(Z),
     built in Horner form (three d x d products, where RK4 applied to the
     identity basis evaluates the drift four times)."""
@@ -309,7 +308,6 @@ def _affine_step(L, H, b, cfg, mode, C):
     if mode == "dt":
         return (eye + _drift(L, H, 0.0, C, cfg.h, cfg.s, basis).reshape(d, d),
                 _drift(L, H, b, C, cfg.h, cfg.s, zero).reshape(d))
-    C = None if C is None else C[1]
     Z = cfg.dt_int * _drift(L, H, 0.0, C, 1.0, cfg.s, basis).reshape(d, d)
     Q = eye + Z / 4.0
     for j in (3.0, 2.0):
@@ -453,15 +451,13 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
     origin = np.zeros(d) if origin is None else origin
-    C_of = _compression(schedule, cfg, mode)
     lap = _laplacian(inst)
     phase = _phase(schedule, cfg, mode)
     if phase is not None and d <= DENSE_MAX_DIM:
         rows, stride = phase
         maps = [(A, origin @ A + w - origin) for A, w in
-                (_affine_step(lap, inst.H, inst.b, cfg, mode, C)
-                 for C in C_of(0, rows * stride)[::stride])]
-        shape = _block_shape(rows * stride, B, d)
+                (_affine_step(lap, inst.H, inst.b, cfg, mode, C) for C in rows)]
+        shape = _block_shape(len(maps) * stride, B, d)
         if shape is not None:
             L, q = shape
             with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
@@ -478,7 +474,7 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
 
         def mapped(k, z, count):
             out = np.empty((count, d))
-            _apply_maps(z, (maps[((k + j) // stride) % rows] for j in range(count)), out)
+            _apply_maps(z, (maps[((k + j) // stride) % len(maps)] for j in range(count)), out)
             return out
         return B, mapped
 
@@ -488,7 +484,7 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     if chunk is not None:
         steps = _trig_steps(lap, inst, schedule, cfg, mode, chunk)
     else:
-        advance = _advance(lap, inst.H, cfg, mode, rng)
+        advance, C_of = _advance(lap, inst.H, cfg, mode, rng), _compression(schedule, cfg, mode)
 
         def steps(k, x, out):
             x = x.reshape(n, m)

@@ -94,14 +94,14 @@ class WeightedGraph:
         return L
 
 
-def build_graph(kind, n, weight=1.0, edges=None):
-    """Construct a standard topology or wrap a custom edge list.
+def build_graph(kind, n, weight=1.0):
+    """Construct a standard topology; WeightedGraph(n, edges) takes any
+    other edge list.
 
     Args:
-        kind: 'cycle' (n >= 3), 'path', 'complete', or 'custom'.
+        kind: 'cycle' (n >= 3), 'path' or 'complete'.
         n: node count (>= 2; use WeightedGraph directly for n = 1).
-        weight: uniform edge weight for the standard kinds.
-        edges: iterable of (i, j, weight) for kind='custom'.
+        weight: uniform edge weight.
     """
     if n < 2:
         raise ValueError(f"standard topologies need n >= 2, got n={n}")
@@ -115,10 +115,6 @@ def build_graph(kind, n, weight=1.0, edges=None):
         e = [(i, i + 1, weight) for i in range(n - 1)]
     elif kind == "complete":
         e = [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "custom":
-        if edges is None:
-            raise ValueError("kind='custom' requires an edge list")
-        e = list(edges)
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
     return WeightedGraph(n=n, edges=tuple(e))

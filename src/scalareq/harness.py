@@ -78,7 +78,8 @@ def gen_instance(n, m, v_star, graph_kind="cycle", seed=0, weight=1.0):
 
     The draw comes from a child stream [seed, 0] so other per-run
     streams (initial state, compressor noise) stay independent.
-    Rank-deficient draws are resampled up to 10 times.
+    Draws that ProblemInstance refuses as rank-deficient are resampled
+    up to 10 times.
     """
     v = np.asarray(v_star, dtype=float)
     if v.shape != (m,):
@@ -89,9 +90,10 @@ def gen_instance(n, m, v_star, graph_kind="cycle", seed=0, weight=1.0):
     rng = np.random.default_rng([seed, 0])
     for _ in range(RESAMPLE_CAP):
         H = rng.standard_normal((n, m))
-        b = H @ v
-        if rank_check(H, b):
-            return ProblemInstance(H=H, b=b, graph=graph, v_star=v, seed=seed)
+        try:
+            return ProblemInstance(H=H, b=H @ v, graph=graph, v_star=v, seed=seed)
+        except RankDeficientError:
+            continue
     raise RankDeficientError(f"no full-rank draw after {RESAMPLE_CAP} resamples")
 
 
@@ -116,8 +118,8 @@ class Config:
     """Every setting of a run, one field per config-file key.
 
     The key of a field is its name with the first '_' read as '.'
-    (run_horizon <-> run.horizon). schedule_m = None means instance_m;
-    run_horizon = None means 20 000 steps (dt) or 50.0 time units (ct).
+    (run_horizon <-> run.horizon). run_horizon = None means 20 000
+    steps (dt) or 50.0 time units (ct).
     The methods instance, schedule, compressor and run raise ConfigError
     when the values do not make a valid object.
     """
@@ -128,7 +130,6 @@ class Config:
     instance_m: int = 5
     instance_v_star: tuple[float, ...] = (2.0, 1.0, 3.0, 4.0, -1.0)
     schedule_kind: str = "cyclic-basis"
-    schedule_m: int | None = None
     schedule_dwell: float = 0.01
     schedule_frequencies: tuple[float, ...] = ()
     schedule_table_file: str | None = None
@@ -151,7 +152,9 @@ class Config:
 
     @_builds
     def schedule(self, m=None):
-        """The compression schedule; m, when given, is the dimension of the
+        """The compression schedule, whose m is 2 len(frequencies) for a
+        trigonometric one, the table's column count for a table one and
+        instance_m otherwise; m, when given, is the dimension of the
         instance it will drive, and a schedule of another m is refused."""
         table = self.schedule_table_file
         if table is not None:
@@ -159,9 +162,12 @@ class Config:
                 table = np.loadtxt(table, ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ValueError(f"schedule.table_file = {table}: {exc}") from None
+        # 0 frequencies or no table: CompressionSchedule names what is missing
+        own = {"trigonometric": 2 * len(self.schedule_frequencies),
+               "table": None if table is None else table.shape[1]}
         schedule = CompressionSchedule(
             kind=self.schedule_kind, dwell=self.schedule_dwell,
-            m=self.instance_m if self.schedule_m is None else self.schedule_m,
+            m=own.get(self.schedule_kind) or self.instance_m,
             frequencies=self.schedule_frequencies, table=table)
         if m is not None and schedule.m != m:
             raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
@@ -386,8 +392,8 @@ def serialize(obj, path):
 
 
 def _parse_meta_value(s):
-    if s == "none":
-        return None
+    """A metadata value as serialize wrote it: a bool, an int, a float, or
+    the string itself (the compressor label "none" included)."""
     if s in ("true", "false"):
         return s == "true"
     for cast in (int, float):
@@ -411,7 +417,7 @@ def parse_trace(path):
             elif line and not line.startswith("clock"):
                 rows.append(line.split(","))
     converged = bool(meta.pop("converged", False))
-    hit_clock = meta.pop("hit_clock", None)
+    hit_clock = meta.pop("hit_clock", "none")  # "none": the run never reached tol
     final_err = meta.pop("final_err", float("nan"))
     cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
     return Trace(
@@ -420,9 +426,8 @@ def parse_trace(path):
         disagreement=[float(v) for v in cols[2]],
         scalars_tx_cum=[int(v) for v in cols[3]],
         bits_tx_cum=[int(v) for v in cols[4]],
-        converged=converged, hit_clock=hit_clock,
-        final_err=final_err if final_err is not None else float("nan"),
-        meta=meta,
+        converged=converged, hit_clock=None if hit_clock == "none" else hit_clock,
+        final_err=final_err, meta=meta,
     )
 
 

@@ -118,7 +118,8 @@ def spectral_constants(H):
     """Compute rho_m = lambda_min(H^T H)/n and h_M = max_i ||H_i||.
 
     lambda_min(H^T H) is taken as sigma_min(H)^2, and full column rank
-    is tested on sigma_min itself, where the SVD resolves it.
+    is tested on sigma_min itself, where the SVD resolves it, by the
+    relative test of ``rank_check``.
 
     Raises:
         RankDeficientError: H is not full column rank.
@@ -127,7 +128,7 @@ def spectral_constants(H):
     n = H.shape[0]
     sig = _singular_values(H)
     sig_min = float(sig[0])
-    if sig_min <= RANK_TOL * max(float(sig[-1]), 1.0):
+    if sig_min <= RANK_TOL * max(float(sig[-1]), 1e-300):
         raise RankDeficientError(
             f"rank-deficient data matrix: smallest singular value {sig_min:.3e}",
             sigma_min=sig_min,

@@ -81,11 +81,6 @@ def solver_ct_rate(alpha, T, lambda2, lambda_n, rho_m, h_M, s):
     return (1.0 - q) ** (1.0 / T), float(alpha_bar), float(alpha_prime)
 
 
-def _direction(schedule, idx):
-    """C[idx], with None (full exchange) for the identity schedule."""
-    return None if schedule.kind == "identity" else eval_dt(schedule, idx)
-
-
 def _gram_blocks(lams, schedule, h, k0, K):
     """Per-eigenvalue blocks G_i of the K-step grammian started at k0.
 
@@ -100,7 +95,7 @@ def _gram_blocks(lams, schedule, h, k0, K):
     T = np.repeat(np.eye(m)[:, None, :], p, axis=1)
     G = np.zeros((p, m, m))
     for j in range(K):
-        E = _exchange(Lam, T, _direction(schedule, k0 + j))
+        E = _exchange(Lam, T, eval_dt(schedule, k0 + j))
         G += 2.0 * h * np.einsum("cir,dir->icd", T, E) - h**2 * np.einsum("cir,dir->icd", E, E)
         T = T - h * E
     resid = float(np.abs(G - (np.eye(m) - np.einsum("cir,dir->icd", T, T))).max())
@@ -157,7 +152,7 @@ def lyapunov_v1(spectrum, schedule, h, K, k, z):
     total = 0.0
     for j in range(K):
         total += float(np.vdot(v, v))
-        v = v - h * _exchange(Lam, v, _direction(schedule, int(k) + j))
+        v = v - h * _exchange(Lam, v, eval_dt(schedule, int(k) + j))
     return total
 
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalareq.compression import (UNIT_NORM_TOL, Compressor, eval_ct, eval_dt,
-                                  make_schedule)
+from scalareq.compression import UNIT_NORM_TOL, Compressor, eval_ct, eval_dt
 from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange, _laplacian
 from scalareq.errors import SimulationDiverged
 from scalareq.harness import TRACE_COLUMNS, account
@@ -44,19 +43,20 @@ def consensus_rhs(L, schedule, t, x):
     """Compressed consensus flow -(L (x) C(t) C(t)^T) x.
 
     Each node needs only the scalars y_j = C^T x_j from its neighbors.
-    An identity schedule degenerates to plain consensus -(L (x) I) x.
+    schedule None is the full exchange, plain consensus -(L (x) I) x.
     """
     X = np.asarray(x, dtype=float).reshape(L.shape[0], -1)
-    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
+    C = None if schedule is None else eval_ct(schedule, t)
     return -_exchange(L, X, C).reshape(-1)
 
 
 def solver_ct_rhs(inst, schedule, s, t, x):
     """Continuous solver flow: compressed consensus plus the local
     projection -s H_i (H_i^T x_i - b_i). At s = 0 this is the consensus
-    flow; at x = 1 (x) v* it vanishes identically."""
+    flow; at x = 1 (x) v* it vanishes identically. schedule None is the
+    full exchange."""
     X = np.asarray(x, dtype=float).reshape(inst.H.shape)
-    C = None if schedule.kind == "identity" else eval_ct(schedule, t)
+    C = None if schedule is None else eval_ct(schedule, t)
     return _drift(_laplacian(inst), inst.H, inst.b, C, 1.0, s, X).reshape(-1)
 
 
@@ -223,8 +223,8 @@ def reference_step(inst, schedule, cfg, mode, rng):
         return lambda k, x: solver_dt_step(inst, schedule, cfg.h, cfg.s, k, x,
                                            cfg.compressor, rng=rng)
     if cfg.compressor.kind == "none":
-        schedule = make_schedule("identity", schedule.m)
-    freeze = "stage" if schedule.kind == "trigonometric" else "midpoint"
+        schedule = None
+    freeze = "stage" if schedule is not None and schedule.kind == "trigonometric" else "midpoint"
     rhs = lambda t, x: solver_ct_rhs(inst, schedule, cfg.s, t, x)
     return lambda k, x: rk4_step(rhs, k * cfg.dt_int, x, cfg.dt_int, freeze)
 

@@ -15,7 +15,7 @@ from scalareq.compression import (Compressor, compress_unbiased, eval_dt,
                                   make_schedule)
 from scalareq.dynamics import RunConfig, run_simulation
 from scalareq.errors import PEVerificationFailed
-from scalareq.graph import build_graph, disagreement_basis, laplacian_spectrum
+from scalareq.graph import WeightedGraph, build_graph, disagreement_basis, laplacian_spectrum
 from scalareq.harness import (Config, ExperimentSpec, fit_rate, gen_instance,
                               run_experiment)
 from scalareq.linalg import spectral_constants
@@ -289,7 +289,7 @@ def _random_connected_graph(n, rng):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         if all((a, b) != (i, j) for (a, b, _) in edges):
             edges.append((i, j, float(rng.uniform(0.5, 2.0))))
-    return build_graph("custom", n, edges=edges)
+    return WeightedGraph(n, edges)
 
 
 def test_criterion_11_basis_identities():

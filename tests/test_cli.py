@@ -114,14 +114,24 @@ def test_bounds_prints_constants(tmp_path, capsys):
 
 
 def test_bounds_rejects_identity_schedule(tmp_path, capsys):
+    # the uncompressed exchange is compressor.kind = none, not a schedule
     cfg = _write_config(tmp_path, "schedule.kind = identity\n")
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--config", cfg])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == ("scalareq: error: bounds need a unit-vector schedule "
-                            "(identity carries no excitation window)\n")
+    assert captured.err == ("scalareq: error: unknown schedule kind 'identity'; expected one "
+                            "of ('cyclic-basis', 'trigonometric', 'table')\n")
     assert captured.out == ""
+
+
+def test_schedule_m_is_an_unknown_key(tmp_path, capsys):
+    # a schedule fixes its own m: from its frequencies, its table or instance.m
+    cfg = _write_config(tmp_path, "schedule.m = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["pe-check", "--config", cfg, "--window", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"scalareq: error: {cfg}, line 9: unknown key 'schedule.m'\n"
 
 
 def test_pe_check_passes_for_cyclic(tmp_path, capsys):
@@ -138,7 +148,6 @@ def test_pe_check_fails_for_frozen_vector(tmp_path, capsys):
     table_file.write_text("1 0\n")
     cfg = _write_config(tmp_path,
                         "schedule.kind = table\n"
-                        "schedule.m = 2\n"
                         f"schedule.table_file = {table_file}\n")
     rc = main(["pe-check", "--config", cfg, "--domain", "dt", "--window", "5"])
     assert rc == 1
@@ -211,8 +220,14 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
      "schedule.table_file = {bad}: "),
     (["run", "--mode", "ct", "--out", "t.csv"], "schedule.kind = trigonometric\n",
      "trigonometric schedule needs at least one frequency"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "schedule.kind = identity\n",
+     "unknown schedule kind 'identity'"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "graph.kind = custom\n",
+     "unknown graph kind 'custom'"),
+    (["bounds"], "graph.kind = custom\n", "unknown graph kind 'custom'"),
 ], ids=["dt-horizon", "run-topk-without-k", "compare-topk-without-k", "n-below-m",
-        "missing-table", "malformed-table", "trig-without-frequencies"])
+        "missing-table", "malformed-table", "trig-without-frequencies",
+        "run-identity-schedule", "run-custom-graph", "bounds-custom-graph"])
 def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys,
                                                   command, extra, message):
     monkeypatch.chdir(tmp_path)
@@ -271,8 +286,15 @@ def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
     assert re.fullmatch(f"scalareq: error: {message}.*\n", err)
 
 
+def _three_column_table(tmp_path):
+    table = tmp_path / "table3.txt"
+    table.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    return f"schedule.kind = table\nschedule.table_file = {table}\n"
+
+
 def test_bounds_rejects_schedule_of_another_dimension(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nschedule.m = 3\n")
+    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\n"
+                                  + _three_column_table(tmp_path))
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--config", cfg])
     assert exc.value.code == 2
@@ -282,8 +304,8 @@ def test_bounds_rejects_schedule_of_another_dimension(tmp_path, capsys):
 
 
 def test_compare_rejects_schedule_of_another_dimension(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nschedule.m = 3\n"
-                                  "run.horizon = 50\n")
+    cfg = _write_config(tmp_path, "instance.m = 2\ninstance.v_star = 1 -2\nrun.horizon = 50\n"
+                                  + _three_column_table(tmp_path))
     out = tmp_path / "r.csv"
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--config", cfg, "--mode", "dt", "--seeds", "0", "--out", str(out)])
@@ -293,7 +315,7 @@ def test_compare_rejects_schedule_of_another_dimension(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-TRIG_SCHEDULE = "schedule.kind = trigonometric\nschedule.m = 4\nschedule.frequencies = 1 2\n"
+TRIG_SCHEDULE = "schedule.kind = trigonometric\nschedule.frequencies = 1 2\n"
 
 
 def _assert_pe_check_usage_error(capsys, cfg, args):
@@ -324,7 +346,8 @@ def test_pe_check_rejects_infinite_window_on_trigonometric_schedule(tmp_path, ca
                                  ["--window", "inf"])
 
 
-@pytest.mark.parametrize("domain,extra", [("ct", ""), ("dt", ""), ("ct", TRIG_SCHEDULE)])
+@pytest.mark.parametrize("domain,extra", [("ct", ""), ("dt", ""), ("ct", TRIG_SCHEDULE)],
+                         ids=["ct-", "dt-", "ct-trigonometric"])
 def test_pe_check_long_window_costs_no_more(tmp_path, capsys, domain, extra):
     # whole periods of a window are summed in closed form, so 1e300 is quick
     cfg = _write_config(tmp_path, extra)
@@ -363,3 +386,28 @@ def test_bounds_prints_plain_floats(tmp_path, capsys, extra):
     assert len(pairs) >= 7
     for key, value in pairs:
         assert np.isfinite(float(value)), key
+
+
+def test_pe_check_trigonometric_schedule_sets_its_own_m(tmp_path, capsys):
+    # m = 2 len(frequencies), whatever the default instance.m = 5 says
+    cfg = tmp_path / "trig.cfg"
+    cfg.write_text("schedule.kind = trigonometric\nschedule.frequencies = 1 2\n")
+    assert main(["pe-check", "--config", str(cfg), "--domain", "ct",
+                 "--window", "6.283185307179586"]) == 0
+    assert capsys.readouterr().out.startswith("PE witness: alpha=")
+
+
+@pytest.mark.parametrize("domain, extra", [
+    ("ct", ""),
+    ("ct", TRIG_INSTANCE),
+    ("dt", "instance.m = 4\ninstance.v_star = 2 1 3 4\nschedule.kind = trigonometric\n"
+           "schedule.frequencies = 1.5 1.5\nschedule.dwell = 1\n"),
+], ids=["ct-cyclic", "ct-trigonometric", "dt-resonant-trigonometric"])
+def test_pe_check_window_overflowing_its_gram_exits_2(tmp_path, capsys, domain, extra):
+    cfg = _write_config(tmp_path, extra)
+    with pytest.raises(SystemExit) as exc:
+        main(["pe-check", "--config", cfg, "--domain", domain, "--window", "1.7e308"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "scalareq: error: window 1.7e+308 overflows the PE gram\n"
+    assert captured.out == ""

@@ -36,7 +36,6 @@ def test_period_steps():
     tab = make_schedule("table", 2, table=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert tab.period_steps == 3
     assert make_schedule("trigonometric", 2, frequencies=(1.0,)).period_steps == 1
-    assert make_schedule("identity", 4).period_steps == 1
 
 
 def test_eval_ct_cyclic_dwell():
@@ -75,10 +74,6 @@ def test_eval_rejects_bad_arguments():
         eval_ct(CYCLIC5, -0.1)
     with pytest.raises(ValueError, match="k >= 0"):
         eval_dt(CYCLIC5, -1)
-    with pytest.raises(ValueError, match="identity"):
-        eval_ct(make_schedule("identity", 3), 0.0)
-    with pytest.raises(ValueError, match="identity"):
-        eval_dt(make_schedule("identity", 3), 0)
     with pytest.raises(ValueError, match="dwell"):
         eval_ct(make_schedule("cyclic-basis", 3), 0.0)
 
@@ -139,10 +134,16 @@ def test_pe_gram_dt_rejects_empty_window_or_negative_start(schedule, start, K):
         pe_gram_dt(schedule, start, K)
 
 
-def test_pe_gram_identity_windows():
-    ident = make_schedule("identity", 3)
-    assert np.array_equal(pe_gram_dt(ident, 0, 4), 4 * np.eye(3))
-    assert np.allclose(pe_gram_ct(ident, 0.0, 2.5), 2.5 * np.eye(3), atol=1e-15)
+@pytest.mark.parametrize("verify, schedule", [
+    (verify_pe_ct, CYCLIC5),
+    (verify_pe_ct, make_schedule("trigonometric", 4, frequencies=(1.0, 2.0))),
+    (verify_pe_dt, make_schedule("trigonometric", 4, dwell=1.0, frequencies=(1.5, 1.5))),
+], ids=["ct-cyclic", "ct-trigonometric", "dt-resonant-trigonometric"])
+def test_verify_pe_refuses_a_window_that_overflows_its_gram(verify, schedule):
+    # f T, T / period or K phi / 2 overflows near the float maximum; the
+    # check names the window instead of failing inside round or eigvalsh
+    with pytest.raises(ValueError, match=r"window 1\.7e\+308 overflows the PE gram"):
+        verify(schedule, 1.7e308)
 
 
 def test_verify_pe_ct_cyclic_witness():

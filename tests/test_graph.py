@@ -17,7 +17,7 @@ def random_connected_graph(n, rng):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         if all((a, b) != (i, j) for (a, b, _) in edges):
             edges.append((i, j, float(rng.uniform(0.5, 2.0))))
-    return build_graph("custom", n, edges=edges)
+    return WeightedGraph(n, edges)
 
 
 def test_weighted_graph_normalizes_edge_order():
@@ -93,8 +93,6 @@ def test_build_graph_rejects_bad_arguments():
         build_graph("path", 4, weight=-1.0)
     with pytest.raises(ValueError):
         build_graph("torus", 4)
-    with pytest.raises(ValueError, match="custom"):
-        build_graph("custom", 4)
 
 
 def test_cycle_ten_spectrum():

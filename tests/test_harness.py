@@ -1,3 +1,4 @@
+import inspect
 import re
 import typing
 from dataclasses import fields, replace
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalareq.compression import Compressor, make_schedule
+from scalareq import harness
+from scalareq.compression import KINDS, Compressor, make_schedule
 from scalareq.dynamics import RunConfig, Trace, run_simulation
 from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
-from scalareq.harness import (Config, ExperimentSpec, ProblemInstance,
+from scalareq.harness import (RESULT_COLUMNS, Config, ExperimentSpec, ProblemInstance,
                               ResultRow, account, fit_rate, gen_instance,
                               load_instance, parse_config, parse_results,
                               parse_trace, run_experiment, save_instance,
@@ -232,6 +234,79 @@ def test_serialize_results_roundtrip(tmp_path):
     assert back[1].compressor == "none"
 
 
+LABELS = st.one_of(st.sampled_from(["scalarized", "none", "uniform"]),
+                   st.integers(1, 64).map(lambda k: Compressor("topk", k=k).label),
+                   st.integers(1, 64).map(lambda l: Compressor("unbiased", l=l).label))
+GAINS = st.one_of(SPECIAL.filter(lambda v: 0 < v < float("inf")),
+                  st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def _run_meta(draw):
+    """Trace metadata with the keys and value types run_simulation writes."""
+    mode = draw(st.sampled_from(["dt", "ct"]))
+    horizon = st.integers(1, 10**9) if mode == "dt" else GAINS
+    return {"mode": mode, "h": draw(GAINS), "s": draw(st.one_of(st.just(0.0), GAINS)),
+            "dt_int": draw(GAINS), "tol": draw(GAINS), "horizon": draw(horizon),
+            "seed": draw(st.integers(0, 2**63 - 1)), "compressor": draw(LABELS),
+            "schedule": draw(st.sampled_from(KINDS)), "record_every": draw(st.integers(1, 10**6))}
+
+
+@st.composite
+def _result_rows(draw):
+    """Result rows as run_experiment makes them, diverged cells included
+    (no hit, NaN rate, infinite final error)."""
+    values = st.one_of(SPECIAL, st.floats())
+    return [ResultRow(mode=draw(st.sampled_from(["dt", "ct"])), compressor=draw(LABELS),
+                      h=draw(GAINS), s=draw(GAINS), seed=draw(st.integers(0, 2**63 - 1)),
+                      hit_clock=draw(st.floats(0, 1e9)), converged=draw(st.booleans()),
+                      scalars_at_hit=draw(st.integers(0, 2**62)),
+                      bits_at_hit=draw(st.integers(0, 2**62)), rate_emp=draw(values),
+                      final_err=draw(values))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _same(a, b):
+    """Equal, with NaN equal to NaN and the types of the values equal."""
+    if isinstance(a, float) and isinstance(b, float) and np.isnan(a) and np.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_traces(), _run_meta())
+def test_trace_round_trip_is_byte_exact(tmp_path_factory, trace, meta):
+    # serialize -> parse_trace gives back every value, so serializing it
+    # again writes the same bytes
+    trace.meta = meta
+    d = tmp_path_factory.mktemp("trip")
+    serialize(trace, d / "first.csv")
+    back = parse_trace(d / "first.csv")
+    serialize(back, d / "second.csv")
+    assert (d / "first.csv").read_bytes() == (d / "second.csv").read_bytes()
+    assert back.meta.keys() == meta.keys()
+    assert all(_same(back.meta[key], meta[key]) for key in meta)
+    assert back.converged == trace.converged
+    assert _same(back.hit_clock, trace.hit_clock) and _same(back.final_err, trace.final_err)
+    for name in ("clock", "err", "disagreement", "scalars_tx_cum", "bits_tx_cum"):
+        assert np.array_equal(getattr(back, name), getattr(trace, name), equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_result_rows())
+def test_results_round_trip_is_byte_exact(tmp_path_factory, rows):
+    # every CSV column comes back as written; final_err is not a column
+    d = tmp_path_factory.mktemp("trip")
+    serialize(rows, d / "first.csv")
+    back = parse_results(d / "first.csv")
+    serialize(back, d / "second.csv")
+    assert (d / "first.csv").read_bytes() == (d / "second.csv").read_bytes()
+    assert len(back) == len(rows)
+    for got, want in zip(back, rows):
+        for name in RESULT_COLUMNS:
+            assert _same(getattr(got, name), getattr(want, name)), name
+
+
 def test_serialize_rejects_unknown_payload(tmp_path):
     with pytest.raises(TypeError):
         serialize([1, 2, 3], tmp_path / "x.csv")
@@ -306,14 +381,13 @@ def test_schedule_from_config_defaults_and_kinds(tmp_path):
     sched = Config().schedule()
     assert sched.kind == "cyclic-basis" and sched.m == 5 and sched.dwell == 0.01
     assert Config(instance_m=3, instance_v_star=(1.0, 2.0, 3.0)).schedule().m == 3
-    trig = Config(schedule_kind="trigonometric", schedule_m=4,
-                  schedule_frequencies=(1.0, 2.5)).schedule()
-    assert trig.frequencies == (1.0, 2.5)
+    # a trigonometric or table schedule fixes its own m, whatever instance_m
+    trig = Config(schedule_kind="trigonometric", schedule_frequencies=(1.0, 2.5)).schedule()
+    assert trig.frequencies == (1.0, 2.5) and trig.m == 4
     table_file = tmp_path / "table.txt"
     table_file.write_text("1 0\n0 1\n")
-    tab = Config(schedule_kind="table", schedule_m=2,
-                 schedule_table_file=str(table_file)).schedule()
-    assert tab.table.shape == (2, 2)
+    tab = Config(schedule_kind="table", schedule_table_file=str(table_file)).schedule()
+    assert tab.table.shape == (2, 2) and tab.m == 2
     assert tab.period_steps == 2
 
 
@@ -430,7 +504,19 @@ def test_readme_lists_every_config_key():
                   if "=" in line}
     others = section.split("Other accepted keys:", 1)[1].split("\n\n", 1)[0]
     documented |= set(re.findall(r"`([a-z_]+\.[a-z_]+)`", others))
-    assert documented == set(KEYS)
+    assert documented == set(harness._KEYS)
+
+
+def test_readme_lists_every_schedule_and_graph_kind():
+    # the Layout table names the kinds that the package accepts, no more
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    schedules = re.search(r"direction schedules \(([^;)]*)", readme).group(1).split(", ")
+    assert tuple(schedules) == KINDS
+    graphs = re.search(r"`build_graph` \(([^)]*)\)", readme).group(1).split(", ")
+    built = re.findall(r'kind == "([\w-]+)"', inspect.getsource(build_graph))
+    assert graphs == built
+    for kind in graphs:
+        assert build_graph(kind, 4).n == 4
 
 
 def test_run_experiment_grid():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalareq.errors import RankDeficientError
-from scalareq.harness import gen_instance
+from scalareq.harness import ProblemInstance, gen_instance
 from scalareq.linalg import rank_check, spectral_constants, sym_eig
 
 
@@ -205,6 +205,17 @@ def test_spectral_constants_cross_check_and_permutation():
     sc_p = spectral_constants(H[perm])
     assert sc_p.rho_m == pytest.approx(sc.rho_m, rel=1e-10)
     assert sc_p.h_M == pytest.approx(sc.h_M, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+def test_spectral_constants_scale_with_h_as_rank_check_decides(c):
+    # an instance that ProblemInstance accepts has its constants, at any
+    # scale of H: rank is decided relative to sigma_1 in both places
+    inst = gen_instance(10, 5, (2.0, 1.0, 3.0, 4.0, -1.0), seed=0)
+    scaled = ProblemInstance(H=c * inst.H, b=c * inst.b, graph=inst.graph, v_star=inst.v_star)
+    sc, ref = spectral_constants(scaled.H), spectral_constants(inst.H)
+    assert sc.rho_m == pytest.approx(c**2 * ref.rho_m, rel=1e-12)
+    assert sc.h_M == pytest.approx(c * ref.h_M, rel=1e-12)
 
 
 def test_spectral_constants_rank_deficient_raises():

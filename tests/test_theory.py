@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalareq.compression import eval_dt, make_schedule
-from scalareq.graph import build_graph, laplacian_spectrum
+from scalareq.graph import WeightedGraph, build_graph, laplacian_spectrum
 from scalareq.theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                              lyapunov_v1, observability_gram, solver_ct_rate)
 
@@ -156,8 +156,6 @@ def _dense_gram_oracle(spectrum, schedule, h, k, K):
     W = np.diag(2.0 * h * lams - h**2 * lams**2)
 
     def outer_at(idx):
-        if schedule.kind == "identity":
-            return np.eye(m)
         C = eval_dt(schedule, idx)
         return np.outer(C, C)
 
@@ -182,10 +180,10 @@ def test_observability_gram_matches_dense_kron_oracle(seed):
     for _ in range(int(rng.integers(0, n))):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.add((i, j))
-    spec = laplacian_spectrum(build_graph(
-        "custom", n, edges=[(i, j, float(rng.uniform(0.5, 2.0))) for (i, j) in sorted(edges)]))
+    spec = laplacian_spectrum(WeightedGraph(
+        n, [(i, j, float(rng.uniform(0.5, 2.0))) for (i, j) in sorted(edges)]))
     if seed % 4 == 3:
-        sched = make_schedule("identity", m)
+        sched = make_schedule("cyclic-basis", m, dwell=0.01)
         K = m
     else:
         table = rng.standard_normal((int(rng.integers(m, m + 4)), m))
