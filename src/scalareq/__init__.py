@@ -9,7 +9,7 @@ reproduces the communication-burden comparisons against baseline
 compressors.
 """
 
-from .compression import (CompressionSchedule, Compressor, PEWitness,
+from .compression import (CompressionSchedule, Compressor, PEWitness, account,
                           compress_topk, compress_unbiased, compress_uniform,
                           eval_ct, eval_dt, make_schedule, pe_gram_ct,
                           pe_gram_dt, verify_pe_ct, verify_pe_dt)
@@ -19,9 +19,9 @@ from .errors import (DisconnectedGraphError, PEVerificationFailed,
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,
                     disagreement_basis, laplacian_spectrum)
 from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
-                      account, fit_rate, gen_instance, load_instance,
-                      parse_config, parse_results, parse_trace,
-                      run_experiment, save_instance, serialize)
+                      fit_rate, gen_instance, load_instance, parse_config,
+                      parse_results, parse_trace, run_experiment,
+                      save_instance, serialize)
 from .linalg import (RankVerdict, SpectralConstants, rank_check,
                      spectral_constants, sym_eig)
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen (emit an instance file), run (single simulation to a
-trace CSV), compare (experiment grid to a results CSV), bounds (print
-every computable rate constant), pe-check (certify a schedule's
-persistent excitation).
+Subcommands, each reading one config file: gen (write the config's
+instance to a file), run (single simulation to a trace CSV), compare
+(experiment grid to a results CSV), bounds (print every computable rate
+constant), pe-check (certify a schedule's persistent excitation).
 """
 
 import argparse
@@ -13,9 +13,8 @@ import numpy as np
 
 from .compression import verify_pe_ct, verify_pe_dt
 from .errors import ConfigError, PEVerificationFailed, SimulationDiverged
-from .harness import (Config, ExperimentSpec, gen_instance, load_instance,
-                      parse_config, parse_list, run_experiment, save_instance,
-                      serialize)
+from .harness import (ExperimentSpec, load_instance, parse_config, parse_list,
+                      run_experiment, save_instance, serialize)
 from .linalg import spectral_constants
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      observability_gram, solver_ct_rate)
@@ -30,11 +29,7 @@ def _list_of(cast):
 
 
 def _cmd_gen(args):
-    try:
-        inst = gen_instance(args.n, args.m, args.v_star,
-                            graph_kind=args.graph, seed=args.seed, weight=args.weight)
-    except ValueError as exc:  # the arguments describe no instance
-        raise ConfigError(f"cannot generate an instance: {exc}") from exc
+    inst = args.config.instance()
     save_instance(inst, args.out)
     print(f"wrote instance n={inst.n} m={inst.m} seed={inst.seed} to {args.out}")
     return 0
@@ -138,14 +133,8 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate and save a problem instance")
-    p.add_argument("--n", type=int, default=Config.graph_n)
-    p.add_argument("--m", type=int, default=Config.instance_m)
-    p.add_argument("--v-star", type=_list_of(float), default=Config.instance_v_star)
-    p.add_argument("--graph", default=Config.graph_kind,
-                   choices=["cycle", "path", "complete"])
-    p.add_argument("--seed", type=int, default=Config.run_seed)
-    p.add_argument("--weight", type=float, default=Config.graph_weight)
+    p = sub.add_parser("gen", help="generate and save the instance of a config")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -178,8 +167,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "config"):
-            args.config = parse_config(args.config)
+        args.config = parse_config(args.config)
         return args.func(args)
     except (OSError, ConfigError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

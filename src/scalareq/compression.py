@@ -13,6 +13,10 @@ The scalarized compressor transmits the single scalar C^T x and unfolds
 it along C at the receiver. The three baseline compressors (unbiased
 l-bit quantizer, top-k sparsifier, uniform quantizer) transmit full
 m-vectors and exist for the communication comparison experiments.
+``account`` prices one message of each: one exchange round sends one
+message over each directed link (two per undirected edge), a raw real
+scalar costs 64 bits, quantized entries cost their bit width, and top-k
+index entries count as scalars and ceil(log2 m) bits each.
 """
 
 import math
@@ -136,6 +140,16 @@ def eval_dt(schedule, k):
     return schedule.rows[k % len(schedule.rows)].copy()
 
 
+def _finite(grams, window):
+    """grams, or ValueError when the window has overflowed an entry: the
+    one finiteness check of every PE gram, whose builders compute with
+    float overflow silenced."""
+    if not np.isfinite(grams).all():
+        raise ValueError(f"window {window:g} overflows the PE gram")
+    return grams
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflows
 def _piecewise_grams(schedule, dwell, T, starts=None):
     """(starts, window grams over [a, a+T] for a in starts) of a schedule
     with a period table, holding each row for one dwell; by default the starts
@@ -155,10 +169,11 @@ def _piecewise_grams(schedule, dwell, T, starts=None):
     overlap = np.clip(np.minimum(a + r, edges[1:]) - np.maximum(a, edges[:-1]), 0.0, None)
     outer = rows[:, :, None] * rows[:, None, :]
     grams = np.tensordot(overlap, np.concatenate([outer, outer]), axes=1)
-    return starts, grams + np.round((T - r) / period) * dwell * outer.sum(axis=0)
+    return starts, _finite(grams + np.round((T - r) / period) * dwell * outer.sum(axis=0), T)
 
 
-def _trig_gram(schedule, kernel):
+@np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflows
+def _trig_gram(schedule, kernel, window):
     """Window gram of a trigonometric schedule, given kernel(f), the integral
     or sum of e^{ift} over the window: each entry is 2/m times half a sum of
     sinusoids at the sum and difference f of two frequencies."""
@@ -167,7 +182,7 @@ def _trig_gram(schedule, kernel):
     G = np.empty((schedule.m, schedule.m))
     G[0::2, 0::2], G[1::2, 1::2] = (diff - both).real, (diff + both).real
     G[0::2, 1::2], G[1::2, 0::2] = (both + diff).imag, (both - diff).imag
-    return G / schedule.m
+    return _finite(G / schedule.m, window)
 
 
 def _split(x):
@@ -209,7 +224,7 @@ def pe_gram_dt(schedule, start, K):
         raise ValueError(f"need window K >= 1 and start >= 0, got K={K}, start={start}")
     if schedule.rows is not None:
         return _piecewise_grams(schedule, 1, int(K), [int(start)])[1][0]
-    return _trig_gram(schedule, _dirichlet(schedule, int(start), int(K)))
+    return _trig_gram(schedule, _dirichlet(schedule, int(start), int(K)), K)
 
 
 def pe_gram_ct(schedule, start, T):
@@ -222,7 +237,7 @@ def pe_gram_ct(schedule, start, T):
         raise ValueError(f"need start >= 0, got {start}")
     if schedule.rows is None:
         return _trig_gram(schedule, lambda f: T * np.exp(1j * f * (start + T / 2))
-                          * np.sinc(f * T / (2 * np.pi)))
+                          * np.sinc(f * T / (2 * np.pi)), T)
     return _piecewise_grams(schedule, schedule.dwell, T, [start])[1][0]
 
 
@@ -244,12 +259,8 @@ class PEWitness:
 
 def _verify(starts, grams, window):
     """Witness from the smallest eigenvalue over the window grams of all
-    starts, read off one batched eigvalsh; a window whose grams overflow
-    is refused."""
-    grams = np.asarray(grams)
-    if not np.isfinite(grams).all():
-        raise ValueError(f"window {window:g} overflows the PE gram")
-    lam = np.linalg.eigvalsh(grams)
+    starts, read off one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(np.asarray(grams))
     worst = int(np.argmin(lam[:, 0]))
     alpha = float(lam[worst, 0])
     if alpha <= PE_FLOOR:
@@ -273,21 +284,19 @@ def verify_pe_ct(schedule, T):
     C(t + tau) = R(tau) C(t), R rotating each (sin, cos) pair, so every
     start's gram R G(0) R^T has the spectrum of start 0's.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # _verify refuses what overflows
-        if schedule.rows is not None and 0 < T < math.inf:
-            return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
-        return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
+    if schedule.rows is not None and 0 < T < math.inf:
+        return _verify(*_piecewise_grams(schedule, schedule.dwell, T), T)
+    return _verify([0.0], [pe_gram_ct(schedule, 0.0, T)], T)  # which rejects a bad T
 
 
 def verify_pe_dt(schedule, K):
     """Certify discrete PE over windows of K steps, exactly: every start in
     one schedule period is checked, for a trigonometric schedule start 0,
     as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _verify refuses what overflows
-        if schedule.rows is not None and K >= 1:
-            starts = np.arange(schedule.period_steps)
-            return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
-        return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
+    if schedule.rows is not None and K >= 1:
+        starts = np.arange(schedule.period_steps)
+        return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
+    return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
 
 
 def compress_unbiased(x, l, noise=None, rng=None):
@@ -394,3 +403,26 @@ class Compressor:
         if self.kind == "uniform":
             return compress_uniform(x)
         raise ValueError(f"{self.kind!r} is not a pointwise compressor")
+
+
+def account(compressor, m):
+    """Per-message cost (scalars, bits) of one state transmitted under
+    the Compressor compressor.
+
+    scalarized: 1 scalar (the projection coefficient), 64 bits.
+    none / uniform: m scalars, 64 m bits.
+    topk: k values + k indices = 2k scalars; 64k + k ceil(log2 m) bits.
+    unbiased(l): m quantized entries + the norm scalar = m + 1 scalars;
+        m l + 64 bits.
+    """
+    kind, k = compressor.kind, compressor.k
+    if kind == "scalarized":
+        return 1, 64
+    if kind in ("none", "uniform"):
+        return m, 64 * m
+    if kind == "topk":
+        if not 1 <= k <= m:
+            raise ValueError(f"topk accounting needs 1 <= k <= {m}, got {k}")
+        idx_bits = math.ceil(math.log2(m)) if m > 1 else 0
+        return 2 * k, 64 * k + idx_bits * k
+    return m + 1, m * compressor.l + 64  # unbiased

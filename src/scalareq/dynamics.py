@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, _step_clock, _trig_rows
+from .compression import Compressor, _step_clock, _trig_rows, account
 from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
@@ -510,9 +510,8 @@ def run_simulation(inst, schedule, cfg, mode):
     planted solution; the run converges at the first clock where it
     drops to cfg.tol, and raises SimulationDiverged at the first step
     whose state norm is not finite or exceeds DIVERGENCE_GUARD.
-    Communication counters follow the harness accounting convention,
-    with one exchange round per discrete step (dt) or per integrator
-    step (ct).
+    Communication counters follow compression.account, with one exchange
+    round per discrete step (dt) or per integrator step (ct).
 
     The run advances in blocks of B steps (see ``_stepper``), never past
     the horizon, in error coordinates: each block is the errors
@@ -526,8 +525,6 @@ def run_simulation(inst, schedule, cfg, mode):
     computed past the stopping step are discarded, and floating-point
     overflow in them is not reported.
     """
-    from .harness import account  # accounting convention lives with the harness
-
     n, m = inst.H.shape
     if schedule.m != m:
         raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
@@ -598,11 +595,14 @@ def run_simulation(inst, schedule, cfg, mode):
             E = fill(k, E[-1], min(B, last - k))
             k += 1
 
-    clock = int(ks[end]) * unit
+    rounds = int(ks[end])
+    clock = rounds * unit
     if bad[end]:
         at = f"step {clock}" if mode == "dt" else f"t={clock:.6g}"
         raise SimulationDiverged(f"state norm {nrm[end]:.3e} beyond guard at {at}",
-                                 clock=clock, norm=float(nrm[end]))
+                                 clock=clock, norm=float(nrm[end]),
+                                 scalars=rounds * links * msg_scalars,
+                                 bits=rounds * links * msg_bits)
     keep = np.append(np.arange(len(E))[keep], end)
     record(ks[keep], err[keep], E[keep])
     converged = bool(err[end] <= cfg.tol)

@@ -29,12 +29,16 @@ class PEVerificationFailed(ValueError):
 
 
 class SimulationDiverged(RuntimeError):
-    """State norm exceeded the divergence guard during a run."""
+    """State norm exceeded the divergence guard during a run; carries the
+    clock and norm of the first state beyond it, and the scalars and bits
+    sent up to that step."""
 
-    def __init__(self, message, clock=None, norm=None):
+    def __init__(self, message, clock=None, norm=None, scalars=None, bits=None):
         super().__init__(message)
         self.clock = clock
         self.norm = norm
+        self.scalars = scalars
+        self.bits = bits
 
 
 class ConfigError(ValueError):

@@ -1,15 +1,8 @@
-"""The typed run config, instance generation, experiment orchestration,
-communication accounting, and serialization.
-
-Communication convention: one exchange round per solver step sends one
-message over each directed link (two per undirected edge). A raw real
-scalar costs 64 bits; quantized entries cost their bit width; top-k
-index entries count as scalars and ceil(log2 m) bits each.
-"""
+"""The typed run config, instance generation, experiment orchestration
+and serialization."""
 
 import csv
 import functools
-import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -155,8 +148,9 @@ class Config:
         """The compression schedule, whose m is 2 len(frequencies) for a
         trigonometric one, the table's column count for a table one and
         instance_m otherwise; m, when given, is the dimension of the
-        instance it will drive, and a schedule of another m is refused."""
-        table = self.schedule_table_file
+        instance it will drive, and a schedule of another m is refused.
+        Only a table schedule reads schedule_table_file."""
+        table = self.schedule_table_file if self.schedule_kind == "table" else None
         if table is not None:
             try:
                 table = np.loadtxt(table, ndmin=2)
@@ -231,29 +225,6 @@ def parse_config(path):
     return config
 
 
-def account(compressor, m):
-    """Per-message cost (scalars, bits) of one state transmitted under
-    the Compressor compressor.
-
-    scalarized: 1 scalar (the projection coefficient), 64 bits.
-    none / uniform: m scalars, 64 m bits.
-    topk: k values + k indices = 2k scalars; 64k + k ceil(log2 m) bits.
-    unbiased(l): m quantized entries + the norm scalar = m + 1 scalars;
-        m l + 64 bits.
-    """
-    kind, k = compressor.kind, compressor.k
-    if kind == "scalarized":
-        return 1, 64
-    if kind in ("none", "uniform"):
-        return m, 64 * m
-    if kind == "topk":
-        if not 1 <= k <= m:
-            raise ValueError(f"topk accounting needs 1 <= k <= {m}, got {k}")
-        idx_bits = math.ceil(math.log2(m)) if m > 1 else 0
-        return 2 * k, 64 * k + idx_bits * k
-    return m + 1, m * compressor.l + 64  # unbiased
-
-
 def fit_rate(trace):
     """Least-squares slope fit of log(err) over the trailing half of a
     trace, in the closed form of centred clocks and log errors. Returns
@@ -320,20 +291,15 @@ def run_experiment(spec):
     rows = []
     for kind in spec.compressors:
         comp = config.compressor(kind)
-        msg_scalars, msg_bits = account(comp, config.instance_m)
         for s in spec.s_values or (config.run_s,):
             for seed in spec.seeds:
-                inst = instances[seed]
-                links = 2 * len(inst.graph.edges)
                 cfg = replace(base, s=s, seed=seed, compressor=comp,
                               record_every=spec.record_every)
                 try:
-                    tr = run_simulation(inst, schedule, cfg, mode)
+                    tr = run_simulation(instances[seed], schedule, cfg, mode)
                 except SimulationDiverged as exc:
-                    rounds = int(exc.clock if mode == "dt" else round(exc.clock / cfg.dt_int))
                     outcome = dict(hit_clock=cfg.horizon, converged=False,
-                                   scalars_at_hit=rounds * links * msg_scalars,
-                                   bits_at_hit=rounds * links * msg_bits,
+                                   scalars_at_hit=exc.scalars, bits_at_hit=exc.bits,
                                    rate_emp=float("nan"), final_err=float("inf"))
                 else:
                     outcome = dict(hit_clock=tr.hit_clock if tr.converged else cfg.horizon,

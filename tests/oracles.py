@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scalareq.compression import UNIT_NORM_TOL, Compressor, eval_ct, eval_dt
+from scalareq.compression import UNIT_NORM_TOL, Compressor, account, eval_ct, eval_dt
 from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange, _laplacian
 from scalareq.errors import SimulationDiverged
-from scalareq.harness import TRACE_COLUMNS, account
+from scalareq.harness import TRACE_COLUMNS
 
 
 def consensus_rhs(L, schedule, t, x):
@@ -280,7 +280,8 @@ def run_simulation_stepwise(inst, schedule, cfg, mode):
         nrm = float(np.linalg.norm(x))
         if not np.isfinite(nrm) or nrm > DIVERGENCE_GUARD:
             raise SimulationDiverged(f"state norm {nrm:.3e} beyond guard",
-                                     clock=clock_at(k), norm=nrm)
+                                     clock=clock_at(k), norm=nrm,
+                                     scalars=k * links * msg_scalars, bits=k * links * msg_bits)
 
 
 def fit_rate_polyfit(trace):

@@ -9,11 +9,11 @@ import pytest
 
 import scalareq
 from scalareq.cli import main
-from scalareq.harness import load_instance, parse_results, parse_trace
+from scalareq.harness import load_instance, parse_config, parse_results, parse_trace
 
 
-def _write_config(tmp_path, extra=""):
-    path = tmp_path / "run.cfg"
+def _write_config(tmp_path, extra="", name="run.cfg"):
+    path = tmp_path / name
     path.write_text(
         "graph.kind = cycle\n"
         "graph.n = 10\n"
@@ -28,16 +28,22 @@ def _write_config(tmp_path, extra=""):
     return str(path)
 
 
+GEN_6X2 = ("graph.kind = path\ngraph.n = 6\ninstance.m = 2\ninstance.v_star = 1 -2\n"
+           "run.seed = 1\n")
+
+
 def test_gen_writes_instance(tmp_path, capsys):
+    cfg = _write_config(tmp_path, GEN_6X2)
     out = tmp_path / "inst.txt"
-    rc = main(["gen", "--out", str(out), "--n", "6", "--m", "2",
-               "--v-star", "1,-2", "--seed", "1", "--graph", "path"])
+    rc = main(["gen", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    assert "wrote instance n=6 m=2" in capsys.readouterr().out
+    assert "wrote instance n=6 m=2 seed=1" in capsys.readouterr().out
     inst = load_instance(str(out))
     assert inst.n == 6 and inst.m == 2
     assert np.array_equal(inst.v_star, [1.0, -2.0])
     assert len(inst.graph.edges) == 5
+    # the instance that run --config simulates, drawn with run.seed
+    assert np.array_equal(inst.H, parse_config(cfg).instance().H)
 
 
 def test_run_writes_trace(tmp_path, capsys):
@@ -54,13 +60,37 @@ def test_run_writes_trace(tmp_path, capsys):
 
 def test_run_accepts_instance_file(tmp_path):
     inst_path = tmp_path / "inst.txt"
-    main(["gen", "--out", str(inst_path)])
     cfg = _write_config(tmp_path, "run.horizon = 50\nrun.tol = 1e-300\n")
+    main(["gen", "--config", cfg, "--out", str(inst_path)])
     out = tmp_path / "trace.csv"
     rc = main(["run", "--config", cfg, "--mode", "dt",
                "--instance", str(inst_path), "--out", str(out)])
     assert rc == 0
     assert len(parse_trace(str(out))) == 51
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("dt", "run.horizon = 300\n"),
+    ("ct", "run.horizon = 0.3\nrun.s = 1.0\n"),
+])
+def test_run_of_the_generated_instance_writes_the_same_trace(tmp_path, mode, extra):
+    # gen --config writes the instance that run --config simulates
+    cfg = _write_config(tmp_path, extra + "run.tol = 1e-300\n")
+    inst_path, drawn, loaded = (tmp_path / name for name in ("inst.txt", "a.csv", "b.csv"))
+    assert main(["gen", "--config", cfg, "--out", str(inst_path)]) == 0
+    assert main(["run", "--config", cfg, "--mode", mode, "--out", str(drawn)]) == 0
+    assert main(["run", "--config", cfg, "--mode", mode, "--instance", str(inst_path),
+                 "--out", str(loaded)]) == 0
+    assert drawn.read_bytes() == loaded.read_bytes()
+
+
+def test_pe_check_ignores_a_stale_table_file(tmp_path, monkeypatch, capsys):
+    # only a table schedule reads schedule.table_file (a missing one is the
+    # missing-table case of test_config_building_error_exits_2_in_one_line)
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, "schedule.table_file = nothere.txt\n")
+    assert main(["pe-check", "--config", cfg, "--window", "0.05"]) == 0
+    assert capsys.readouterr().out.startswith("PE witness: alpha=0.01 ")
 
 
 def test_run_continuous_mode(tmp_path, capsys):
@@ -244,7 +274,7 @@ def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys
 
 def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
     inst_path = tmp_path / "inst.txt"
-    main(["gen", "--out", str(inst_path), "--n", "6", "--m", "2", "--v-star", "1,-2"])
+    main(["gen", "--config", _write_config(tmp_path, GEN_6X2, "gen.cfg"), "--out", str(inst_path)])
     cfg = _write_config(tmp_path, "run.horizon = 50\n")
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -262,10 +292,9 @@ def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
      r"--instance: short\.txt, line 3: file ends before row 1"),
     (["run", "--mode", "dt", "--instance", "rank1.txt", "--out", "t.csv"], "", 2,
      r"--instance: instance invalid: "),
-    (["gen", "--m", "2", "--out", "i.txt"], None, 2,
-     r"cannot generate an instance: v_star must have length 2, got shape \(5,\)"),
-    (["gen", "--n", "1", "--out", "i.txt"], None, 2,
-     r"cannot generate an instance: need n >= m, got n=1, m=5"),
+    (["gen", "--out", "i.txt"], "instance.m = 2\n", 2,
+     r"\S*run\.cfg, line 4: instance\.v_star has 5 values but instance\.m = 2"),
+    (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m, got n=1, m=5"),
 ], ids=["diverges", "short-instance", "rank-deficient-instance", "gen-m-without-v-star",
         "gen-n-below-m"])
 def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
@@ -273,9 +302,7 @@ def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.txt").write_text("2 1\n1.0 2.0\n")
     (tmp_path / "rank1.txt").write_text("2 2\n1 1 2\n2 2 4\n0 1 1.0\nv_star 1 1\n")
-    if extra is not None:
-        argv = [argv[0], "--config", _write_config(tmp_path, "run.horizon = 50\n" + extra)] \
-            + argv[1:]
+    argv = [argv[0], "--config", _write_config(tmp_path, "run.horizon = 50\n" + extra)] + argv[1:]
     try:
         got = main(argv)
     except SystemExit as exc:

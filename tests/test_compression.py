@@ -134,14 +134,21 @@ def test_pe_gram_dt_rejects_empty_window_or_negative_start(schedule, start, K):
         pe_gram_dt(schedule, start, K)
 
 
+RESONANT = make_schedule("trigonometric", 4, dwell=1.0, frequencies=(1.5, 1.5))
+
+
 @pytest.mark.parametrize("verify, schedule", [
     (verify_pe_ct, CYCLIC5),
     (verify_pe_ct, make_schedule("trigonometric", 4, frequencies=(1.0, 2.0))),
-    (verify_pe_dt, make_schedule("trigonometric", 4, dwell=1.0, frequencies=(1.5, 1.5))),
-], ids=["ct-cyclic", "ct-trigonometric", "dt-resonant-trigonometric"])
+    (verify_pe_dt, RESONANT),
+    (lambda schedule, T: pe_gram_ct(schedule, 0.0, T), CYCLIC5),
+    (lambda schedule, K: pe_gram_dt(schedule, 0, K), RESONANT),
+], ids=["ct-cyclic", "ct-trigonometric", "dt-resonant-trigonometric", "gram-ct-cyclic",
+        "gram-dt-resonant-trigonometric"])
 def test_verify_pe_refuses_a_window_that_overflows_its_gram(verify, schedule):
     # f T, T / period or K phi / 2 overflows near the float maximum; the
-    # check names the window instead of failing inside round or eigvalsh
+    # witnesses and the public grams name the window instead of returning
+    # inf or nan grams with a RuntimeWarning (warnings fail the suite)
     with pytest.raises(ValueError, match=r"window 1\.7e\+308 overflows the PE gram"):
         verify(schedule, 1.7e308)
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scalareq.compression import Compressor, eval_ct, eval_dt, make_schedule
-from hypothesis import given, settings
+from scalareq.compression import Compressor, account, eval_ct, eval_dt, make_schedule
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalareq.dynamics as dynamics
@@ -16,7 +16,7 @@ from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compressio
                                _half_steps, _laplacian, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
-from scalareq.harness import (Config, ExperimentSpec, ProblemInstance, account, gen_instance,
+from scalareq.harness import (Config, ExperimentSpec, ProblemInstance, gen_instance,
                               run_experiment)
 
 import oracles
@@ -505,12 +505,13 @@ def test_run_simulation_counter_ledger(case):
     with pytest.raises(SimulationDiverged) as exc:
         run_simulation(inst, schedule, wild.run(mode), mode)
     rounds = round(exc.value.clock / unit)
+    assert exc.value.scalars == rounds * links * scalars
+    assert exc.value.bits == rounds * links * bits
     spec = ExperimentSpec(config=wild, mode=mode, compressors=(config.compressor_kind,),
                           seeds=(config.run_seed,))
     (row,) = run_experiment(spec)
     assert not row.converged
-    assert row.scalars_at_hit == rounds * links * scalars
-    assert row.bits_at_hit == rounds * links * bits
+    assert (row.scalars_at_hit, row.bits_at_hit) == (exc.value.scalars, exc.value.bits)
 
 
 def test_run_simulation_counts_full_vectors_without_compression(inst10):
@@ -588,6 +589,7 @@ def test_run_simulation_diverges_mid_block_without_warnings(kind, mode, s, dt_in
         run_simulation_stepwise(SCALAR_INST, sched, cfg, mode)
     assert oracle.value.clock == clock
     assert oracle.value.norm == pytest.approx(exc.value.norm, rel=1e-12)
+    assert (oracle.value.scalars, oracle.value.bits) == (exc.value.scalars, exc.value.bits)
 
 
 def test_runconfig_validation(inst10):
@@ -643,6 +645,7 @@ def _run_both(inst, sched, cfg, mode):
             run_simulation(inst, sched, cfg, mode)
         assert got.value.clock == exc.clock
         assert got.value.norm == pytest.approx(exc.norm, rel=1e-9)
+        assert (got.value.scalars, got.value.bits) == (exc.scalars, exc.bits)
         return None
     trace = run_simulation(inst, sched, cfg, mode)
     _assert_same_run(trace, oracle)
@@ -660,10 +663,23 @@ def _tol_hitting_at(full, k):
     return float(np.sqrt(full.err[k] * full.err[:k].min()))
 
 
+def _decided_alike(full, k):
+    """Whether every error trace within _assert_same_run's bound of full's
+    also first meets _tol_hitting_at(full, k) at step k. Near the rounding
+    floor the two loops' errors differ by more than the record-low margin,
+    and such a tolerance may stop either loop first."""
+    tol = _tol_hitting_at(full, k)
+    slack = 1e-12 * np.maximum(full.err[:k + 1], full.err[0])
+    return full.err[k] + slack[k] < tol and bool(np.all(full.err[:k] - slack[:k] > tol))
+
+
 RUN_KINDS = [("dt", "scalarized"), ("dt", "none"), ("dt", "topk"), ("dt", "unbiased"),
              ("dt", "uniform"), ("ct", "scalarized"), ("ct", "none")]
 
 
+# a run whose record-low steps reach the rounding floor, where the two
+# loops' errors differ by more than the record-low margin
+@example(52676306, ("dt", "scalarized"), "table", "first", 253, 1)
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(RUN_KINDS),
        st.sampled_from(["table", "cyclic-basis", "trigonometric"]),
@@ -703,7 +719,8 @@ def test_block_loop_matches_stepwise_oracle(seed, run_kind, sched_kind, where, s
         except SimulationDiverged:
             full = None
         row = 1 if where == "first" else 0
-        hits = [] if full is None else [k for k in _record_lows(full.err) if k % B == row]
+        hits = [] if full is None else [k for k in _record_lows(full.err)
+                                         if k % B == row and _decided_alike(full, k)]
         if hits:
             tol = _tol_hitting_at(full, hits[int(rng.integers(0, len(hits)))])
     _run_both(inst, sched, replace(cfg, tol=tol), mode)

@@ -1,5 +1,6 @@
 import inspect
 import re
+import shlex
 import typing
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,16 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalareq import harness
-from scalareq.compression import KINDS, Compressor, make_schedule
+from scalareq import cli, harness
+from scalareq.compression import KINDS, Compressor, account, make_schedule
 from scalareq.dynamics import RunConfig, Trace, run_simulation
 from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
 from scalareq.harness import (RESULT_COLUMNS, Config, ExperimentSpec, ProblemInstance,
-                              ResultRow, account, fit_rate, gen_instance,
-                              load_instance, parse_config, parse_results,
-                              parse_trace, run_experiment, save_instance,
-                              serialize)
+                              ResultRow, fit_rate, gen_instance, load_instance,
+                              parse_config, parse_results, parse_trace,
+                              run_experiment, save_instance, serialize)
 
 from oracles import fit_rate_polyfit, run_simulation_stepwise, serialize_trace_rows
 
@@ -517,6 +517,31 @@ def test_readme_lists_every_schedule_and_graph_kind():
     assert graphs == built
     for kind in graphs:
         assert build_graph(kind, 4).n == 4
+
+
+def test_readme_cli_lines_parse(tmp_path, monkeypatch):
+    # every `scalareq ...` line of README's CLI section parses against the
+    # CLI, with README's typical config file as run.cfg, so a flag the CLI
+    # no longer takes cannot stay in the docs; the handlers only record
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI", 1)[1].split("\n## ", 1)[0]
+    typical = readme.split("## Config format", 1)[1].split("```", 2)[1]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(typical)
+    called = []
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or 0)
+    lines = [line for line in section.replace("\\\n", " ").splitlines()
+             if line.startswith("scalareq ")]
+    for line in lines:
+        try:
+            code = cli.main(shlex.split(line)[1:])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, line
+    commands = [shlex.split(line)[1] for line in lines]
+    assert called == ["_cmd_" + c.replace("-", "_") for c in commands]
+    assert set(commands) == {"gen", "run", "compare", "bounds", "pe-check"}
 
 
 def test_run_experiment_grid():
