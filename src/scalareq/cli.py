@@ -4,6 +4,10 @@ Subcommands, each reading one config file: gen (write the config's
 instance to a file), run (single simulation to a trace CSV), compare
 (experiment grid to a results CSV), bounds (print every computable rate
 constant), pe-check (certify a schedule's persistent excitation).
+
+main owns the exit policy: a bad value or file (ValueError, OSError)
+exits 2 with one "scalareq: error:" line. A diverged run and a pe-check
+FAIL exit 1; an internal RuntimeError keeps its traceback.
 """
 
 import argparse
@@ -12,7 +16,7 @@ import sys
 import numpy as np
 
 from .compression import verify_pe_ct, verify_pe_dt
-from .errors import ConfigError, PEVerificationFailed, SimulationDiverged
+from .errors import PEVerificationFailed, SimulationDiverged
 from .harness import (ExperimentSpec, load_instance, parse_config, parse_list,
                       run_experiment, save_instance, serialize)
 from .linalg import spectral_constants
@@ -41,7 +45,7 @@ def _cmd_run(args):
         try:
             inst = load_instance(args.instance)
         except ValueError as exc:  # malformed file, or one that holds no valid instance
-            raise ConfigError(f"--instance: {exc}") from exc
+            raise ValueError(f"--instance: {exc}") from exc
     else:
         inst = config.instance()
     schedule = config.schedule(inst.m)
@@ -107,9 +111,9 @@ def _cmd_bounds(args):
 
 def _cmd_pe_check(args):
     if not 0 < args.window < np.inf:
-        raise ConfigError(f"--window {args.window:g} is not finite and positive")
+        raise ValueError(f"--window {args.window:g} is not finite and positive")
     if args.domain == "dt" and not args.window.is_integer():
-        raise ConfigError(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
+        raise ValueError(f"--window {args.window:g} is not a whole number of steps (--domain dt)")
     schedule = args.config.schedule()
     try:
         witness = (verify_pe_ct(schedule, args.window) if args.domain == "ct"
@@ -119,8 +123,6 @@ def _cmd_pe_check(args):
         if exc.eigenvalues is not None:
             print("gram eigenvalues:", " ".join(f"{v:.3e}" for v in exc.eigenvalues))
         return 1
-    except ValueError as exc:  # a window whose gram overflows
-        raise ConfigError(str(exc)) from exc
     print(f"PE witness: alpha={witness.alpha!r} window={witness.window!r}")
     return 0
 
@@ -169,7 +171,7 @@ def main(argv=None):
     try:
         args.config = parse_config(args.config)
         return args.func(args)
-    except (OSError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -39,8 +39,3 @@ class SimulationDiverged(RuntimeError):
         self.norm = norm
         self.scalars = scalars
         self.bits = bits
-
-
-class ConfigError(ValueError):
-    """A config file does not parse, or its values do not build an
-    instance, schedule, compressor or run; the message says where."""

@@ -57,15 +57,11 @@ class WeightedGraph:
 
     def component_of(self, start):
         """Set of nodes reachable from ``start`` (iterative traversal)."""
-        adj = {i: [] for i in range(self.n)}
-        for (i, j, _) in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
         seen = {start}
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v, _ in self.neighbor_lists[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

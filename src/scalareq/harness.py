@@ -2,7 +2,6 @@
 and serialization."""
 
 import csv
-import functools
 import typing
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -11,7 +10,7 @@ import numpy as np
 
 from .compression import Compressor, CompressionSchedule
 from .dynamics import RunConfig, Trace, run_simulation
-from .errors import ConfigError, RankDeficientError, SimulationDiverged
+from .errors import RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
 from .linalg import rank_check
 
@@ -95,17 +94,6 @@ def parse_list(text, cast=str):
     return tuple(cast(tok) for tok in text.replace(",", " ").split())
 
 
-def _builds(method):
-    """Raise the ValueError or OSError of a Config factory method as ConfigError."""
-    @functools.wraps(method)
-    def build(self, *args):
-        try:
-            return method(self, *args)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    return build
-
-
 @dataclass(frozen=True)
 class Config:
     """Every setting of a run, one field per config-file key.
@@ -113,7 +101,7 @@ class Config:
     The key of a field is its name with the first '_' read as '.'
     (run_horizon <-> run.horizon). run_horizon = None means 20 000
     steps (dt) or 50.0 time units (ct).
-    The methods instance, schedule, compressor and run raise ConfigError
+    The methods instance, schedule, compressor and run raise ValueError
     when the values do not make a valid object.
     """
 
@@ -136,14 +124,12 @@ class Config:
     run_horizon: float | None = None
     run_dt_int: float = 1e-3
 
-    @_builds
     def instance(self, seed=None):
         """The planted instance drawn from seed (default run_seed)."""
         return gen_instance(self.graph_n, self.instance_m, self.instance_v_star,
                             self.graph_kind, self.run_seed if seed is None else seed,
                             self.graph_weight)
 
-    @_builds
     def schedule(self, m=None):
         """The compression schedule, whose m is 2 len(frequencies) for a
         trigonometric one, the table's column count for a table one and
@@ -167,13 +153,11 @@ class Config:
             raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
         return schedule
 
-    @_builds
     def compressor(self, kind=None):
         """The compressor of the given kind (default compressor_kind)."""
         return Compressor(kind or self.compressor_kind,
                           l=self.compressor_l, k=self.compressor_k)
 
-    @_builds
     def run(self, mode):
         """The RunConfig of one run in mode 'dt' or 'ct'."""
         horizon = self.run_horizon
@@ -199,7 +183,7 @@ def _convert(kind, text):
 def parse_config(path):
     """Read 'key = value' lines ('#' starts a comment) into a Config. An
     unknown key, a line without '=', a value of the wrong type or a v_star
-    of the wrong length raises ConfigError naming the line."""
+    of the wrong length raises ValueError naming the line."""
     values, where = {}, {}
     with open(path) as fh:
         for no, raw in enumerate(fh, 1):
@@ -208,20 +192,20 @@ def parse_config(path):
                 continue
             key, eq, text = (part.strip() for part in line.partition("="))
             if not eq:
-                raise ConfigError(f"{path}, line {no}: expected 'key = value', got {line!r}")
+                raise ValueError(f"{path}, line {no}: expected 'key = value', got {line!r}")
             if key not in _KEYS:
-                raise ConfigError(f"{path}, line {no}: unknown key {key!r}")
+                raise ValueError(f"{path}, line {no}: unknown key {key!r}")
             name = _KEYS[key].name
             try:
                 values[name] = _convert(_KEYS[key].type, text)
             except ValueError as exc:
-                raise ConfigError(f"{path}, line {no}: bad value for {key}: {exc}") from None
+                raise ValueError(f"{path}, line {no}: bad value for {key}: {exc}") from None
             where[name] = no
     config = Config(**values)
     if len(config.instance_v_star) != config.instance_m:
         no = where.get("instance_v_star", where.get("instance_m"))
-        raise ConfigError(f"{path}, line {no}: instance.v_star has {len(config.instance_v_star)} "
-                          f"values but instance.m = {config.instance_m}")
+        raise ValueError(f"{path}, line {no}: instance.v_star has {len(config.instance_v_star)} "
+                         f"values but instance.m = {config.instance_m}")
     return config
 
 
@@ -432,8 +416,8 @@ def save_instance(inst, path):
 def load_instance(path):
     """Read an instance file written by :func:`save_instance`.
 
-    A file that is empty, ends early, or holds a malformed or
-    non-numeric line raises ValueError naming the line.
+    A file that is empty, ends early, holds a malformed or non-numeric
+    line, or has a line after v_star raises ValueError naming the line.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -464,14 +448,15 @@ def load_instance(path):
         H[i] = vals[:m]
         b[i] = vals[m]
     edges = []
-    v_star = None
     for i in range(1 + n, len(lines)):
         toks = lines[i][1]
         if toks[0] == "v_star":
             v_star = np.array(fields(i, "the v_star line", (str,) + (float,) * m)[1:])
+            if i + 1 < len(lines):
+                fail(lines[i + 1][0], "unexpected line after the v_star line")
             break
         edges.append(tuple(fields(i, "edge", (int, int, float))))
-    if v_star is None:
+    else:
         fail(len(raw) + 1, "file ends before the v_star line")
     graph = WeightedGraph(n=n, edges=tuple(edges))
     return ProblemInstance(H=H, b=b, graph=graph, v_star=v_star, seed=None)

@@ -255,21 +255,62 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
     (["run", "--mode", "dt", "--out", "t.csv"], "graph.kind = custom\n",
      "unknown graph kind 'custom'"),
     (["bounds"], "graph.kind = custom\n", "unknown graph kind 'custom'"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.h = 5.0\n",
+     "stepsize h=5.0 violates h < 2/lambda_n = 0.5"),
+    (["bounds"], "run.h = 5.0\n", "need 0 < h < 2/lambda_n = 0.5, got 5.0"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "compressor.kind = topk\ncompressor.k = 9\n",
+     "topk accounting needs 1 <= k <= 5, got 9"),
+    (["run", "--mode", "ct", "--out", "t.csv"], "compressor.kind = topk\ncompressor.k = 2\n",
+     "continuous runs support the scalarized or none compressors only"),
+    (["compare", "--mode", "ct", "--seeds", "0", "--out", "r.csv"], "run.dt_int = 0.003\n",
+     "dt_int=0.003 must subdivide the schedule dwell 0.01"),
+    (["compare", "--mode", "dt", "--seeds", "0", "--record-every", "0", "--out", "r.csv"], "",
+     "record_every must be >= 1"),
+    (["compare", "--mode", "dt", "--seeds", "0", "--s-list", "-1", "--out", "r.csv"], "",
+     "need s >= 0, got -1.0"),
+    (["bounds"], "run.s = 0\n", "need s > 0, got 0.0"),
+    (["bounds"], "schedule.kind = table\nschedule.table_file = {rows2}\n",
+     "schedule is not persistently exciting"),
+    (["bounds"], "graph.n = 1\ninstance.m = 1\ninstance.v_star = 2\n",
+     "spectral analysis needs n >= 2"),
 ], ids=["dt-horizon", "run-topk-without-k", "compare-topk-without-k", "n-below-m",
         "missing-table", "malformed-table", "trig-without-frequencies",
-        "run-identity-schedule", "run-custom-graph", "bounds-custom-graph"])
+        "run-identity-schedule", "run-custom-graph", "bounds-custom-graph",
+        "run-h-unstable", "bounds-h-unstable", "run-topk-k-above-m", "run-ct-topk",
+        "compare-ct-dt-int", "compare-record-every-0", "compare-negative-s", "bounds-s-0",
+        "bounds-not-exciting-table", "bounds-one-node"])
 def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys,
                                                   command, extra, message):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 x\n")
-    cfg = _write_config(tmp_path, "run.horizon = 20\n" + extra.format(bad=bad))
+    rows2 = tmp_path / "rows2.txt"  # e1, e2 of m = 5: not persistently exciting
+    rows2.write_text("1 0 0 0 0\n0 1 0 0 0\n")
+    cfg = _write_config(tmp_path, "run.horizon = 20\n" + extra.format(bad=bad, rows2=rows2))
     with pytest.raises(SystemExit) as exc:
         main([command[0], "--config", cfg] + command[1:])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"scalareq: error: {message.format(bad=bad)}")
+
+
+def test_internal_error_keeps_its_traceback(tmp_path, monkeypatch):
+    # a failed consistency check is the program's fault, not the user's
+    monkeypatch.setattr(scalareq.theory, "TELESCOPE_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="grammian telescoping identity violated"):
+        main(["bounds", "--config", _write_config(tmp_path)])
+
+
+def test_module_entry_exits_2_in_one_line(tmp_path):
+    cfg = _write_config(tmp_path, "run.h = 5.0\n")
+    src = str(Path(scalareq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "scalareq.cli", "bounds", "--config", cfg],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("scalareq: error: need 0 < h < 2/lambda_n = 0.5, got 5.0")
 
 
 def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
@@ -295,13 +336,16 @@ def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
     (["gen", "--out", "i.txt"], "instance.m = 2\n", 2,
      r"\S*run\.cfg, line 4: instance\.v_star has 5 values but instance\.m = 2"),
     (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m, got n=1, m=5"),
+    (["run", "--mode", "dt", "--instance", "tail.txt", "--out", "t.csv"], "", 2,
+     r"--instance: tail\.txt, line 8: unexpected line after the v_star line"),
 ], ids=["diverges", "short-instance", "rank-deficient-instance", "gen-m-without-v-star",
-        "gen-n-below-m"])
+        "gen-n-below-m", "edge-after-v-star"])
 def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
                                            argv, extra, code, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.txt").write_text("2 1\n1.0 2.0\n")
     (tmp_path / "rank1.txt").write_text("2 2\n1 1 2\n2 2 4\n0 1 1.0\nv_star 1 1\n")
+    (tmp_path / "tail.txt").write_text("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n")
     argv = [argv[0], "--config", _write_config(tmp_path, "run.horizon = 50\n" + extra)] + argv[1:]
     try:
         got = main(argv)

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalareq.compression import (CompressionSchedule, Compressor, PEWitness,
-                                  compress_topk, compress_unbiased,
-                                  compress_uniform, eval_ct, eval_dt,
-                                  make_schedule, pe_gram_ct, pe_gram_dt,
+from scalareq.compression import (Compressor, PEWitness, compress_topk,
+                                  compress_unbiased, compress_uniform, eval_ct,
+                                  eval_dt, make_schedule, pe_gram_ct, pe_gram_dt,
                                   verify_pe_ct, verify_pe_dt)
 from scalareq.errors import PEVerificationFailed
 

@@ -346,8 +346,10 @@ def test_load_instance_rejects_missing_solution(tmp_path):
     ("2 1\n1.0 2.0\n3.0\n", "line 3: row 1 needs 2 values, got 1"),
     ("2 1\n1.0 2.0\n3.0 6.0\n0 one 1.0\nv_star 2.0\n", "line 4: edge has a non-numeric"),
     ("2 1\n1.0 2.0\n3.0 6.0\n0 1 1.0\nv_star\n", "line 5: the v_star line needs 2 values"),
+    ("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n",
+     "line 8: unexpected line after the v_star line"),
 ], ids=["empty", "comments-only", "short", "header-text", "row-text", "row-width",
-        "edge-text", "v_star-width"])
+        "edge-text", "v_star-width", "edge-after-v_star"])
 def test_load_instance_names_the_bad_line(tmp_path, text, where):
     path = tmp_path / "broken.txt"
     path.write_text(text)
