@@ -11,6 +11,7 @@ FAIL exit 1; an internal RuntimeError keeps its traceback.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -127,7 +128,10 @@ def _cmd_pe_check(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process. Each subcommand's
+    handler is looked up by name when it runs (see main)."""
     parser = argparse.ArgumentParser(
         prog="scalareq",
         description="Distributed network linear-equation solvers with "
@@ -138,14 +142,12 @@ def main(argv=None):
     p = sub.add_parser("gen", help="generate and save the instance of a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run one simulation and write its trace CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True, choices=["ct", "dt"])
     p.add_argument("--instance", help="instance file (defaults to config-driven generation)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="run an experiment grid and write results CSV")
     p.add_argument("--config", required=True)
@@ -155,22 +157,23 @@ def main(argv=None):
     p.add_argument("--seeds", type=_list_of(int), default=ExperimentSpec.seeds)
     p.add_argument("--record-every", type=int, default=ExperimentSpec.record_every)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("bounds", help="print rate constants for a config")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("pe-check", help="verify persistent excitation of a schedule")
     p.add_argument("--config", required=True)
     p.add_argument("--domain", default="ct", choices=["ct", "dt"])
     p.add_argument("--window", type=float, required=True)
-    p.set_defaults(func=_cmd_pe_check)
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         args.config = parse_config(args.config)
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

@@ -61,13 +61,13 @@ class CompressionSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {KINDS}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got {self.m}")
-        if self.dwell is not None and self.dwell <= 0:
+        if self.dwell is not None and not self.dwell > 0:
             raise ValueError(f"need dwell > 0, got {self.dwell}")
         if self.kind == "trigonometric":
             if not self.frequencies:
                 raise ValueError("trigonometric schedule needs at least one frequency")
             object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-            if any(f <= 0 for f in self.frequencies):
+            if not all(f > 0 for f in self.frequencies):
                 raise ValueError("frequencies must be positive")
             if self.m != 2 * len(self.frequencies):
                 raise ValueError(

@@ -32,9 +32,11 @@ maps D_k = D0 - h (L (x) C_k C_k^T), built a chunk at a time by one
 product of the chunk's C_k C_k^T coefficients with a table read off the
 exchange on the identity basis: a dt step is one matrix-vector product,
 a ct RK4 step four, with C at every stage time. Every other run steps
-its exact states, each step one map of the whole state. The
-node-by-node step, the right-hand sides and the RK4 integrator that the
-tests compare against live in tests/oracles.py.
+its exact states through the one solver field ``_drift``, with h L and
+s H bound once per run, and writes each step of the whole state
+straight into its row of the block. The node-by-node step, the
+right-hand sides and the RK4 integrator that the tests compare against
+live in tests/oracles.py.
 """
 
 import itertools
@@ -48,12 +50,15 @@ from .errors import SimulationDiverged
 DIVERGENCE_GUARD = 1e12
 # Largest n m whose periodic runs step through cached dense one-step
 # maps rather than applying the structured operator. Measured per step
-# on a 2-vCPU x86 host with one BLAS thread (cycle graph, cyclic-basis
-# schedule): dt dense 6.7 / 14.1 / 26 us against structured 10.9 / 11.7 /
-# 12.0 us at n m = 200 / 250 / 300. The four-stage ct step crosses later
-# (dense 46 vs structured 67 us at n m = 500, 97 vs 60 us at 600), since
-# its maps stay cache-resident for a whole dwell. The constant sits at
-# the dt crossover, where one period of maps still takes a few MB.
+# of whole 2000-step dt and 1000-step ct runs, bookkeeping included, best
+# of 7 interleaved (2-vCPU x86 host, one BLAS thread, cycle graph, m = 5,
+# cyclic-basis schedule, dwell 0.01, dt_int 1e-3): dt dense 11.0 / 12.4 /
+# 24.2 / 38.5 us against structured 12.4 / 12.7 / 13.0 / 14.5 us at
+# n m = 150 / 200 / 250 / 300, crossing near 200; the four-stage ct step
+# crosses later, dense 35.0 / 56.4 / 76.9 us against structured 57.9 /
+# 76.4 / 69.6 us at 250 / 300 / 350. The constant sits between the two
+# crossovers: moving it to either one slows the other mode's runs in
+# between by up to about 2x.
 DENSE_MAX_DIM = 256
 # A block holds at most BLOCK_ELEMENTS state entries (B n m) and at most
 # MAX_BLOCK steps, since a run computes up to B - 1 states past its
@@ -101,16 +106,17 @@ class RunConfig:
     record_every: int = 1
 
     def validate(self, schedule, mode, lambda_n=None):
-        if self.tol <= 0 or self.dt_int <= 0 or self.horizon <= 0:
-            raise ValueError("tol, dt_int and horizon must be positive")
-        if self.s < 0:
+        # each check is written so that nan fails it
+        if not (self.tol > 0 and self.dt_int > 0 and 0 < self.horizon < np.inf):
+            raise ValueError("tol, dt_int and horizon must be positive, and horizon finite")
+        if not self.s >= 0:
             raise ValueError(f"need s >= 0, got {self.s}")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
         if mode == "dt":
-            if self.h <= 0:
+            if not self.h > 0:
                 raise ValueError(f"need h > 0, got {self.h}")
-            if lambda_n is not None and self.h * lambda_n >= 2.0:
+            if lambda_n is not None and not self.h * lambda_n < 2.0:
                 raise ValueError(
                     f"stepsize h={self.h} violates h < 2/lambda_n = {2.0 / lambda_n:.6g}"
                 )
@@ -173,14 +179,18 @@ def _exchange(L, X, C):
     return (L @ (X @ C)[..., None]) * C
 
 
-def _drift(L, H, b, C, h, s, X):
-    """-h (L (x) C C^T) x - s (H_i^T x_i - b_i) H_i on stacked states X.
+def _drift(hL, sH, H, b, C, X, out=None):
+    """-(hL (x) C C^T) x - (H_i^T x_i - b_i) sH_i on stacked states X, with
+    the scalings hL = h L and sH = s H bound once by the caller.
 
-    h = 1 is the continuous solver field and h * field the discrete
-    solver increment; b = 0 gives the linear part alone.
+    h = 1 gives the continuous solver field, and the step size h the
+    discrete solver increment; b = 0 gives the linear part alone. The
+    drift is written into out when given, which must not overlap X.
     """
-    r = (X * H).sum(axis=-1) - b
-    return -h * _exchange(L, X, C) - s * r[..., None] * H
+    r = np.einsum("...ij,ij->...i", X, H) - b
+    out = np.multiply(r[..., None], sH, out=out)
+    out += _exchange(hL, X, C)
+    return np.negative(out, out=out)
 
 
 def _laplacian(inst):
@@ -228,26 +238,34 @@ def _compression(schedule, cfg, mode):
 
 
 def _advance(L, H, cfg, mode, rng=None):
-    """advance(C, X, b): one solver step of the stacked states X, which
-    may carry leading batch axes: discrete step, or RK4 step of length
-    dt_int, with C the step's entry of ``_compression``. A baseline
+    """advance(C, X, b, out=None): one solver step of the stacked states
+    X, which may carry leading batch axes, written into out when given:
+    discrete step, or RK4 step of length dt_int, with C the step's entry
+    of ``_compression``. h L and s H are bound once here. A baseline
     compressor Q steps X - h L Q(X) - s r H, its noise drawn from rng."""
     h, s, dt = cfg.h, cfg.s, cfg.dt_int
     if cfg.compressor.kind in Compressor.BASELINES:
         Q = cfg.compressor.apply
         # this order of evaluation fixes the last bits of baseline traces
-        return lambda C, X, b: (X - h * (L @ Q(X, rng))
-                                - s * ((X * H).sum(axis=-1) - b)[..., None] * H)
+        return lambda C, X, b, out=None: np.subtract(
+            X - h * (L @ Q(X, rng)), s * ((X * H).sum(axis=-1) - b)[..., None] * H, out=out)
+    sH = s * H
     if mode == "dt":
-        return lambda C, X, b: X + _drift(L, H, b, C, h, s, X)
+        hL = h * L
 
-    def advance(C, X, b):
+        def advance(C, X, b, out=None):
+            out = _drift(hL, sH, H, b, C, X, out)
+            out += X
+            return out
+        return advance
+
+    def advance(C, X, b, out=None):
         C1, C2, C4 = (None, None, None) if C is None else C
-        k1 = _drift(L, H, b, C1, 1.0, s, X)
-        k2 = _drift(L, H, b, C2, 1.0, s, X + 0.5 * dt * k1)
-        k3 = _drift(L, H, b, C2, 1.0, s, X + 0.5 * dt * k2)
-        k4 = _drift(L, H, b, C4, 1.0, s, X + dt * k3)
-        return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _drift(L, sH, H, b, C1, X)
+        k2 = _drift(L, sH, H, b, C2, X + 0.5 * dt * k1)
+        k3 = _drift(L, sH, H, b, C2, X + 0.5 * dt * k2)
+        k4 = _drift(L, sH, H, b, C4, X + dt * k3)
+        return np.add(X, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=out)
     return advance
 
 
@@ -305,14 +323,16 @@ def _affine_step(L, H, b, cfg, mode, C):
     n, m = H.shape
     d = n * m
     basis, zero, eye = np.eye(d).reshape(d, n, m), np.zeros((n, m)), np.eye(d)
+    sH = cfg.s * H
     if mode == "dt":
-        return (eye + _drift(L, H, 0.0, C, cfg.h, cfg.s, basis).reshape(d, d),
-                _drift(L, H, b, C, cfg.h, cfg.s, zero).reshape(d))
-    Z = cfg.dt_int * _drift(L, H, 0.0, C, 1.0, cfg.s, basis).reshape(d, d)
+        hL = cfg.h * L
+        return (eye + _drift(hL, sH, H, 0.0, C, basis).reshape(d, d),
+                _drift(hL, sH, H, b, C, zero).reshape(d))
+    Z = cfg.dt_int * _drift(L, sH, H, 0.0, C, basis).reshape(d, d)
     Q = eye + Z / 4.0
     for j in (3.0, 2.0):
         Q = eye + (Z / j) @ Q
-    g = _drift(L, H, b, C, 1.0, cfg.s, zero).reshape(d)
+    g = _drift(L, sH, H, b, C, zero).reshape(d)
     return eye + Z @ Q, cfg.dt_int * (g @ Q)
 
 
@@ -376,13 +396,14 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
     a, b = np.triu_indices(m)
     h = cfg.h if mode == "dt" else 1.0
     table = np.empty((len(a) + 1, d * d))
-    table[0] = _drift(L, H, 0.0, np.zeros(m), h, cfg.s, basis).reshape(-1)
+    hL, sH = h * L, cfg.s * H
+    table[0] = _drift(hL, sH, H, 0.0, np.zeros(m), basis).reshape(-1)
     single = [_exchange(L, basis, e).reshape(-1) for e in unit]
     for p, (i, j) in enumerate(zip(a, b), start=1):
         table[p] = single[i] if i == j else (_exchange(L, basis, unit[i] + unit[j]).reshape(-1)
                                              - single[i] - single[j])
     table[1:] *= -h
-    g = _drift(L, H, inst.b, np.zeros(m), h, cfg.s, zero).reshape(-1)
+    g = _drift(hL, sH, H, inst.b, np.zeros(m), zero).reshape(-1)
     if mode == "dt":
         table[0] += np.eye(d).reshape(-1)
     else:
@@ -487,11 +508,12 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
         advance, C_of = _advance(lap, inst.H, cfg, mode, rng), _compression(schedule, cfg, mode)
 
         def steps(k, x, out):
-            x = x.reshape(n, m)
+            # each step straight into its block row; the last state is
+            # copied, since fill shifts the block by origin
+            x, rows = x.reshape(n, m), out.reshape(len(out), n, m)
             for j, C in enumerate(C_of(k, len(out))):
-                x = advance(C, x, inst.b)
-                out[j] = x.reshape(-1)
-            return x
+                x = advance(C, x, inst.b, rows[j])
+            return x.copy()
     end = [None, None]  # step and exact state of the last row returned
 
     def fill(k, z, count):
@@ -577,7 +599,7 @@ def run_simulation(inst, schedule, cfg, mode):
         while True:
             ks = np.arange(k, k + len(E))
             err = norms(E) / n
-            bad = np.zeros(len(E), dtype=bool)
+            stop, bad = err <= cfg.tol, None
             # ||x|| <= n err + ||1 (x) v*||: below half the guard no state of
             # the block can fail it; otherwise (NaN and inf too) take the
             # exact norms. The initial state, alone in the first block, is
@@ -585,7 +607,8 @@ def run_simulation(inst, schedule, cfg, mode):
             if not n * err.max() + ref_norm < DIVERGENCE_GUARD / 2:
                 nrm = norms(E + ref)
                 bad = ~(nrm <= DIVERGENCE_GUARD) & (k > 0)
-            stops = np.flatnonzero(bad | (err <= cfg.tol))
+                stop |= bad
+            stops = np.flatnonzero(stop)
             end = stops[0] if stops.size else last - k  # no block passes the horizon
             keep = slice(-k % cfg.record_every, end, cfg.record_every)
             if end < len(E):
@@ -597,7 +620,7 @@ def run_simulation(inst, schedule, cfg, mode):
 
     rounds = int(ks[end])
     clock = rounds * unit
-    if bad[end]:
+    if bad is not None and bad[end]:
         at = f"step {clock}" if mode == "dt" else f"t={clock:.6g}"
         raise SimulationDiverged(f"state norm {nrm[end]:.3e} beyond guard at {at}",
                                  clock=clock, norm=float(nrm[end]),

@@ -173,17 +173,28 @@ class Config:
 _KEYS = {f.name.replace("_", ".", 1): f for f in fields(Config)}
 
 
+def _finite_float(text):
+    """float(text), refusing nan and inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _convert(kind, text):
     casts = [t for t in typing.get_args(kind) if t is not type(None)]
+    cast = casts[0] if casts else kind
+    cast = _finite_float if cast is float else cast
     if typing.get_origin(kind) is tuple:
-        return parse_list(text, casts[0])
-    return (casts[0] if casts else kind)(text)
+        return parse_list(text, cast)
+    return cast(text)
 
 
 def parse_config(path):
     """Read 'key = value' lines ('#' starts a comment) into a Config. An
-    unknown key, a line without '=', a value of the wrong type or a v_star
-    of the wrong length raises ValueError naming the line."""
+    unknown key, a line without '=', a value of the wrong type (nan and
+    inf for a float) or a v_star of the wrong length raises ValueError
+    naming the line."""
     values, where = {}, {}
     with open(path) as fh:
         for no, raw in enumerate(fh, 1):

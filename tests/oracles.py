@@ -57,7 +57,7 @@ def solver_ct_rhs(inst, schedule, s, t, x):
     full exchange."""
     X = np.asarray(x, dtype=float).reshape(inst.H.shape)
     C = None if schedule is None else eval_ct(schedule, t)
-    return _drift(_laplacian(inst), inst.H, inst.b, C, 1.0, s, X).reshape(-1)
+    return _drift(_laplacian(inst), s * inst.H, inst.H, inst.b, C, X).reshape(-1)
 
 
 def _check_unit(C):

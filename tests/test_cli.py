@@ -273,12 +273,27 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
      "schedule is not persistently exciting"),
     (["bounds"], "graph.n = 1\ninstance.m = 1\ninstance.v_star = 2\n",
      "spectral analysis needs n >= 2"),
+    # a non-finite float is refused with its file, line and key ({bad.parent}
+    # is the directory of the config file)
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.h = nan\n",
+     "{bad.parent}/run.cfg, line 10: bad value for run.h: nan is not a finite number"),
+    (["run", "--mode", "ct", "--out", "t.csv"], "schedule.dwell = nan\n",
+     "{bad.parent}/run.cfg, line 10: bad value for schedule.dwell: nan is not a finite number"),
+    (["run", "--mode", "ct", "--out", "t.csv"], "run.dt_int = nan\n",
+     "{bad.parent}/run.cfg, line 10: bad value for run.dt_int: nan is not a finite number"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.tol = NaN\n",
+     "{bad.parent}/run.cfg, line 10: bad value for run.tol: NaN is not a finite number"),
+    (["bounds"], "run.s = inf\n",
+     "{bad.parent}/run.cfg, line 10: bad value for run.s: inf is not a finite number"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "instance.v_star = 2 1 -inf 4 -1\n",
+     "{bad.parent}/run.cfg, line 10: bad value for instance.v_star: -inf is not a finite number"),
 ], ids=["dt-horizon", "run-topk-without-k", "compare-topk-without-k", "n-below-m",
         "missing-table", "malformed-table", "trig-without-frequencies",
         "run-identity-schedule", "run-custom-graph", "bounds-custom-graph",
         "run-h-unstable", "bounds-h-unstable", "run-topk-k-above-m", "run-ct-topk",
         "compare-ct-dt-int", "compare-record-every-0", "compare-negative-s", "bounds-s-0",
-        "bounds-not-exciting-table", "bounds-one-node"])
+        "bounds-not-exciting-table", "bounds-one-node", "run-h-nan", "run-ct-dwell-nan",
+        "run-ct-dt-int-nan", "run-tol-nan", "bounds-s-inf", "run-v-star-inf"])
 def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys,
                                                   command, extra, message):
     monkeypatch.chdir(tmp_path)
@@ -311,6 +326,32 @@ def test_module_entry_exits_2_in_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("scalareq: error: need 0 < h < 2/lambda_n = 0.5, got 5.0")
+
+
+def test_consecutive_main_calls_in_one_process_both_succeed(tmp_path, capsys):
+    # main builds its parser once per process; a second call with another
+    # subcommand parses its own flags and runs its own handler
+    cfg = _write_config(tmp_path, "run.horizon = 20\n")
+    assert main(["bounds", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, "--mode", "dt", "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["pe-check", "--config", cfg, "--window", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "s_star = " in out and "21 rows" in out and "PE witness: alpha=" in out
+
+
+def test_import_loads_no_third_party_module_but_numpy(tmp_path):
+    # CI installs numpy alone; a module another package provides (scipy, say)
+    # would import here, where it may be installed, and fail only there
+    src = str(Path(scalareq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import scalareq, scalareq.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "scalareq"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "scalareq"} == set()
 
 
 def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):

@@ -271,8 +271,8 @@ def _trig_reference(inst, sched, cfg, mode):
         return reference_step(inst, sched, cfg, mode, None)
     n, m = inst.H.shape
     L = inst.spectrum.L
-    return lambda k, x: (x.reshape(n, m) + _drift(L, inst.H, inst.b, eval_dt(sched, k),
-                                                  cfg.h, cfg.s, x.reshape(n, m))).reshape(-1)
+    return lambda k, x: (x.reshape(n, m) + _drift(cfg.h * L, cfg.s * inst.H, inst.H, inst.b,
+                                                  eval_dt(sched, k), x.reshape(n, m))).reshape(-1)
 
 
 @pytest.mark.parametrize("mode, kind, sched, n", [
@@ -612,6 +612,25 @@ def test_runconfig_validation(inst10):
         RunConfig().validate(SCHED5, "st", lam_n)
 
 
+@pytest.mark.parametrize("mode, setting, match", [
+    ("dt", {"tol": np.nan}, "positive"), ("ct", {"dt_int": np.nan}, "positive"),
+    ("dt", {"horizon": np.nan}, "positive"), ("dt", {"s": np.nan}, "s >= 0"),
+    ("dt", {"h": np.nan}, "h > 0"), ("ct", {"horizon": np.inf}, "horizon finite"),
+], ids=["tol", "dt_int", "horizon", "s", "h", "horizon-inf"])
+def test_runconfig_refuses_non_finite_settings(inst10, mode, setting, match):
+    # nan fails every comparison, so each check must be one that nan fails;
+    # an infinite horizon has no last step
+    with pytest.raises(ValueError, match=match):
+        RunConfig(**setting).validate(SCHED5, mode, inst10.spectrum.lambda_n)
+
+
+def test_schedule_refuses_nan_dwell_and_frequency():
+    with pytest.raises(ValueError, match="dwell > 0"):
+        make_schedule("cyclic-basis", 5, dwell=np.nan)
+    with pytest.raises(ValueError, match="positive"):
+        make_schedule("trigonometric", 4, frequencies=(1.0, np.nan))
+
+
 def test_trace_invariants():
     with pytest.raises(ValueError, match="increasing"):
         Trace(clock=[0.0, 0.0], err=[1.0, 1.0], disagreement=[0.0, 0.0],
@@ -724,6 +743,44 @@ def test_block_loop_matches_stepwise_oracle(seed, run_kind, sched_kind, where, s
         if hits:
             tol = _tol_hitting_at(full, hits[int(rng.integers(0, len(hits)))])
     _run_both(inst, sched, replace(cfg, tol=tol), mode)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dt", "ct"]),
+       st.sampled_from(["scalarized", "none"]), st.sampled_from(["first", "last", "random"]),
+       st.integers(1, 200), st.integers(1, 40))
+def test_structured_fill_matches_stepwise_oracle(seed, mode, kind, where, steps, every):
+    # random connected networks above DENSE_MAX_DIM, where a linear run
+    # writes each whole-state step straight into its block row, against
+    # the node loop (dt) or RK4 of solver_ct_rhs (ct), stopping on the
+    # first or last row of a block or at a random record low. The runs
+    # must stop at the same step with errors within _assert_same_run's
+    # 1e-12 of max(err, err0): h lambda_n and s max ||h_i||^2 are below
+    # 0.95, so no step expands the errors, and the two loops' rounding
+    # differences (a few ulps of the state per step, summed in another
+    # order) add up over at most 200 steps to below 1e-13 of the error
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 7))
+    n = DENSE_MAX_DIM // m + int(rng.integers(1, 8))
+    inst = _random_instance(rng, n, m)
+    table = rng.standard_normal((int(rng.integers(1, 7)), m))
+    table /= np.linalg.norm(table, axis=1, keepdims=True)
+    sched = make_schedule("table", m, dwell=0.05, table=table)
+    if mode == "ct":
+        steps = 1 + steps // 3
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) / inst.spectrum.lambda_n,
+                    s=float(rng.uniform(0.05, 0.95)) / float((inst.H**2).sum(axis=1).max()),
+                    dt_int=0.01, horizon=steps if mode == "dt" else steps * 0.01, tol=1e-300,
+                    compressor=Compressor(kind), seed=int(rng.integers(0, 1000)),
+                    record_every=every)
+    B, fill = _stepper(inst, sched, cfg, mode, None, steps)
+    assert n * m > DENSE_MAX_DIM and fill.__name__ == "fill"
+    full = run_simulation_stepwise(inst, sched, replace(cfg, record_every=1), mode)
+    hits = [k for k in _record_lows(full.err) if _decided_alike(full, k)
+            and (where == "random" or k % B == (1 if where == "first" else 0))]
+    if hits:
+        cfg = replace(cfg, tol=_tol_hitting_at(full, hits[int(rng.integers(0, len(hits)))]))
+    _run_both(inst, sched, cfg, mode)
 
 
 @pytest.mark.parametrize("mode", ["dt", "ct"])

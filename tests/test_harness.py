@@ -421,7 +421,7 @@ def test_runconfig_from_config_defaults():
 
 
 KEYS = {f.name.replace("_", ".", 1): f.name for f in fields(Config)}
-FLOATS = st.floats(allow_nan=False)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # parse_config refuses both
 VALUES = {
     str: st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_./", min_size=1,
                  max_size=12),
