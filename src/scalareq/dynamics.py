@@ -83,6 +83,10 @@ LIFT_BYTES = 1 << 20
 # and 84 / 74 at 72. The constant sits at the m = 6 dt crossover. The
 # table and buffers of a run count against LIFT_BYTES (see _trig_chunk).
 TRIG_MAP_MAX_DIM = 64
+# Most steps whose maps such a run builds per chunk. Per-step time is flat
+# from 16: at n = 10, m = 4 (same host) dt 5.4 / 4.9 / 5.1 us and ct 22.0 /
+# 21.6 / 20.5 us at 16 / 34 / 70 steps, against 10.0 and 24.2 us at 8.
+TRIG_CHUNK_STEPS = 16
 
 
 @dataclass
@@ -348,19 +352,19 @@ def _apply_maps(z, maps, out):
 
 def _trig_chunk(d, m, mode, B):
     """Steps per chunk of the dense per-step maps of a scalarized
-    trigonometric run of n m = d, or None when the run applies the
-    structured operator instead: d above TRIG_MAP_MAX_DIM, or the table
-    and the buffers of one step do not fit in LIFT_BYTES. The run holds
-    a table of r = m (m + 1) / 2 + 1 maps, g and the r - 1 index pairs
-    of the table rows, and per map of a chunk one d x d buffer and one
-    row of r coefficients; a chunk of c steps holds c maps in dt and
-    2 c + 1 in ct (see _trig_steps)."""
+    trigonometric run of n m = d, at most TRIG_CHUNK_STEPS, or None when
+    the run applies the structured operator instead: d above
+    TRIG_MAP_MAX_DIM, or the table and the buffers of one step do not
+    fit in LIFT_BYTES. The run holds a table of r = m (m + 1) / 2 + 1
+    maps, g and the r - 1 index pairs of the table rows, and per map of
+    a chunk one d x d buffer and one row of r coefficients; a chunk of
+    c steps holds c maps in dt and 2 c + 1 in ct (see _trig_steps)."""
     if d > TRIG_MAP_MAX_DIM:
         return None
     rows = m * (m + 1) // 2 + 1
     maps = (LIFT_BYTES // 8 - rows * d * d - d - 2 * rows) // (d * d + rows)
     steps = maps if mode == "dt" else (maps - 1) // 2
-    return min(steps, B) if steps >= 1 else None
+    return min(steps, TRIG_CHUNK_STEPS, B) if steps >= 1 else None
 
 
 def _half_steps(k, count, dt):
@@ -557,7 +561,8 @@ def run_simulation(inst, schedule, cfg, mode):
         x = np.array(cfg.x0, dtype=float).reshape(n * m)
     else:
         x = np.random.default_rng([cfg.seed, 1]).standard_normal(n * m)
-    noise_rng = np.random.default_rng([cfg.seed, 2])
+    unbiased = cfg.compressor.kind == "unbiased"  # the only compressor that draws noise
+    noise_rng = np.random.default_rng([cfg.seed, 2]) if unbiased else None
 
     ref = np.tile(np.asarray(inst.v_star, dtype=float), n)
     links = 2 * len(inst.graph.edges)

@@ -1,8 +1,8 @@
 """Weighted undirected graphs, Laplacian spectra, and the disagreement basis.
 
-The disagreement basis S is an orthonormal basis of the subspace
-orthogonal to consensus; it simultaneously diagonalizes the Laplacian,
-which is what every rate bound in :mod:`scalareq.theory` consumes.
+Every bound in :mod:`scalareq.theory` reads Laplacian eigenvalues alone.
+The disagreement basis S, orthonormal, orthogonal to consensus and
+diagonalizing the Laplacian, is computed only when asked for.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ ZERO_EIG_TOL = 1e-9
 class WeightedGraph:
     """Simple undirected weighted graph on nodes 0..n-1.
 
-    Edges are stored as (i, j, weight) with i < j and weight > 0.
+    Edges are stored as (i, j, weight) with i < j and 0 < weight < inf.
     Connectivity is verified at construction. n = 1 (a single node, no
     edges) is allowed as the trivial case used by scalar instances.
     """
@@ -39,8 +39,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) outside node range 0..{self.n - 1}")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(f"edge ({i},{j}) has weight {w}, not finite and positive")
             if i > j:
                 i, j = j, i
             if (i, j) in seen:
@@ -118,26 +118,18 @@ def build_graph(kind, n, weight=1.0):
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Laplacian with its full eigensystem.
-
-    eigenvalues ascend; lambda2 / lambda_n are the algebraic
-    connectivity and the largest eigenvalue. eigenvectors holds the
-    orthonormal eigenvector columns in the same order.
-    """
+    """Laplacian with its ascending eigenvalues; lambda2 / lambda_n are
+    the algebraic connectivity and the largest eigenvalue."""
 
     L: np.ndarray
     eigenvalues: np.ndarray
     lambda2: float
     lambda_n: float
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self):
-        return self.L.shape[0]
 
 
 def laplacian_spectrum(G):
-    """Laplacian of G with ascending eigenvalues and eigenvectors.
+    """Laplacian of G (exactly symmetric, finite) with its ascending
+    eigenvalues from the values-only ``numpy.linalg.eigvalsh``.
 
     Raises:
         DisconnectedGraphError: lambda_2 at numerical zero.
@@ -145,7 +137,7 @@ def laplacian_spectrum(G):
     if G.n < 2:
         raise ValueError("spectral analysis needs n >= 2")
     L = G.laplacian()
-    lam, Q = sym_eig(L)
+    lam = np.linalg.eigvalsh(L)
     scale = max(1.0, float(lam[-1]))
     if abs(lam[0]) > ZERO_EIG_TOL * scale:
         raise RuntimeError(f"smallest Laplacian eigenvalue {lam[0]:.3e} not at zero")
@@ -158,22 +150,21 @@ def laplacian_spectrum(G):
         eigenvalues=lam,
         lambda2=float(lam[1]),
         lambda_n=float(lam[-1]),
-        eigenvectors=Q,
     )
 
 
 def disagreement_basis(spec, tol=1e-9):
     """Orthonormal basis S (n x (n-1)) of the disagreement subspace.
 
-    Columns are the Laplacian eigenvectors for the nonzero eigenvalues;
-    ``eigh`` returns them orthonormal, repeated eigenspaces included.
-    Satisfies, each to 1e-9:
+    Columns are the Laplacian eigenvectors of the nonzero eigenvalues from
+    ``sym_eig``, orthonormal, repeated eigenspaces included. Satisfies,
+    each to tol * max(1, lambda_n):
 
         S^T 1 = 0,  S^T S = I,  S S^T = I - 11^T/n,  S^T L S = diag(lambda_2..lambda_n)
     """
-    n = spec.n
     lam = spec.eigenvalues
-    S = spec.eigenvectors[:, 1:].copy()
+    n = len(lam)
+    S = sym_eig(spec.L)[1][:, 1:]
 
     ones = np.ones(n)
     checks = (

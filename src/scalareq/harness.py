@@ -427,8 +427,9 @@ def save_instance(inst, path):
 def load_instance(path):
     """Read an instance file written by :func:`save_instance`.
 
-    A file that is empty, ends early, holds a malformed or non-numeric
-    line, or has a line after v_star raises ValueError naming the line.
+    A file that is empty, ends early, holds a malformed line, a value
+    that is not a number or a float that is not finite, or has a line
+    after v_star raises ValueError naming the line.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -445,9 +446,12 @@ def load_instance(path):
         if len(toks) != len(casts):
             fail(no, f"{what} needs {len(casts)} values, got {len(toks)}")
         try:
-            return [cast(tok) for cast, tok in zip(casts, toks)]
+            vals = [cast(tok) for cast, tok in zip(casts, toks)]
         except ValueError:
             fail(no, f"{what} has a non-numeric value in {' '.join(toks)!r}")
+        if not all(np.isfinite(v) for v in vals if isinstance(v, float)):
+            fail(no, f"{what} has a non-finite value in {' '.join(toks)!r}")
+        return vals
 
     n, m = fields(0, "the 'n m' header", (int, int))
     if n < 1 or m < 1:

@@ -5,11 +5,11 @@ linear systems, and the two spectral constants of the data matrix
 (rho_m, h_M) that drive every solver rate bound downstream.
 
 ``numpy.linalg`` (LAPACK) is the only eigensolver and singular-value
-routine in the package: ``sym_eig`` wraps ``eigh`` for every spectral
-quantity, and every rank or conditioning threshold is tested on
-singular values from ``svd``, which resolve sigma to about
-eps * sigma_max rather than the sqrt(eps) * sigma_max of square roots of
-gram eigenvalues.
+routine in the package: ``sym_eig`` wraps ``eigh`` where eigenvectors
+are read, ``eigvalsh`` gives eigenvalues alone, and every rank or
+conditioning threshold is tested on singular values from ``svd``, which
+resolve sigma to about eps * sigma_max rather than the
+sqrt(eps) * sigma_max of square roots of gram eigenvalues.
 """
 
 from dataclasses import dataclass

@@ -2,8 +2,9 @@
 
 Covers the window-contraction rate of the compressed consensus flow,
 the scalar-excitation lemma behind it, the continuous solver rate, the
-discrete observability grammian with its excitation level g, and the
-discrete step-size bound s* with the per-step Lyapunov decrease beta.
+discrete observability grammian (its m x m block per Laplacian eigenvalue)
+with its excitation level g, and the discrete step-size bound s* with the
+per-step Lyapunov decrease beta.
 """
 
 import numpy as np
@@ -116,10 +117,11 @@ def observability_gram(spectrum, schedule, h, k, K):
     which telescopes to I - T[k+K,k]^T T[k+K,k]. Lambda is diagonal, so
     both split into n-1 independent m x m blocks, one per nonzero
     Laplacian eigenvalue lambda_i with A_i[j] = I - h lambda_i C[j]C[j]^T;
-    the telescoping identity is verified to 1e-9 on every block. G_K is
-    returned as the dense block-diagonal matrix in eigen-major order
-    (block i spans rows and columns i m .. i m + m - 1). g is the
-    minimum of lambda_min(G_K) over one schedule period of start
+    the telescoping identity is verified to 1e-9 on every block. Returns
+    (blocks, g): blocks[i] is the m x m block of lambda_{i+2}, so G_K is
+    the block-diagonal matrix of the (n-1, m, m) blocks in eigen-major
+    order (block i spans rows and columns i m .. i m + m - 1), and g is
+    the minimum of lambda_min(G_K) over one schedule period of start
     indices; a non-exciting schedule reports g = 0.
     """
     if not 0.0 < h < 2.0 / spectrum.lambda_n:
@@ -128,7 +130,6 @@ def observability_gram(spectrum, schedule, h, k, K):
     if K < m:
         raise ValueError(f"window K={K} must be at least the compressed dimension m={m}")
     lams = spectrum.eigenvalues[1:]
-    p = len(lams)
     period = schedule.period_steps
     blocks = _gram_blocks(lams, schedule, h, int(k), K)
     g = np.inf
@@ -136,11 +137,7 @@ def observability_gram(spectrum, schedule, h, k, K):
         # periodic schedules make the grammian depend on the start only mod period
         Gb = blocks if k0 == int(k) % period else _gram_blocks(lams, schedule, h, k0, K)
         g = min(g, float(np.linalg.eigvalsh(0.5 * (Gb + Gb.swapaxes(1, 2))).min()))
-    if g <= G_FLOOR:
-        g = 0.0
-    G_K = np.zeros((p, m, p, m))
-    G_K[np.arange(p), :, np.arange(p), :] = blocks
-    return G_K.reshape(p * m, p * m), float(g)
+    return blocks, float(g) if g > G_FLOOR else 0.0
 
 
 def lyapunov_v1(spectrum, schedule, h, K, k, z):

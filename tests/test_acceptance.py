@@ -228,7 +228,10 @@ def test_criterion_10_theory_formulas(inst10):
     worked_ok = abs(s_star - 0.019542) < 1e-6 and abs(beta - 0.0047) < 1e-12
 
     spec = inst10.spectrum
-    G_K, g = observability_gram(spec, SCHED5, 0.2, 0, 5)
+    blocks, g = observability_gram(spec, SCHED5, 0.2, 0, 5)
+    G_K = np.zeros((9, 5, 9, 5))  # the block-diagonal gram in eigen-major order
+    G_K[np.arange(9), :, np.arange(9), :] = blocks
+    G_K = G_K.reshape(45, 45)
     lams = spec.eigenvalues[1:]
     T_mat = np.eye(45)
     for j in range(5):
@@ -239,7 +242,7 @@ def test_criterion_10_theory_formulas(inst10):
     G_h, g_h = observability_gram(pair, make_schedule("cyclic-basis", 1, dwell=1.0),
                                   0.2, 0, 1)
     gram_ok = telescope_resid <= 1e-9 and abs(g_h - 0.64) < 1e-12 \
-        and abs(G_h[0, 0] - 0.64) < 1e-12
+        and abs(G_h[0, 0, 0] - 0.64) < 1e-12
 
     # Lyapunov decrease along a run at half the admissible stepsize. The
     # x-branch binds and sits below the z-branch divided by the window,

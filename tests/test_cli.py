@@ -367,6 +367,16 @@ def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
         "scalareq: error: schedule has m=5 but the instance has m=2\n"
 
 
+# one non-finite value in a valid 3-node, m = 1 instance: (name, line,
+# its text, what the line holds). Read without a finite check, these end
+# in "matrix has non-finite entries", "SVD did not converge" or a diverged
+# run, none of which names the file
+VALID_INSTANCE = ("3 1", "1 2", "2 4", "3 6", "0 1 1.0", "1 2 1.0", "v_star 2")
+NON_FINITE_INSTANCES = (("weight-nan", 5, "0 1 nan", "edge"), ("weight-inf", 6, "1 2 inf", "edge"),
+                        ("h-nan", 2, "nan 2", "row 0"), ("b-inf", 3, "2 inf", "row 1"),
+                        ("v-star-nan", 7, "v_star nan", "the v_star line"))
+
+
 @pytest.mark.parametrize("argv, extra, code, message", [
     (["run", "--mode", "dt", "--out", "t.csv"], "run.s = 5.0\n", 1,
      r"run diverged: state norm \d\.\d{3}e\+\d\d beyond guard at step 7"),
@@ -379,14 +389,22 @@ def test_run_rejects_schedule_of_another_dimension(tmp_path, capsys):
     (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m, got n=1, m=5"),
     (["run", "--mode", "dt", "--instance", "tail.txt", "--out", "t.csv"], "", 2,
      r"--instance: tail\.txt, line 8: unexpected line after the v_star line"),
+] + [
+    (["run", "--mode", "dt", "--instance", f"{name}.txt", "--out", "t.csv"],
+     "instance.m = 1\ninstance.v_star = 2\n", 2,
+     rf"--instance: {name}\.txt, line {no}: {what} has a non-finite value in ")
+    for name, no, _, what in NON_FINITE_INSTANCES
 ], ids=["diverges", "short-instance", "rank-deficient-instance", "gen-m-without-v-star",
-        "gen-n-below-m", "edge-after-v-star"])
+        "gen-n-below-m", "edge-after-v-star"] + [f"instance-{c[0]}" for c in NON_FINITE_INSTANCES])
 def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
                                            argv, extra, code, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.txt").write_text("2 1\n1.0 2.0\n")
     (tmp_path / "rank1.txt").write_text("2 2\n1 1 2\n2 2 4\n0 1 1.0\nv_star 1 1\n")
     (tmp_path / "tail.txt").write_text("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n")
+    for name, no, text, _ in NON_FINITE_INSTANCES:
+        lines = VALID_INSTANCE[:no - 1] + (text,) + VALID_INSTANCE[no:]
+        (tmp_path / f"{name}.txt").write_text("\n".join(lines) + "\n")
     argv = [argv[0], "--config", _write_config(tmp_path, "run.horizon = 50\n" + extra)] + argv[1:]
     try:
         got = main(argv)

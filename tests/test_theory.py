@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,14 +114,14 @@ def test_observability_gram_two_node_hand_case(pair):
     sched = make_schedule("cyclic-basis", 1, dwell=1.0)
     G, g = observability_gram(pair, sched, h=0.2, k=0, K=1)
     # A = 1 - 0.2 * 2 = 0.6; G = 2*0.2*2 - 0.04*4 = 0.64 = 1 - 0.36
-    assert G.shape == (1, 1)
-    assert G[0, 0] == pytest.approx(0.64, abs=1e-15)
+    assert G.shape == (1, 1, 1)
+    assert G[0, 0, 0] == pytest.approx(0.64, abs=1e-15)
     assert g == pytest.approx(0.64, abs=1e-15)
 
 
 def test_observability_gram_ten_cycle(cycle10):
     G, g = observability_gram(cycle10, SCHED5, h=0.2, k=0, K=5)
-    assert G.shape == (45, 45)
+    assert G.shape == (9, 5, 5)
     assert g == pytest.approx(0.14695048315002943, abs=1e-12)
     # cyclic schedules give the same excitation from every start
     _, g3 = observability_gram(cycle10, SCHED5, h=0.2, k=3, K=5)
@@ -136,7 +138,7 @@ def test_observability_gram_frozen_schedule_not_exciting(pair):
     frozen = make_schedule("table", 2, dwell=1.0, table=[[1.0, 0.0]])
     G, g = observability_gram(pair, frozen, h=0.2, k=0, K=4)
     assert g == 0.0
-    assert G.shape == (2, 2)
+    assert G.shape == (1, 2, 2)
 
 
 def test_observability_gram_validation(pair):
@@ -145,6 +147,22 @@ def test_observability_gram_validation(pair):
         observability_gram(pair, sched, h=1.1, k=0, K=2)
     with pytest.raises(ValueError, match="window"):
         observability_gram(pair, sched, h=0.2, k=0, K=1)
+
+
+def test_observability_gram_allocates_blocks_not_the_dense_gram():
+    # n = 400, m = 5: the dense ((n-1) m)^2 gram is 30.4 MiB, while the
+    # stepped blocks need the (n-1) x (n-1) diagonal of eigenvalues
+    # (1.2 MiB) and a few (n-1, m, m) arrays of 78 KiB each; 4 MiB holds
+    # those with room and refuses any ((n-1) m)^2 array
+    spec = laplacian_spectrum(build_graph("cycle", 400))
+    tracemalloc.start()
+    try:
+        blocks, g = observability_gram(spec, SCHED5, h=0.2, k=0, K=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert blocks.shape == (399, 5, 5) and g > 0.0
 
 
 def _dense_gram_oracle(spectrum, schedule, h, k, K):
@@ -194,8 +212,15 @@ def test_observability_gram_matches_dense_kron_oracle(seed):
     k = int(rng.integers(0, 10))
     G, g = observability_gram(spec, sched, h, k, K)
     G_ref, g_ref = _dense_gram_oracle(spec, sched, h, k, K)
-    assert G.shape == G_ref.shape
-    assert np.abs(G - G_ref).max() <= 1e-12
+    # the dense gram is block-diagonal in eigen-major order: each m x m
+    # diagonal block is one of G's, and every other entry vanishes
+    p, m = n - 1, sched.m
+    assert G.shape == (p, m, m)
+    G_ref = G_ref.reshape(p, m, p, m)
+    diagonal = G_ref[np.arange(p), :, np.arange(p), :]
+    assert np.abs(G - diagonal).max() <= 1e-12
+    G_ref[np.arange(p), :, np.arange(p), :] = 0.0
+    assert np.abs(G_ref).max() <= 1e-12
     assert g == pytest.approx(g_ref, rel=1e-10)
 
 
