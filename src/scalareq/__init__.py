@@ -23,7 +23,7 @@ from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
                       parse_results, parse_trace, run_experiment,
                       save_instance, serialize)
 from .linalg import (RankVerdict, SpectralConstants, rank_check,
-                     spectral_constants, sym_eig)
+                     spectral_constants)
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      lyapunov_v1, observability_gram, solver_ct_rate)
 

@@ -11,7 +11,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .linalg import sym_eig
 
 ZERO_EIG_TOL = 1e-9
 
@@ -75,9 +74,6 @@ class WeightedGraph:
             adj[i].append((j, w))
             adj[j].append((i, w))
         return tuple(tuple(sorted(adj[i])) for i in range(self.n))
-
-    def neighbors(self, i):
-        return self.neighbor_lists[i]
 
     def laplacian(self):
         """Dense Laplacian: off-diagonals -a_ij, diagonals sum of weights."""
@@ -157,14 +153,14 @@ def disagreement_basis(spec, tol=1e-9):
     """Orthonormal basis S (n x (n-1)) of the disagreement subspace.
 
     Columns are the Laplacian eigenvectors of the nonzero eigenvalues from
-    ``sym_eig``, orthonormal, repeated eigenspaces included. Satisfies,
-    each to tol * max(1, lambda_n):
+    ``numpy.linalg.eigh``, orthonormal, repeated eigenspaces included.
+    Satisfies, each to tol * max(1, lambda_n):
 
         S^T 1 = 0,  S^T S = I,  S S^T = I - 11^T/n,  S^T L S = diag(lambda_2..lambda_n)
     """
     lam = spec.eigenvalues
     n = len(lam)
-    S = sym_eig(spec.L)[1][:, 1:]
+    S = np.linalg.eigh(spec.L)[1][:, 1:]
 
     ones = np.ones(n)
     checks = (

@@ -1,15 +1,15 @@
 """Small dense real linear algebra.
 
-Symmetric eigendecomposition, rank/consistency verification for stacked
-linear systems, and the two spectral constants of the data matrix
-(rho_m, h_M) that drive every solver rate bound downstream.
+Rank/consistency verification for stacked linear systems, and the two
+spectral constants of the data matrix (rho_m, h_M) that drive every
+solver rate bound downstream.
 
 ``numpy.linalg`` (LAPACK) is the only eigensolver and singular-value
-routine in the package: ``sym_eig`` wraps ``eigh`` where eigenvectors
-are read, ``eigvalsh`` gives eigenvalues alone, and every rank or
-conditioning threshold is tested on singular values from ``svd``, which
-resolve sigma to about eps * sigma_max rather than the
-sqrt(eps) * sigma_max of square roots of gram eigenvalues.
+routine in the package, called directly where it is needed: ``eigh``
+where eigenvectors are read, ``eigvalsh`` where eigenvalues alone are,
+and ``svd`` here, on whose singular values every rank or conditioning
+threshold is tested; they resolve sigma to about eps * sigma_max rather
+than the sqrt(eps) * sigma_max of square roots of gram eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import RankDeficientError
 
-SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-8
 
 
@@ -33,29 +32,6 @@ class SpectralConstants:
 
     rho_m: float
     h_M: float
-
-
-def sym_eig(A):
-    """Eigendecomposition of a real symmetric matrix (LAPACK, via
-    ``numpy.linalg.eigh``).
-
-    Args:
-        A: symmetric matrix, shape (d, d); asymmetry above 1e-10
-           (relative to the largest entry) is rejected.
-
-    Returns:
-        (eigenvalues, eigenvectors): eigenvalues ascending, eigenvector
-        columns orthonormal, A @ Q = Q @ diag(eigenvalues).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigh(0.5 * (A + A.T))
 
 
 def _singular_values(M):

@@ -16,6 +16,16 @@ G_FLOOR = 1e-10
 TELESCOPE_TOL = 1e-9
 
 
+def _contraction(alpha1, T, phi_bar):
+    """Lemma 1's window contraction q = 2 alpha1 / (1 + phi_bar T)^2 under
+    excitation alpha1 over windows T with regressor bound phi_bar, checked
+    to lie in (0, 1); the consensus, Lemma-1 and continuous rates read it."""
+    q = 2.0 * alpha1 / (1.0 + phi_bar * T) ** 2
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"excitation too large: contraction {q} outside (0, 1)")
+    return q
+
+
 def consensus_rate(alpha, T, lambda2, lambda_n):
     """Per-unit-time contraction (gamma, c) of the compressed consensus
     flow under excitation alpha over windows of length T:
@@ -29,10 +39,9 @@ def consensus_rate(alpha, T, lambda2, lambda_n):
         raise ValueError(f"need 0 < alpha <= T, got alpha={alpha}, T={T}")
     if not 0 < lambda2 <= lambda_n:
         raise ValueError(f"need 0 < lambda2 <= lambda_n, got {lambda2}, {lambda_n}")
-    q = 2.0 * alpha * lambda2 / (1.0 + T * lambda_n) ** 2
+    # Lemma 1 at excitation alpha lambda2 with regressor bound lambda_n;
     # alpha <= T and lambda2 <= lambda_n force q < 1
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"contraction argument {q} outside (0, 1)")
+    q = _contraction(alpha * lambda2, T, lambda_n)
     return (1.0 - q) ** (1.0 / T), 1.0 / (1.0 - q)
 
 
@@ -46,9 +55,7 @@ def lemma1_constants(alpha1, T1, phi_bar):
     """
     if alpha1 <= 0 or T1 <= 0 or phi_bar <= 0:
         raise ValueError("all arguments must be positive")
-    q = 2.0 * alpha1 / (1.0 + phi_bar * T1) ** 2
-    if q >= 1.0:
-        raise ValueError(f"excitation too large: log argument {1.0 - q} <= 0")
+    q = _contraction(alpha1, T1, phi_bar)
     return 1.0 / (1.0 - q), -np.log(1.0 - q) / T1
 
 
@@ -76,30 +83,30 @@ def solver_ct_rate(alpha, T, lambda2, lambda_n, rho_m, h_M, s):
     root = np.sqrt(disc)
     # rationalized form avoids cancellation when root is close to alpha'
     alpha_bar = 2.0 * lambda2 * alpha * rho_m * T * s / (alpha_prime + root)
-    q = 2.0 * alpha_bar / (1.0 + (lambda_n + 2.0 * s * h_M**2) * T) ** 2
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"contraction argument {q} outside (0, 1)")
+    # Lemma 1 at excitation alpha_bar with regressor bound lambda_n + 2 s h_M^2
+    q = _contraction(alpha_bar, T, lambda_n + 2.0 * s * h_M**2)
     return (1.0 - q) ** (1.0 / T), float(alpha_bar), float(alpha_prime)
 
 
 def _gram_blocks(lams, schedule, h, k0, K):
     """Per-eigenvalue blocks G_i of the K-step grammian started at k0.
 
-    T[c, i] holds column c of block i's transition T_i, so one
-    consensus exchange with L = diag(lams) steps every block at once.
-    With E = (Lambda (x) CC^T) T and (Lambda (x) CC^T)^2 = Lambda^2 (x) CC^T,
-    each term T^T ((2h Lambda - h^2 Lambda^2) (x) CC^T) T is
-    2h T^T E - h^2 E^T E.
+    Block i evolves as a one-node network with the 1 x 1 Laplacian
+    [lams[i]], and T[c, i, 0] holds column c of its transition T_i, so
+    one consensus exchange over the stack lams[:, None, None] steps every
+    block at once. With E = (Lambda (x) CC^T) T and
+    (Lambda (x) CC^T)^2 = Lambda^2 (x) CC^T, each term
+    T^T ((2h Lambda - h^2 Lambda^2) (x) CC^T) T is 2h T^T E - h^2 E^T E.
     """
     m, p = schedule.m, len(lams)
-    Lam = np.diag(lams)
-    T = np.repeat(np.eye(m)[:, None, :], p, axis=1)
+    L = lams[:, None, None]
+    T = np.repeat(np.eye(m)[:, None, None, :], p, axis=1)
     G = np.zeros((p, m, m))
     for j in range(K):
-        E = _exchange(Lam, T, eval_dt(schedule, k0 + j))
-        G += 2.0 * h * np.einsum("cir,dir->icd", T, E) - h**2 * np.einsum("cir,dir->icd", E, E)
+        E = _exchange(L, T, eval_dt(schedule, k0 + j))
+        G += 2.0 * h * np.einsum("ciur,diur->icd", T, E) - h**2 * np.einsum("ciur,diur->icd", E, E)
         T = T - h * E
-    resid = float(np.abs(G - (np.eye(m) - np.einsum("cir,dir->icd", T, T))).max())
+    resid = float(np.abs(G - (np.eye(m) - np.einsum("ciur,diur->icd", T, T))).max())
     if resid > TELESCOPE_TOL:
         raise RuntimeError(f"grammian telescoping identity violated: residual {resid:.3e}")
     return G
@@ -144,12 +151,12 @@ def lyapunov_v1(spectrum, schedule, h, K, k, z):
     """Windowed transition energy V1[k] = sum_{j=0}^{K-1} ||T[k+j,k] z||^2
     on the disagreement subspace (diagnostic for the discrete decrease)."""
     lams = spectrum.eigenvalues[1:]
-    Lam = np.diag(lams)
-    v = np.asarray(z, dtype=float).reshape(len(lams), schedule.m)
+    # one one-node network per eigenvalue, as in _gram_blocks
+    v = np.asarray(z, dtype=float).reshape(len(lams), 1, schedule.m)
     total = 0.0
     for j in range(K):
         total += float(np.vdot(v, v))
-        v = v - h * _exchange(Lam, v, eval_dt(schedule, int(k) + j))
+        v = v - h * _exchange(lams[:, None, None], v, eval_dt(schedule, int(k) + j))
     return total
 
 

@@ -167,7 +167,7 @@ def solver_dt_step(inst, schedule, h, s, k, x, compressor=None, rng=None):
         Xn = np.empty_like(X)
         for i in range(n):
             acc = 0.0
-            for (j, w) in inst.graph.neighbors(i):
+            for (j, w) in inst.graph.neighbor_lists[i]:
                 acc += w * (y[j] - y[i])
             r_i = float(np.dot(H[i], X[i])) - b[i]
             Xn[i] = X[i] + (h * acc) * C - (s * r_i) * H[i]

@@ -224,7 +224,7 @@ def test_scalarized_step_uses_only_transmitted_scalars(inst10):
     expect = np.empty_like(X)
     for i in range(10):
         acc = 0.0
-        for (j, w) in inst10.graph.neighbors(i):
+        for (j, w) in inst10.graph.neighbor_lists[i]:
             acc += w * (wire[j] - wire[i])
         r_i = float(np.dot(inst10.H[i], X[i])) - inst10.b[i]
         expect[i] = X[i] + (h * acc) * C - (s * r_i) * inst10.H[i]

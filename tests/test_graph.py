@@ -63,8 +63,8 @@ def test_weighted_graph_single_node():
 
 def test_neighbors_sorted_with_weights():
     G = build_graph("cycle", 4, weight=2.0)
-    assert G.neighbors(0) == ((1, 2.0), (3, 2.0))
-    assert G.neighbors(2) == ((1, 2.0), (3, 2.0))
+    assert G.neighbor_lists[0] == ((1, 2.0), (3, 2.0))
+    assert G.neighbor_lists[2] == ((1, 2.0), (3, 2.0))
 
 
 def test_build_graph_path_two_nodes():

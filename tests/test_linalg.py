@@ -1,75 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scalareq.errors import RankDeficientError
 from scalareq.harness import ProblemInstance, gen_instance
-from scalareq.linalg import rank_check, spectral_constants, sym_eig
-
-
-def test_sym_eig_identity():
-    lam, Q = sym_eig(np.eye(3))
-    assert np.allclose(lam, [1.0, 1.0, 1.0])
-    assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
-
-
-def test_sym_eig_diagonal_sorted_ascending():
-    lam, Q = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(lam, [1.0, 2.0, 3.0])
-    # eigenvectors permute the axes
-    assert np.allclose(np.abs(Q), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-
-def test_sym_eig_two_by_two():
-    lam, Q = sym_eig(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert np.allclose(lam, [1.0, 3.0], atol=1e-12)
-    A = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    assert np.abs(A @ Q - Q @ np.diag(lam)).max() < 1e-12
-
-
-@pytest.mark.parametrize("d", [2, 5, 11, 30])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sym_eig_random_invariants(d, seed):
-    rng = np.random.default_rng([seed, d])
-    A = rng.standard_normal((d, d))
-    A = A + A.T
-    lam, Q = sym_eig(A)
-    scale = np.linalg.norm(A)
-    assert np.linalg.norm(A @ Q - Q @ np.diag(lam)) <= 1e-8 * scale
-    assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-9
-    assert np.all(np.diff(lam) >= -1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6, unique=True),
-    multiplicities=st.lists(st.integers(1, 4), min_size=6, max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_sym_eig_planted_repeated_spectrum(values, multiplicities, seed):
-    lam_planted = np.repeat(values, multiplicities[:len(values)])
-    d = lam_planted.size
-    Q0, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    A = Q0 @ np.diag(lam_planted) @ Q0.T
-    A = 0.5 * (A + A.T)
-    lam, Q = sym_eig(A)
-    assert np.all(np.diff(lam) >= 0.0)
-    assert np.abs(Q.T @ Q - np.eye(d)).max() <= 1e-12
-    assert np.linalg.norm(A @ Q - Q @ np.diag(lam)) <= 1e-10 * np.linalg.norm(A)
-    assert np.abs(lam - np.sort(lam_planted)).max() <= 1e-10 * max(1.0, np.abs(lam_planted).max())
-
-
-def test_sym_eig_rejects_nonsymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_sym_eig_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(ValueError):
-        sym_eig(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+from scalareq.linalg import rank_check, spectral_constants
 
 
 def test_rank_check_identity_consistent():
@@ -198,7 +132,7 @@ def test_spectral_constants_cross_check_and_permutation():
     rng = np.random.default_rng(3)
     H = rng.standard_normal((10, 5))
     sc = spectral_constants(H)
-    lam, _ = sym_eig(H.T @ H)
+    lam = np.linalg.eigvalsh(H.T @ H)
     assert sc.rho_m == pytest.approx(lam[0] / 10, rel=1e-10)
     assert sc.h_M == pytest.approx(np.linalg.norm(H, axis=1).max(), rel=1e-12)
     perm = rng.permutation(10)

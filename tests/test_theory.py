@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalareq.compression import eval_dt, make_schedule
 from scalareq.graph import WeightedGraph, build_graph, laplacian_spectrum
@@ -62,10 +64,10 @@ def test_lemma1_constants_halving_excitation():
 ])
 def test_consensus_rate_agrees_with_scalar_lemma(alpha, T, lam2, lam_n):
     # the flow rate is the scalar lemma applied at excitation alpha*lambda2
-    # with regressor bound lambda_n
+    # with regressor bound lambda_n: both read one contraction q
     gamma, c = consensus_rate(alpha, T, lam2, lam_n)
     k_x, gamma_x = lemma1_constants(alpha * lam2, T, lam_n)
-    assert c == pytest.approx(k_x, rel=1e-14)
+    assert c == k_x
     assert gamma == pytest.approx(np.exp(-gamma_x), rel=1e-12)
 
 
@@ -93,6 +95,23 @@ def test_solver_ct_rate_root_identity(seed):
     # alpha_bar is the smaller root of x^2 - alpha' x + lam2 alpha rho_m T s
     assert alpha_bar * (alpha_prime - alpha_bar) == pytest.approx(
         lam2 * alpha * rho_m * T * s, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.1, 2.0), frac=st.floats(0.01, 1.0), lam2=st.floats(0.1, 2.0),
+       spread=st.floats(1.0, 4.0), rho_m=st.floats(0.05, 1.5), h_M=st.floats(0.3, 2.0),
+       s=st.floats(1e-3, 2.0))
+def test_solver_ct_rate_is_lemma1_at_alpha_bar(T, frac, lam2, spread, rho_m, h_M, s):
+    # gamma_f^T = 1 - q and k_x = 1 / (1 - q) for the one q of Lemma 1 at
+    # excitation alpha_bar and regressor bound lambda_n + 2 s h_M^2
+    lam_n = lam2 * spread
+    gamma_f, alpha_bar, _ = solver_ct_rate(frac * T, T, lam2, lam_n, rho_m, h_M, s)
+    k_x, gamma_x = lemma1_constants(alpha_bar, T, lam_n + 2.0 * s * h_M**2)
+    # rounding: 1/T (relative eps/2) moves the exponent by eps |ln(1 - q)| = eps gamma_x T,
+    # the power's one-ulp error grows T-fold under ^T, and ^T, 1/(1 - q)
+    # and the product round once each
+    eps = np.finfo(float).eps
+    assert abs(gamma_f**T * k_x - 1.0) <= (T + gamma_x * T + 4.0) * eps
 
 
 def test_solver_ct_rate_weak_gain_limit():
@@ -149,20 +168,37 @@ def test_observability_gram_validation(pair):
         observability_gram(pair, sched, h=0.2, k=0, K=1)
 
 
-def test_observability_gram_allocates_blocks_not_the_dense_gram():
-    # n = 400, m = 5: the dense ((n-1) m)^2 gram is 30.4 MiB, while the
-    # stepped blocks need the (n-1) x (n-1) diagonal of eigenvalues
-    # (1.2 MiB) and a few (n-1, m, m) arrays of 78 KiB each; 4 MiB holds
-    # those with room and refuses any ((n-1) m)^2 array
-    spec = laplacian_spectrum(build_graph("cycle", 400))
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        blocks, g = observability_gram(spec, SCHED5, h=0.2, k=0, K=5)
+        result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    return result, peak
+
+
+def test_observability_gram_allocates_blocks_not_the_dense_gram():
+    # n = 400, m = 5: the dense ((n-1) m)^2 gram is 30.4 MiB. The blocks,
+    # stepped as n-1 one-node networks, need a few (n-1, m, m) arrays of
+    # 78 KiB each (0.61 MiB peak); 1 MiB holds those and refuses both an
+    # (n-1) x (n-1) diagonal of eigenvalues (1.2 MiB) and any
+    # ((n-1) m)^2 array
+    spec = laplacian_spectrum(build_graph("cycle", 400))
+    (blocks, g), peak = _traced_peak(
+        lambda: observability_gram(spec, SCHED5, h=0.2, k=0, K=5))
+    assert peak <= 1 * 2**20
     assert blocks.shape == (399, 5, 5) and g > 0.0
+
+
+def test_lyapunov_v1_allocates_no_eigenvalue_diagonal():
+    # n = 400, m = 5: the state is 16 KiB (0.07 MiB peak); 0.5 MiB refuses
+    # an (n-1) x (n-1) diagonal of eigenvalues (1.2 MiB)
+    spec = laplacian_spectrum(build_graph("cycle", 400))
+    z = np.random.default_rng(0).standard_normal(399 * 5)
+    v1, peak = _traced_peak(lambda: lyapunov_v1(spec, SCHED5, 0.2, 5, 0, z))
+    assert peak <= 0.5 * 2**20
+    assert 0.0 < v1 <= 5 * float(z @ z)
 
 
 def _dense_gram_oracle(spectrum, schedule, h, k, K):
