@@ -20,7 +20,6 @@ from .compression import verify_pe_ct, verify_pe_dt
 from .errors import PEVerificationFailed, SimulationDiverged
 from .harness import (ExperimentSpec, load_instance, parse_config, parse_list,
                       run_experiment, save_instance, serialize)
-from .linalg import spectral_constants
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      observability_gram, solver_ct_rate)
 from .dynamics import run_simulation
@@ -63,6 +62,9 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
+    for seed in args.seeds:
+        if seed < 0:
+            raise ValueError(f"--seeds {seed} is negative")
     spec = ExperimentSpec(config=args.config, mode=args.mode,
                           compressors=args.compressors, s_values=args.s_list or None,
                           seeds=args.seeds, record_every=args.record_every)
@@ -78,7 +80,6 @@ def _cmd_bounds(args):
     schedule = config.schedule(inst.m)
     h, s = config.run_h, config.run_s
     spec = inst.spectrum
-    sc = spectral_constants(inst.H)
 
     values = {}
     if schedule.rows is None:
@@ -89,7 +90,7 @@ def _cmd_bounds(args):
     gamma, c = consensus_rate(witness.alpha, T, spec.lambda2, spec.lambda_n)
     k_x, gamma_x = lemma1_constants(witness.alpha * spec.lambda2, T, spec.lambda_n)
     gamma_f, alpha_bar, alpha_prime = solver_ct_rate(
-        witness.alpha, T, spec.lambda2, spec.lambda_n, sc.rho_m, sc.h_M, s)
+        witness.alpha, T, spec.lambda2, spec.lambda_n, inst.rho_m, inst.h_M, s)
     values.update(gamma=gamma, c=c, gamma_f=gamma_f, alpha_bar=alpha_bar,
                   alpha_prime=alpha_prime, k_x=k_x, gamma_x=gamma_x)
 
@@ -97,10 +98,10 @@ def _cmd_bounds(args):
         K = schedule.period_steps
         _, g = observability_gram(spec, schedule, h, 0, K)
         if g > 0:
-            s_star, _, _ = dt_stepsize_and_rate(g, K, sc.h_M, sc.rho_m)
+            s_star, _, _ = dt_stepsize_and_rate(g, K, inst.h_M, inst.rho_m)
             values.update(g=g, s_star=s_star)
             if 0 < s < s_star:
-                _, beta, gamma_d = dt_stepsize_and_rate(g, K, sc.h_M, sc.rho_m, s)
+                _, beta, gamma_d = dt_stepsize_and_rate(g, K, inst.h_M, inst.rho_m, s)
                 values.update(beta=beta, gamma_d=gamma_d)
 
     for key, val in values.items():

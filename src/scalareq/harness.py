@@ -1,5 +1,6 @@
-"""The typed run config, instance generation, experiment orchestration
-and serialization."""
+"""The problem instance with its data constants (rho_m, h_M), the typed
+run config, instance generation, experiment orchestration and
+serialization."""
 
 import csv
 import typing
@@ -12,7 +13,7 @@ from .compression import Compressor, CompressionSchedule
 from .dynamics import RunConfig, Trace, run_simulation
 from .errors import RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
-from .linalg import rank_check
+from .linalg import RankVerdict, rank_check
 
 TRACE_COLUMNS = ("clock", "err", "disagreement", "scalars_tx_cum", "bits_tx_cum")
 RESULT_COLUMNS = ("mode", "compressor", "h", "s", "seed", "hit_clock",
@@ -25,7 +26,9 @@ class ProblemInstance:
     """One stacked system H v = b over a graph, with planted solution v*.
 
     Row i and offset b_i are private to node i. seed records the draw
-    that produced H (None for instances loaded from a file).
+    that produced H (None for instances loaded from a file). verdict is
+    the rank_check of (H, b) that admitted the instance; rho_m and h_M,
+    the data constants of every solver rate, are read off it and H.
     """
 
     H: np.ndarray
@@ -33,6 +36,7 @@ class ProblemInstance:
     graph: WeightedGraph
     v_star: np.ndarray
     seed: int | None = None
+    verdict: RankVerdict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -51,6 +55,7 @@ class ProblemInstance:
         if not verdict:
             raise RankDeficientError(f"instance invalid: {verdict.reason}",
                                      sigma_min=verdict.sigma_m)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def n(self):
@@ -59,6 +64,16 @@ class ProblemInstance:
     @property
     def m(self):
         return self.H.shape[1]
+
+    @property
+    def rho_m(self):
+        """lambda_min(H^T H) / n, taken as sigma_m(H)^2 / n."""
+        return self.verdict.sigma_m**2 / self.n
+
+    @property
+    def h_M(self):
+        """The largest Euclidean row norm of H."""
+        return float(np.linalg.norm(self.H, axis=1).max())
 
     @cached_property
     def spectrum(self):
@@ -192,9 +207,9 @@ def _convert(kind, text):
 
 def parse_config(path):
     """Read 'key = value' lines ('#' starts a comment) into a Config. An
-    unknown key, a line without '=', a value of the wrong type (nan and
-    inf for a float) or a v_star of the wrong length raises ValueError
-    naming the line."""
+    unknown or repeated key, a line without '=', a value of the wrong type
+    (nan and inf for a float, a negative run.seed) or a v_star of the
+    wrong length raises ValueError naming the line."""
     values, where = {}, {}
     with open(path) as fh:
         for no, raw in enumerate(fh, 1):
@@ -207,8 +222,12 @@ def parse_config(path):
             if key not in _KEYS:
                 raise ValueError(f"{path}, line {no}: unknown key {key!r}")
             name = _KEYS[key].name
+            if name in where:
+                raise ValueError(f"{path}, line {no}: {key} already set on line {where[name]}")
             try:
                 values[name] = _convert(_KEYS[key].type, text)
+                if name == "run_seed" and values[name] < 0:
+                    raise ValueError(f"{text} is negative")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {no}: bad value for {key}: {exc}") from None
             where[name] = no

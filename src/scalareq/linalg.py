@@ -1,8 +1,9 @@
 """Small dense real linear algebra.
 
-Rank/consistency verification for stacked linear systems, and the two
-spectral constants of the data matrix (rho_m, h_M) that drive every
-solver rate bound downstream.
+Rank/consistency verification for stacked linear systems. The verdict
+keeps sigma_m(H), from which ``ProblemInstance`` serves the constant
+rho_m = sigma_m^2 / n of every solver rate bound (with h_M, the largest
+row norm of H).
 
 ``numpy.linalg`` (LAPACK) is the only eigensolver and singular-value
 routine in the package, called directly where it is needed: ``eigh``
@@ -16,22 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficientError
-
 RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Spectral constants of an n x m data matrix H.
-
-    rho_m: smallest eigenvalue of H^T H divided by n (positive iff H has
-        full column rank).
-    h_M: largest Euclidean row norm of H.
-    """
-
-    rho_m: float
-    h_M: float
 
 
 def _singular_values(M):
@@ -88,28 +74,3 @@ def rank_check(H, b, tol=RANK_TOL):
             sigma_aug,
         )
     return RankVerdict(True, "unique exact solution exists", sigma_m, sigma_aug)
-
-
-def spectral_constants(H):
-    """Compute rho_m = lambda_min(H^T H)/n and h_M = max_i ||H_i||.
-
-    lambda_min(H^T H) is taken as sigma_min(H)^2, and full column rank
-    is tested on sigma_min itself, where the SVD resolves it, by the
-    relative test of ``rank_check``.
-
-    Raises:
-        RankDeficientError: H is not full column rank.
-    """
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    sig = _singular_values(H)
-    sig_min = float(sig[0])
-    if sig_min <= RANK_TOL * max(float(sig[-1]), 1e-300):
-        raise RankDeficientError(
-            f"rank-deficient data matrix: smallest singular value {sig_min:.3e}",
-            sigma_min=sig_min,
-        )
-    return SpectralConstants(
-        rho_m=sig_min**2 / n,
-        h_M=float(np.linalg.norm(H, axis=1).max()),
-    )

@@ -18,7 +18,6 @@ from scalareq.errors import PEVerificationFailed
 from scalareq.graph import WeightedGraph, build_graph, disagreement_basis, laplacian_spectrum
 from scalareq.harness import (Config, ExperimentSpec, fit_rate, gen_instance,
                               run_experiment)
-from scalareq.linalg import spectral_constants
 from scalareq.compression import pe_gram_ct, pe_gram_dt, verify_pe_ct, verify_pe_dt
 from scalareq.theory import (consensus_rate, dt_stepsize_and_rate,
                              lyapunov_v1, observability_gram, solver_ct_rate)
@@ -247,18 +246,18 @@ def test_criterion_10_theory_formulas(inst10):
     # Lyapunov decrease along a run at half the admissible stepsize. The
     # x-branch binds and sits below the z-branch divided by the window,
     # so the windowed decrease implies the per-step one.
-    sc = spectral_constants(inst10.H)
-    s_bound = dt_stepsize_and_rate(g, 5, sc.h_M, sc.rho_m)[0]
+    h_M, rho_m = inst10.h_M, inst10.rho_m  # the instance's data constants
+    s_bound = dt_stepsize_and_rate(g, 5, h_M, rho_m)[0]
     s_run = s_bound / 2.0
-    _, beta_run, _ = dt_stepsize_and_rate(g, 5, sc.h_M, sc.rho_m, s=s_run)
-    c_z = g - 5 * (3.0 * s_run * sc.h_M**2 + 2.0 * s_run**2 * sc.h_M**4
-                   + 4.0 * s_run**2 * sc.h_M**6 / sc.rho_m
-                   + 2.0 * s_run * sc.h_M**6 / sc.rho_m**2)
+    _, beta_run, _ = dt_stepsize_and_rate(g, 5, h_M, rho_m, s=s_run)
+    c_z = g - 5 * (3.0 * s_run * h_M**2 + 2.0 * s_run**2 * h_M**4
+                   + 4.0 * s_run**2 * h_M**6 / rho_m
+                   + 2.0 * s_run * h_M**6 / rho_m**2)
     branch_ok = beta_run <= c_z / 5
 
     S = disagreement_basis(spec)
     P = np.kron(S.T, np.eye(5))
-    p_weight = 2.0 * 10 * 5 * sc.h_M**2 / sc.rho_m
+    p_weight = 2.0 * 10 * 5 * h_M**2 / rho_m
     v_ref = np.array(V_STAR)
     x = np.random.default_rng([0, 1]).standard_normal(50)
     v_prev = None

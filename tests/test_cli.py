@@ -12,19 +12,20 @@ from scalareq.cli import main
 from scalareq.harness import load_instance, parse_config, parse_results, parse_trace
 
 
+BASE_CONFIG = ("graph.kind = cycle", "graph.n = 10", "instance.m = 5",
+               "instance.v_star = 2 1 3 4 -1", "schedule.kind = cyclic-basis",
+               "schedule.dwell = 0.01", "run.h = 0.2", "run.s = 0.02")
+
+
 def _write_config(tmp_path, extra="", name="run.cfg"):
+    """The reference config, then the lines of extra. A config sets each
+    key once, so a line whose key a later line sets again is commented
+    out; every line keeps its number."""
     path = tmp_path / name
-    path.write_text(
-        "graph.kind = cycle\n"
-        "graph.n = 10\n"
-        "instance.m = 5\n"
-        "instance.v_star = 2 1 3 4 -1\n"
-        "schedule.kind = cyclic-basis\n"
-        "schedule.dwell = 0.01\n"
-        "run.h = 0.2\n"
-        "run.s = 0.02\n"
-        + extra
-    )
+    lines = [*BASE_CONFIG, *extra.splitlines()]
+    keys = [line.partition("=")[0].strip() for line in lines]
+    path.write_text("".join(f"# {line}\n" if key in keys[i + 1:] else f"{line}\n"
+                            for i, (line, key) in enumerate(zip(lines, keys))))
     return str(path)
 
 
@@ -287,13 +288,18 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
      "{bad.parent}/run.cfg, line 10: bad value for run.s: inf is not a finite number"),
     (["run", "--mode", "dt", "--out", "t.csv"], "instance.v_star = 2 1 -inf 4 -1\n",
      "{bad.parent}/run.cfg, line 10: bad value for instance.v_star: -inf is not a finite number"),
+    # a negative seed is refused where it is read, naming the key or the flag
+    (["run", "--mode", "dt", "--out", "t.csv"], "run.seed = -1\n",
+     "{bad.parent}/run.cfg, line 10: bad value for run.seed: -1 is negative"),
+    (["compare", "--mode", "dt", "--seeds=-3", "--out", "r.csv"], "", "--seeds -3 is negative"),
 ], ids=["dt-horizon", "run-topk-without-k", "compare-topk-without-k", "n-below-m",
         "missing-table", "malformed-table", "trig-without-frequencies",
         "run-identity-schedule", "run-custom-graph", "bounds-custom-graph",
         "run-h-unstable", "bounds-h-unstable", "run-topk-k-above-m", "run-ct-topk",
         "compare-ct-dt-int", "compare-record-every-0", "compare-negative-s", "bounds-s-0",
         "bounds-not-exciting-table", "bounds-one-node", "run-h-nan", "run-ct-dwell-nan",
-        "run-ct-dt-int-nan", "run-tol-nan", "bounds-s-inf", "run-v-star-inf"])
+        "run-ct-dt-int-nan", "run-tol-nan", "bounds-s-inf", "run-v-star-inf",
+        "run-seed-negative", "compare-seeds-negative"])
 def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys,
                                                   command, extra, message):
     monkeypatch.chdir(tmp_path)
@@ -308,6 +314,17 @@ def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"scalareq: error: {message.format(bad=bad)}")
+
+
+def test_bounds_takes_the_svds_of_rank_check_only(tmp_path, monkeypatch, capsys):
+    # rank_check takes sigma(H) and sigma([H b]) when the instance is built;
+    # rho_m and h_M are read off its verdict, not from a third SVD
+    shapes = []
+    singular_values = scalareq.linalg._singular_values
+    monkeypatch.setattr(scalareq.linalg, "_singular_values",
+                        lambda M: shapes.append(M.shape) or singular_values(M))
+    assert main(["bounds", "--config", _write_config(tmp_path)]) == 0
+    assert shapes == [(10, 5), (10, 6)]
 
 
 def test_internal_error_keeps_its_traceback(tmp_path, monkeypatch):

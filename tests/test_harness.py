@@ -450,7 +450,10 @@ def _config_files(draw):
     types = {f.name: f.type for f in fields(Config)}
     values, texts = {}, {}
     for key in keys:
-        values[KEYS[key]], texts[key] = draw(_values(types[KEYS[key]]))
+        # a seed is a non-negative int
+        drawn = (st.integers(0, 10**6).map(lambda v: (v, repr(v))) if key == "run.seed"
+                 else _values(types[KEYS[key]]))
+        values[KEYS[key]], texts[key] = draw(drawn)
     if draw(st.booleans()):  # instance.v_star must have instance.m values
         v_star, texts["instance.v_star"] = draw(_values(tuple[float, ...]))
         values["instance_v_star"], values["instance_m"] = v_star, len(v_star)
@@ -490,6 +493,9 @@ def test_parse_config_returns_exactly_the_written_values(tmp_path_factory, data,
     ("instance.m = 3\n", "line 1: instance.v_star has 5 values but instance.m = 3"),
     ("instance.m = 2\n\ninstance.v_star = 1 2 3\n",
      "line 3: instance.v_star has 3 values but instance.m = 2"),
+    ("graph.n = 10\ngraph.n = 12\n", "line 2: graph.n already set on line 1"),
+    ("run.seed = 3\n# again\nrun.seed=3\n", "line 3: run.seed already set on line 1"),
+    ("run.seed = -1\n", "line 1: bad value for run.seed: -1 is negative"),
 ])
 def test_parse_config_names_the_bad_line(tmp_path, text, where):
     path = tmp_path / "bad.cfg"

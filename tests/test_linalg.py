@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scalareq.errors import RankDeficientError
+from scalareq.graph import build_graph
 from scalareq.harness import ProblemInstance, gen_instance
-from scalareq.linalg import rank_check, spectral_constants
+from scalareq.linalg import rank_check
 
 
 def test_rank_check_identity_consistent():
@@ -114,46 +114,54 @@ def test_rank_check_shape_preconditions():
         rank_check(np.ones((3, 2)), np.ones(2))
 
 
+def _on_cycle(H):
+    """A ProblemInstance of data matrix H on a cycle, planted at v = 1."""
+    H = np.asarray(H, dtype=float)
+    return ProblemInstance(H=H, b=H.sum(axis=1), graph=build_graph("cycle", H.shape[0]),
+                           v_star=np.ones(H.shape[1]))
+
+
+def _svd_rho_m(H):
+    return np.linalg.svd(H, compute_uv=False).min() ** 2 / H.shape[0]
+
+
 def test_spectral_constants_identity():
-    sc = spectral_constants(np.eye(4))
-    assert sc.rho_m == pytest.approx(0.25, abs=1e-12)
-    assert sc.h_M == pytest.approx(1.0, abs=1e-12)
+    inst = _on_cycle(np.eye(4))
+    assert inst.rho_m == pytest.approx(_svd_rho_m(np.eye(4)), abs=1e-12)
+    assert inst.rho_m == pytest.approx(0.25, abs=1e-12)
+    assert inst.h_M == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_constants_stacked_identities():
     H = np.vstack([np.eye(3), np.eye(3)])
-    sc = spectral_constants(H)
+    inst = _on_cycle(H)
     # H^T H = 2 I, so rho_m = 2/(2m) = 1/m
-    assert sc.rho_m == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert sc.h_M == pytest.approx(1.0, abs=1e-12)
+    assert inst.rho_m == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert inst.rho_m == pytest.approx(_svd_rho_m(H), abs=1e-12)
+    assert inst.h_M == pytest.approx(np.linalg.norm(H, axis=1).max(), abs=1e-12)
 
 
 def test_spectral_constants_cross_check_and_permutation():
     rng = np.random.default_rng(3)
     H = rng.standard_normal((10, 5))
-    sc = spectral_constants(H)
+    inst = _on_cycle(H)
     lam = np.linalg.eigvalsh(H.T @ H)
-    assert sc.rho_m == pytest.approx(lam[0] / 10, rel=1e-10)
-    assert sc.h_M == pytest.approx(np.linalg.norm(H, axis=1).max(), rel=1e-12)
+    assert inst.rho_m == pytest.approx(_svd_rho_m(H), rel=1e-10)
+    assert inst.rho_m == pytest.approx(lam[0] / 10, rel=1e-10)
+    assert inst.h_M == pytest.approx(np.linalg.norm(H, axis=1).max(), rel=1e-12)
     perm = rng.permutation(10)
-    sc_p = spectral_constants(H[perm])
-    assert sc_p.rho_m == pytest.approx(sc.rho_m, rel=1e-10)
-    assert sc_p.h_M == pytest.approx(sc.h_M, rel=1e-12)
+    inst_p = _on_cycle(H[perm])
+    assert inst_p.rho_m == pytest.approx(inst.rho_m, rel=1e-10)
+    assert inst_p.h_M == pytest.approx(inst.h_M, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
 def test_spectral_constants_scale_with_h_as_rank_check_decides(c):
     # an instance that ProblemInstance accepts has its constants, at any
-    # scale of H: rank is decided relative to sigma_1 in both places
+    # scale of H: rank is decided relative to sigma_1
     inst = gen_instance(10, 5, (2.0, 1.0, 3.0, 4.0, -1.0), seed=0)
     scaled = ProblemInstance(H=c * inst.H, b=c * inst.b, graph=inst.graph, v_star=inst.v_star)
-    sc, ref = spectral_constants(scaled.H), spectral_constants(inst.H)
-    assert sc.rho_m == pytest.approx(c**2 * ref.rho_m, rel=1e-12)
-    assert sc.h_M == pytest.approx(c * ref.h_M, rel=1e-12)
-
-
-def test_spectral_constants_rank_deficient_raises():
-    H = np.zeros((4, 2))
-    H[:, 0] = [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(RankDeficientError):
-        spectral_constants(H)
+    assert scaled.rho_m == pytest.approx(_svd_rho_m(c * inst.H), rel=1e-12)
+    assert scaled.rho_m == pytest.approx(c**2 * inst.rho_m, rel=1e-12)
+    assert scaled.h_M == pytest.approx(np.linalg.norm(c * inst.H, axis=1).max(), rel=1e-12)
+    assert scaled.h_M == pytest.approx(c * inst.h_M, rel=1e-12)
