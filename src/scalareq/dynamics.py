@@ -252,7 +252,8 @@ def _advance(L, H, cfg, mode, rng=None):
         Q = cfg.compressor.apply
         # this order of evaluation fixes the last bits of baseline traces
         return lambda C, X, b, out=None: np.subtract(
-            X - h * (L @ Q(X, rng)), s * ((X * H).sum(axis=-1) - b)[..., None] * H, out=out)
+            X - h * _exchange(L, Q(X, rng), None),
+            s * ((X * H).sum(axis=-1) - b)[..., None] * H, out=out)
     sH = s * H
     if mode == "dt":
         hL = h * L

@@ -2,7 +2,6 @@
 run config, instance generation, experiment orchestration and
 serialization."""
 
-import csv
 import typing
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -15,9 +14,8 @@ from .errors import RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
 from .linalg import RankVerdict, rank_check
 
-TRACE_COLUMNS = ("clock", "err", "disagreement", "scalars_tx_cum", "bits_tx_cum")
-RESULT_COLUMNS = ("mode", "compressor", "h", "s", "seed", "hit_clock",
-                  "converged", "scalars_at_hit", "bits_at_hit", "rate_emp")
+TRACE_COLUMNS = {"clock": float, "err": float, "disagreement": float,
+                 "scalars_tx_cum": int, "bits_tx_cum": int}
 RESAMPLE_CAP = 10
 
 
@@ -280,6 +278,10 @@ class ResultRow:
     final_err: float = float("nan")
 
 
+# the results CSV columns: every ResultRow field but final_err, with its type
+RESULT_COLUMNS = {f.name: f.type for f in fields(ResultRow) if f.name != "final_err"}
+
+
 @dataclass
 class ExperimentSpec:
     """An experiment grid over (compressor kind, s, seed) on one Config;
@@ -337,96 +339,100 @@ def _fmt(v):
 
 
 def serialize(obj, path):
-    """Write a Trace or a list of ResultRow to CSV.
-
-    Trace files start with '# key=value' metadata lines so a run's
-    configuration travels with its data; both formats round-trip
-    byte-exactly for fixed inputs.
-    """
+    """Write a Trace or a list of ResultRow to CSV: a trace's '# key=value'
+    metadata lines (its run's configuration and outcome), the header, then
+    one line per row. Every cell is a repr float, an exact int, true/false
+    or a label without a comma, so none is quoted, and both formats
+    round-trip byte-exactly."""
     if isinstance(obj, Trace):
-        with open(path, "w", newline="") as fh:
-            for key in sorted(obj.meta):
-                fh.write(f"# {key}={_fmt(obj.meta[key])}\n")
-            fh.write(f"# converged={_fmt(obj.converged)}\n")
-            fh.write(f"# hit_clock={_fmt(obj.hit_clock) if obj.hit_clock is not None else 'none'}\n")
-            fh.write(f"# final_err={_fmt(obj.final_err)}\n")
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            # str of a Python float is its repr; no cell needs CSV quoting
-            cols = (obj.clock, obj.err, obj.disagreement, obj.scalars_tx_cum, obj.bits_tx_cum)
-            fh.writelines(map("{},{},{},{},{}\n".format, *(col.tolist() for col in cols)))
-        return path
-    rows = list(obj)
-    if not all(isinstance(r, ResultRow) for r in rows):
-        raise TypeError("serialize expects a Trace or a list of ResultRow")
+        meta = [(key, _fmt(obj.meta[key])) for key in sorted(obj.meta)]
+        meta += [("converged", _fmt(obj.converged)),
+                 ("hit_clock", "none" if obj.hit_clock is None else _fmt(obj.hit_clock)),
+                 ("final_err", _fmt(obj.final_err))]
+        # tolist gives Python ints and floats, whose str is their repr
+        columns, cells = TRACE_COLUMNS, [getattr(obj, name).tolist() for name in TRACE_COLUMNS]
+    else:
+        rows = list(obj)
+        if not all(isinstance(r, ResultRow) for r in rows):
+            raise TypeError("serialize expects a Trace or a list of ResultRow")
+        meta, columns = [], RESULT_COLUMNS
+        cells = [[_fmt(kind(getattr(r, name))) for r in rows] for name, kind in columns.items()]
+    line = ",".join(["{}"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.mode, r.compressor, _fmt(float(r.h)), _fmt(float(r.s)),
-                _fmt(int(r.seed)), _fmt(float(r.hit_clock)), _fmt(r.converged),
-                _fmt(int(r.scalars_at_hit)), _fmt(int(r.bits_at_hit)),
-                _fmt(float(r.rate_emp)),
-            ])
+        fh.writelines(f"# {key}={value}\n" for key, value in meta)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(line.format, *cells))
     return path
+
+
+def _bool(text):
+    """A bool as _fmt writes it."""
+    if text not in ("true", "false"):
+        raise ValueError(f"{text!r} is not true or false")
+    return text == "true"
 
 
 def _parse_meta_value(s):
     """A metadata value as serialize wrote it: a bool, an int, a float, or
     the string itself (the compressor label "none" included)."""
-    if s in ("true", "false"):
-        return s == "true"
-    for cast in (int, float):
+    for cast in (_bool, int, float, str):
         try:
             return cast(s)
         except ValueError:
-            continue
-    return s
+            pass
+
+
+def _cast_line(path, no, what, casts, toks, sep=" "):
+    """The cells toks of line no of path, each cast by its entry of casts;
+    another width or a cell that does not cast raises ValueError naming
+    the file and the line."""
+    if len(toks) != len(casts):
+        raise ValueError(f"{path}, line {no}: {what} needs {len(casts)} values, got {len(toks)}")
+    try:
+        return [cast(tok) for cast, tok in zip(casts, toks)]
+    except ValueError:
+        raise ValueError(f"{path}, line {no}: {what} has a non-numeric value in "
+                         f"{sep.join(toks)!r}") from None
+
+
+def _read_table(path, columns):
+    """(meta, rows) of a CSV that serialize wrote: the values of its opening
+    '# key=value' lines, and the rows below the header, each cell cast by
+    the type of its column. A missing or wrong header, a row of another
+    width or a cell that does not cast raises ValueError naming the line."""
+    header = ",".join(columns)
+    casts = [_bool if kind is bool else kind for kind in columns.values()]
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    meta, at = {}, 0
+    while at < len(lines) and lines[at].startswith("#"):
+        key, _, val = lines[at][1:].partition("=")
+        meta[key.strip()] = _parse_meta_value(val.strip())
+        at += 1
+    if at == len(lines):
+        raise ValueError(f"{path}, line {at + 1}: file ends before the header")
+    if lines[at] != header:
+        raise ValueError(f"{path}, line {at + 1}: expected the header {header!r}, "
+                         f"got {lines[at]!r}")
+    rows = [_cast_line(path, no, "row", casts, line.split(","), ",")
+            for no, line in enumerate(lines[at + 1:], at + 2)]
+    return meta, rows
 
 
 def parse_trace(path):
     """Read back a trace CSV written by :func:`serialize`."""
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = _parse_meta_value(val.strip())
-            elif line and not line.startswith("clock"):
-                rows.append(line.split(","))
-    converged = bool(meta.pop("converged", False))
+    meta, rows = _read_table(path, TRACE_COLUMNS)
     hit_clock = meta.pop("hit_clock", "none")  # "none": the run never reached tol
-    final_err = meta.pop("final_err", float("nan"))
-    cols = list(zip(*rows)) if rows else [[] for _ in TRACE_COLUMNS]
-    return Trace(
-        clock=[float(v) for v in cols[0]],
-        err=[float(v) for v in cols[1]],
-        disagreement=[float(v) for v in cols[2]],
-        scalars_tx_cum=[int(v) for v in cols[3]],
-        bits_tx_cum=[int(v) for v in cols[4]],
-        converged=converged, hit_clock=None if hit_clock == "none" else hit_clock,
-        final_err=final_err, meta=meta,
-    )
+    return Trace(**{name: [row[j] for row in rows] for j, name in enumerate(TRACE_COLUMNS)},
+                 converged=bool(meta.pop("converged", False)),
+                 hit_clock=None if hit_clock == "none" else hit_clock,
+                 final_err=meta.pop("final_err", float("nan")), meta=meta)
 
 
 def parse_results(path):
     """Read back a results CSV written by :func:`serialize`."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
-            raise ValueError(f"unexpected results header {header}")
-        for rec in reader:
-            out.append(ResultRow(
-                mode=rec[0], compressor=rec[1], h=float(rec[2]), s=float(rec[3]),
-                seed=int(rec[4]), hit_clock=float(rec[5]), converged=rec[6] == "true",
-                scalars_at_hit=int(rec[7]), bits_at_hit=int(rec[8]),
-                rate_emp=float(rec[9]),
-            ))
-    return out
+    _, rows = _read_table(path, RESULT_COLUMNS)
+    return [ResultRow(**dict(zip(RESULT_COLUMNS, row))) for row in rows]
 
 
 def save_instance(inst, path):
@@ -462,12 +468,7 @@ def load_instance(path):
         if i >= len(lines):
             fail(len(raw) + 1, f"file ends before {what}")
         no, toks = lines[i]
-        if len(toks) != len(casts):
-            fail(no, f"{what} needs {len(casts)} values, got {len(toks)}")
-        try:
-            vals = [cast(tok) for cast, tok in zip(casts, toks)]
-        except ValueError:
-            fail(no, f"{what} has a non-numeric value in {' '.join(toks)!r}")
+        vals = _cast_line(path, no, what, casts, toks)
         if not all(np.isfinite(v) for v in vals if isinstance(v, float)):
             fail(no, f"{what} has a non-finite value in {' '.join(toks)!r}")
         return vals
@@ -475,12 +476,8 @@ def load_instance(path):
     n, m = fields(0, "the 'n m' header", (int, int))
     if n < 1 or m < 1:
         fail(lines[0][0], f"need n, m >= 1, got n={n}, m={m}")
-    H = np.empty((n, m))
-    b = np.empty(n)
-    for i in range(n):
-        vals = fields(1 + i, f"row {i}", (float,) * (m + 1))
-        H[i] = vals[:m]
-        b[i] = vals[m]
+    Hb = np.array([fields(1 + i, f"row {i}", (float,) * (m + 1)) for i in range(n)])
+    H, b = Hb[:, :m].copy(), Hb[:, m].copy()
     edges = []
     for i in range(1 + n, len(lines)):
         toks = lines[i][1]

@@ -16,8 +16,8 @@
   guard and the trace record after every step, and steps with the node
   loop or an RK4 step of ``solver_ct_rhs``, so it shares neither the
   block loop nor the cached maps of the package.
-- ``serialize_trace_rows`` writes a trace CSV one formatted cell at a
-  time.
+- ``serialize_trace_rows`` / ``serialize_result_rows`` write a trace or
+  results CSV one formatted cell at a time through ``csv.writer``.
 - ``fit_rate_polyfit`` is ``harness.fit_rate`` by ``np.polyfit``.
 - ``interval_gram_ct`` is the continuous window gram of a cyclic-basis
   or table schedule summed one dwell interval at a time;
@@ -36,7 +36,7 @@ import numpy as np
 from scalareq.compression import UNIT_NORM_TOL, Compressor, account, eval_ct, eval_dt
 from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange, _laplacian
 from scalareq.errors import SimulationDiverged
-from scalareq.harness import TRACE_COLUMNS
+from scalareq.harness import RESULT_COLUMNS, TRACE_COLUMNS
 
 
 def consensus_rhs(L, schedule, t, x):
@@ -211,6 +211,21 @@ def serialize_trace_rows(trace, path):
                 _fmt(float(trace.clock[i])), _fmt(float(trace.err[i])),
                 _fmt(float(trace.disagreement[i])),
                 _fmt(int(trace.scalars_tx_cum[i])), _fmt(int(trace.bits_tx_cum[i])),
+            ])
+    return path
+
+
+def serialize_result_rows(rows, path):
+    """Write a list of ResultRow as ``harness.serialize`` does, formatting
+    one cell at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        for r in rows:
+            writer.writerow([
+                r.mode, r.compressor, _fmt(float(r.h)), _fmt(float(r.s)), _fmt(int(r.seed)),
+                _fmt(float(r.hit_clock)), _fmt(bool(r.converged)), _fmt(int(r.scalars_at_hit)),
+                _fmt(int(r.bits_at_hit)), _fmt(float(r.rate_emp)),
             ])
     return path
 

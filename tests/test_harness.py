@@ -15,12 +15,13 @@ from scalareq.compression import KINDS, Compressor, account, make_schedule
 from scalareq.dynamics import RunConfig, Trace, run_simulation
 from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
-from scalareq.harness import (RESULT_COLUMNS, Config, ExperimentSpec, ProblemInstance,
-                              ResultRow, fit_rate, gen_instance, load_instance,
+from scalareq.harness import (RESULT_COLUMNS, TRACE_COLUMNS, Config, ExperimentSpec,
+                              ProblemInstance, ResultRow, fit_rate, gen_instance, load_instance,
                               parse_config, parse_results, parse_trace,
                               run_experiment, save_instance, serialize)
 
-from oracles import fit_rate_polyfit, run_simulation_stepwise, serialize_trace_rows
+from oracles import (fit_rate_polyfit, run_simulation_stepwise, serialize_result_rows,
+                     serialize_trace_rows)
 
 V_STAR = (2.0, 1.0, 3.0, 4.0, -1.0)
 SCHED5 = make_schedule("cyclic-basis", 5, dwell=0.01)
@@ -189,14 +190,16 @@ SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-17, 1.0, 1e300, 1.79769
 @st.composite
 def _traces(draw):
     """Random traces: integer or fractional clocks, errors from subnormal
-    to huge, and NaN, infinite or missing outcome fields."""
+    to huge, counters past 2**53 (where a float no longer holds every
+    int), and NaN, infinite or missing outcome fields."""
     rows = draw(st.integers(0, 40))
     steps = np.cumsum(draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows)),
                       dtype=np.int64)
     unit = draw(st.sampled_from([1, 1e-3, 0.01, 2 ** -10, 0.1]))
     values = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
     cols = [draw(st.lists(values, min_size=rows, max_size=rows)) for _ in range(2)]
-    links = draw(st.integers(0, 10**6))
+    # links up to the count that takes bits_tx_cum to 2**63, far past 2**53
+    links = draw(st.integers(0, (2**57 - 1) // int(steps[-1] if rows else 1)))
     hit = draw(st.one_of(st.none(), st.integers(0, 10**6), st.floats(0, 1e6)))
     return Trace(clock=steps * unit, err=cols[0], disagreement=cols[1],
                  scalars_tx_cum=steps * links, bits_tx_cum=steps * links * 64,
@@ -252,17 +255,20 @@ def _run_meta(draw):
             "schedule": draw(st.sampled_from(KINDS)), "record_every": draw(st.integers(1, 10**6))}
 
 
+COUNTS = st.integers(0, 2**63 - 1)
+
+
 @st.composite
-def _result_rows(draw):
-    """Result rows as run_experiment makes them, diverged cells included
-    (no hit, NaN rate, infinite final error)."""
+def _results(draw):
+    """Result rows as run_experiment makes them, of every compressor,
+    diverged cells included (no hit, NaN rate, infinite final error): NaN,
+    infinite, -0.0 and subnormal rates, and seeds and counters past 2**53."""
     values = st.one_of(SPECIAL, st.floats())
     return [ResultRow(mode=draw(st.sampled_from(["dt", "ct"])), compressor=draw(LABELS),
-                      h=draw(GAINS), s=draw(GAINS), seed=draw(st.integers(0, 2**63 - 1)),
+                      h=draw(GAINS), s=draw(GAINS), seed=draw(COUNTS),
                       hit_clock=draw(st.floats(0, 1e9)), converged=draw(st.booleans()),
-                      scalars_at_hit=draw(st.integers(0, 2**62)),
-                      bits_at_hit=draw(st.integers(0, 2**62)), rate_emp=draw(values),
-                      final_err=draw(values))
+                      scalars_at_hit=draw(COUNTS), bits_at_hit=draw(COUNTS),
+                      rate_emp=draw(values), final_err=draw(values))
             for _ in range(draw(st.integers(0, 12)))]
 
 
@@ -293,7 +299,16 @@ def test_trace_round_trip_is_byte_exact(tmp_path_factory, trace, meta):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_result_rows())
+@given(_results())
+def test_serialize_results_matches_cell_by_cell_writer(tmp_path_factory, rows):
+    d = tmp_path_factory.mktemp("writer")
+    serialize(rows, d / "columns.csv")
+    serialize_result_rows(rows, d / "cells.csv")
+    assert (d / "columns.csv").read_bytes() == (d / "cells.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_results())
 def test_results_round_trip_is_byte_exact(tmp_path_factory, rows):
     # every CSV column comes back as written; final_err is not a column
     d = tmp_path_factory.mktemp("trip")
@@ -312,11 +327,36 @@ def test_serialize_rejects_unknown_payload(tmp_path):
         serialize([1, 2, 3], tmp_path / "x.csv")
 
 
-def test_parse_results_rejects_bad_header(tmp_path):
+TRACE_HEAD = "# mode=dt\nclock,err,disagreement,scalars_tx_cum,bits_tx_cum\n"
+RESULTS_HEAD = "mode,compressor,h,s,seed,hit_clock,converged,scalars_at_hit,bits_at_hit,rate_emp\n"
+
+
+@pytest.mark.parametrize("parse, text, where", [
+    (parse_results, "who,what\n1,2\n", "line 1: expected the header 'mode,compressor,"),
+    (parse_results, RESULTS_HEAD + "dt,none,0.2,0.02,0,3.0\n",
+     "line 2: row needs 10 values, got 6"),
+    (parse_results, RESULTS_HEAD + "dt,none,0.2,0.02,0,3.0,false,1,64,nan\n"
+     "dt,none,0.2,x,0,3.0,false,1,64,nan\n",
+     "line 3: row has a non-numeric value in 'dt,none,0.2,x,0,3.0,false,1,64,nan'"),
+    (parse_results, RESULTS_HEAD + "dt,none,0.2,0.02,0,3.0,yes,1,64,nan\n",
+     "line 2: row has a non-numeric value"),
+    (parse_trace, TRACE_HEAD + "0.0,1.0,0.5,0\n", "line 3: row needs 5 values, got 4"),
+    (parse_trace, TRACE_HEAD + "0.0,1.0,0.5,0,0\n1.0,0.5,0.2,20,1280,7\n",
+     "line 4: row needs 5 values, got 6"),
+    (parse_trace, TRACE_HEAD + "0.0,1.0,0.5,20.5,1312\n", "line 3: row has a non-numeric value"),
+    (parse_trace, "# mode=dt\ntime,err,disagreement,scalars_tx_cum,bits_tx_cum\n0.0,1.0,0.5,0,0\n",
+     "line 2: expected the header 'clock,err,disagreement,scalars_tx_cum,bits_tx_cum', "
+     "got 'time,err,disagreement,scalars_tx_cum,bits_tx_cum'"),
+    (parse_trace, "# mode=dt\n0.0,1.0,0.5,0,0\n", "line 2: expected the header"),
+    (parse_trace, "# mode=dt\n# converged=false\n", "line 3: file ends before the header"),
+], ids=["results-header", "results-short-row", "results-text-cell", "results-bool-cell",
+        "trace-short-row", "trace-long-row", "trace-fractional-counter", "trace-header",
+        "trace-no-header", "trace-metadata-only"])
+def test_parse_names_the_bad_line(tmp_path, parse, text, where):
     path = tmp_path / "bad.csv"
-    path.write_text("who,what\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        parse_results(path)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, {where}")):
+        parse(path)
 
 
 def test_save_load_instance_roundtrip(tmp_path, inst10):
@@ -513,6 +553,15 @@ def test_readme_lists_every_config_key():
     others = section.split("Other accepted keys:", 1)[1].split("\n\n", 1)[0]
     documented |= set(re.findall(r"`([a-z_]+\.[a-z_]+)`", others))
     assert documented == set(harness._KEYS)
+
+
+def test_readme_lists_the_output_columns():
+    # the two headers in README's Output files section are the columns
+    # that serialize writes and the readers demand
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Output files", 1)[1].split("\n## ", 1)[0]
+    headers = [block.strip() for block in section.split("```")[1::2]]
+    assert headers == [",".join(TRACE_COLUMNS), ",".join(RESULT_COLUMNS)]
 
 
 def test_readme_lists_every_schedule_and_graph_kind():
