@@ -22,7 +22,6 @@ from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
                       fit_rate, gen_instance, load_instance, parse_config,
                       parse_results, parse_trace, run_experiment,
                       save_instance, serialize)
-from .linalg import RankVerdict, rank_check
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      lyapunov_v1, observability_gram, solver_ct_rate)
 

@@ -5,7 +5,9 @@ C[k] (step index), read from its period table ``rows`` or evaluated as
 (sin, cos) pairs. Persistent excitation (PE) means the windowed gram of
 C C^T is bounded below by alpha * I; ``verify_pe_ct`` / ``verify_pe_dt``
 certify this exactly, over every window start, and return the witness
-(alpha, window). Every gram is in closed form: whole periods plus
+(alpha, window). A gram's eigenvalues are resolved only to about eps
+times its trace, the window length, so a witness needs alpha above
+PE_FLOOR * max(1, window). Every gram is in closed form: whole periods plus
 interval overlaps of a table, or for (sin, cos) pairs the integral or
 the Dirichlet-kernel sum of e^{ift} over the window.
 
@@ -259,11 +261,12 @@ class PEWitness:
 
 def _verify(starts, grams, window):
     """Witness from the smallest eigenvalue over the window grams of all
-    starts, read off one batched eigvalsh."""
+    starts, read off one batched eigvalsh, if it exceeds the rounding of
+    those grams, PE_FLOOR * max(1, window)."""
     lam = np.linalg.eigvalsh(np.asarray(grams))
     worst = int(np.argmin(lam[:, 0]))
     alpha = float(lam[worst, 0])
-    if alpha <= PE_FLOOR:
+    if alpha <= PE_FLOOR * max(1.0, window):
         raise PEVerificationFailed(
             f"schedule is not persistently exciting: min eigenvalue {alpha:.3e} "
             f"at start {starts[worst]}",

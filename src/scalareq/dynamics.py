@@ -19,7 +19,8 @@ only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches half
 of DIVERGENCE_GUARD. Each block reads its compression vectors from the
 schedule's period table, or evaluates a trigonometric schedule at
 all of its steps (and RK4 stages) at once. Periodic runs of small
-networks (n m <= DENSE_MAX_DIM) step through affine one-step maps read
+networks (n m <= DENSE_MAX_DIM) whose period of maps fits in those of
+the largest cyclic-basis run (8 MiB) step through affine one-step maps read
 off the drift on the identity basis (a ct RK4 step as the degree-4
 Taylor polynomial of its frozen field, in Horner form), shifted to map
 errors to errors; they advance a whole block by two lifts of those maps:
@@ -142,6 +143,17 @@ class RunConfig:
             raise ValueError(f"mode must be 'ct' or 'dt', got {mode!r}")
 
 
+def _first_disorder(clock, scalars, bits):
+    """(k, what is wrong) of the first row k of a trace whose clock is not
+    above row k - 1's or whose counters fall below it, or None."""
+    rises = np.diff(clock) > 0
+    bad = np.flatnonzero(~rises | (np.diff(scalars) < 0) | (np.diff(bits) < 0))
+    if bad.size:
+        k = int(bad[0])
+        return k + 1, ("trace clocks must be strictly increasing" if not rises[k]
+                       else "cumulative counters must be nondecreasing")
+
+
 @dataclass
 class Trace:
     """Per-step records of one run plus its outcome summary."""
@@ -161,11 +173,9 @@ class Trace:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("scalars_tx_cum", "bits_tx_cum"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        if len(self.clock) > 1:
-            if not np.all(np.diff(self.clock) > 0):
-                raise ValueError("trace clocks must be strictly increasing")
-            if np.any(np.diff(self.scalars_tx_cum) < 0) or np.any(np.diff(self.bits_tx_cum) < 0):
-                raise ValueError("cumulative counters must be nondecreasing")
+        bad = _first_disorder(self.clock, self.scalars_tx_cum, self.bits_tx_cum)
+        if bad:
+            raise ValueError(bad[1])
 
     def __len__(self):
         return len(self.clock)
@@ -456,9 +466,11 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     the state at step k less origin. run_simulation passes
     origin = 1 (x) v*, so that fill maps errors to errors.
 
-    Periodic linear runs with n m <= DENSE_MAX_DIM step through the
-    affine one-step maps x -> x @ A + w of one schedule period (see
-    ``_affine_step``), shifted to z -> z @ A + (origin @ A + w - origin).
+    Periodic linear runs with n m <= DENSE_MAX_DIM whose period of maps
+    holds no more floats than the largest cyclic-basis run's (m <= sqrt(n m)
+    maps at n m = DENSE_MAX_DIM, DENSE_MAX_DIM^2.5 floats, 8 MiB) step
+    through the affine one-step maps x -> x @ A + w of one schedule period
+    (see ``_affine_step``), shifted to z -> z @ A + (origin @ A + w - origin).
     When a period of them fits in LIFT_BYTES, a block of B = L q steps
     (see ``_block_shape``) is filled from two lifts of the shifted maps:
     the outer one makes z at k + L, ..., k + (q - 1) L in one matvec, and
@@ -467,8 +479,8 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     Scalarized trigonometric runs with n m <= TRIG_MAP_MAX_DIM whose
     table and buffers fit in LIFT_BYTES (see ``_trig_chunk``) step their
     exact states through dense per-step maps (see ``_trig_steps``); every
-    other run (baseline compressors, larger trigonometric runs,
-    n m > DENSE_MAX_DIM) steps them by the whole-state advance. Both
+    other run (baseline compressors, larger trigonometric runs, longer
+    tables, n m > DENSE_MAX_DIM) steps them by the whole-state advance. Both
     subtract origin from the block; a call that continues the block
     returned last starts from its exact last state, so z + origin is
     formed only at a run's first block.
@@ -479,7 +491,7 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     origin = np.zeros(d) if origin is None else origin
     lap = _laplacian(inst)
     phase = _phase(schedule, cfg, mode)
-    if phase is not None and d <= DENSE_MAX_DIM:
+    if phase is not None and d <= DENSE_MAX_DIM and len(phase[0]) * d * d <= DENSE_MAX_DIM**2.5:
         rows, stride = phase
         maps = [(A, origin @ A + w - origin) for A, w in
                 (_affine_step(lap, inst.H, inst.b, cfg, mode, C) for C in rows)]

@@ -1,5 +1,6 @@
-"""The problem instance with its data constants (rho_m, h_M), the typed
-run config, instance generation, experiment orchestration and
+"""The planted problem instance, admitted only when its v* is the unique
+solution of H v = b, with its data constants (rho_m, h_M); the typed run
+config, instance generation, experiment orchestration and
 serialization."""
 
 import typing
@@ -9,10 +10,10 @@ from functools import cached_property
 import numpy as np
 
 from .compression import Compressor, CompressionSchedule
-from .dynamics import RunConfig, Trace, run_simulation
+from .dynamics import RunConfig, Trace, _first_disorder, run_simulation
 from .errors import RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
-from .linalg import RankVerdict, rank_check
+from .linalg import _check_planted
 
 TRACE_COLUMNS = {"clock": float, "err": float, "disagreement": float,
                  "scalars_tx_cum": int, "bits_tx_cum": int}
@@ -24,9 +25,11 @@ class ProblemInstance:
     """One stacked system H v = b over a graph, with planted solution v*.
 
     Row i and offset b_i are private to node i. seed records the draw
-    that produced H (None for instances loaded from a file). verdict is
-    the rank_check of (H, b) that admitted the instance; rho_m and h_M,
-    the data constants of every solver rate, are read off it and H.
+    that produced H (None for instances loaded from a file). It is
+    admitted only if v* is the unique solution of H v = b (see
+    linalg._check_planted), the check that gives sigma_m = sigma_m(H);
+    rho_m and h_M, the data constants of every solver rate, are read off
+    it and H.
     """
 
     H: np.ndarray
@@ -34,7 +37,7 @@ class ProblemInstance:
     graph: WeightedGraph
     v_star: np.ndarray
     seed: int | None = None
-    verdict: RankVerdict = field(init=False, repr=False, compare=False)
+    sigma_m: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -49,11 +52,7 @@ class ProblemInstance:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "v_star", v)
-        verdict = rank_check(H, b)
-        if not verdict:
-            raise RankDeficientError(f"instance invalid: {verdict.reason}",
-                                     sigma_min=verdict.sigma_m)
-        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "sigma_m", _check_planted(H, b, v))
 
     @property
     def n(self):
@@ -66,7 +65,7 @@ class ProblemInstance:
     @property
     def rho_m(self):
         """lambda_min(H^T H) / n, taken as sigma_m(H)^2 / n."""
-        return self.verdict.sigma_m**2 / self.n
+        return self.sigma_m**2 / self.n
 
     @property
     def h_M(self):
@@ -396,18 +395,22 @@ def _cast_line(path, no, what, casts, toks, sep=" "):
 
 
 def _read_table(path, columns):
-    """(meta, rows) of a CSV that serialize wrote: the values of its opening
-    '# key=value' lines, and the rows below the header, each cell cast by
-    the type of its column. A missing or wrong header, a row of another
-    width or a cell that does not cast raises ValueError naming the line."""
+    """(meta, rows, first) of a CSV that serialize wrote: the values of its
+    opening '# key=value' lines, the rows below the header, each cell cast
+    by the type of its column, and the line number of the first row. A
+    '#' line that is not '# key=value', a missing or wrong header, a row
+    of another width or a cell that does not cast raises ValueError
+    naming the line."""
     header = ",".join(columns)
     casts = [_bool if kind is bool else kind for kind in columns.values()]
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     meta, at = {}, 0
     while at < len(lines) and lines[at].startswith("#"):
-        key, _, val = lines[at][1:].partition("=")
-        meta[key.strip()] = _parse_meta_value(val.strip())
+        key, eq, val = (part.strip() for part in lines[at][1:].partition("="))
+        if not (key and eq):
+            raise ValueError(f"{path}, line {at + 1}: expected '# key=value', got {lines[at]!r}")
+        meta[key] = _parse_meta_value(val)
         at += 1
     if at == len(lines):
         raise ValueError(f"{path}, line {at + 1}: file ends before the header")
@@ -416,22 +419,28 @@ def _read_table(path, columns):
                          f"got {lines[at]!r}")
     rows = [_cast_line(path, no, "row", casts, line.split(","), ",")
             for no, line in enumerate(lines[at + 1:], at + 2)]
-    return meta, rows
+    return meta, rows, at + 2
 
 
 def parse_trace(path):
-    """Read back a trace CSV written by :func:`serialize`."""
-    meta, rows = _read_table(path, TRACE_COLUMNS)
+    """Read back a trace CSV written by :func:`serialize`; a row whose clock
+    does not rise or whose counters fall raises ValueError naming it."""
+    meta, rows, first = _read_table(path, TRACE_COLUMNS)
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(TRACE_COLUMNS)}
+    bad = _first_disorder(columns["clock"], columns["scalars_tx_cum"], columns["bits_tx_cum"])
+    if bad:
+        raise ValueError(f"{path}, line {first + bad[0]}: {bad[1]}")
     hit_clock = meta.pop("hit_clock", "none")  # "none": the run never reached tol
-    return Trace(**{name: [row[j] for row in rows] for j, name in enumerate(TRACE_COLUMNS)},
-                 converged=bool(meta.pop("converged", False)),
+    return Trace(**columns, converged=bool(meta.pop("converged", False)),
                  hit_clock=None if hit_clock == "none" else hit_clock,
                  final_err=meta.pop("final_err", float("nan")), meta=meta)
 
 
 def parse_results(path):
-    """Read back a results CSV written by :func:`serialize`."""
-    _, rows = _read_table(path, RESULT_COLUMNS)
+    """Read back a results CSV written by :func:`serialize` (no '#' lines)."""
+    meta, rows, _ = _read_table(path, RESULT_COLUMNS)
+    if meta:
+        raise ValueError(f"{path}, line 1: a results file has no '#' lines")
     return [ResultRow(**dict(zip(RESULT_COLUMNS, row))) for row in rows]
 
 

@@ -185,6 +185,11 @@ def test_pe_check_fails_for_frozen_vector(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "gram eigenvalues" in out
+    # a rank-one table, whose gram rounds to an eigenvalue of 1.5e-10 at 1e6
+    table_file.write_text("0.6 0.8\n-0.6 -0.8\n0.6 0.8\n")
+    rc = main(["pe-check", "--config", cfg, "--domain", "ct", "--window", "1e6"])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL: schedule is not persistently exciting")
 
 
 @pytest.mark.parametrize("command", [
@@ -317,14 +322,14 @@ def test_config_building_error_exits_2_in_one_line(tmp_path, monkeypatch, capsys
 
 
 def test_bounds_takes_the_svds_of_rank_check_only(tmp_path, monkeypatch, capsys):
-    # rank_check takes sigma(H) and sigma([H b]) when the instance is built;
-    # rho_m and h_M are read off its verdict, not from a third SVD
+    # the instance takes one SVD, of H, when it is built; rho_m and h_M
+    # are read off the sigma_m it keeps, not from a second SVD
     shapes = []
-    singular_values = scalareq.linalg._singular_values
-    monkeypatch.setattr(scalareq.linalg, "_singular_values",
-                        lambda M: shapes.append(M.shape) or singular_values(M))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, **kwargs: shapes.append(M.shape) or svd(M, **kwargs))
     assert main(["bounds", "--config", _write_config(tmp_path)]) == 0
-    assert shapes == [(10, 5), (10, 6)]
+    assert shapes == [(10, 5)]
 
 
 def test_internal_error_keeps_its_traceback(tmp_path, monkeypatch):
@@ -400,7 +405,10 @@ NON_FINITE_INSTANCES = (("weight-nan", 5, "0 1 nan", "edge"), ("weight-inf", 6, 
     (["run", "--mode", "dt", "--instance", "short.txt", "--out", "t.csv"], "", 2,
      r"--instance: short\.txt, line 3: file ends before row 1"),
     (["run", "--mode", "dt", "--instance", "rank1.txt", "--out", "t.csv"], "", 2,
-     r"--instance: instance invalid: "),
+     r"--instance: instance invalid: rank\(H\) < 2: "),
+    (["run", "--mode", "dt", "--instance", "wrong-v-star.txt", "--out", "t.csv"],
+     "instance.m = 1\ninstance.v_star = 2\n", 2,
+     r"--instance: instance invalid: v_star does not solve H v = b: backward error "),
     (["gen", "--out", "i.txt"], "instance.m = 2\n", 2,
      r"\S*run\.cfg, line 4: instance\.v_star has 5 values but instance\.m = 2"),
     (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m, got n=1, m=5"),
@@ -411,7 +419,8 @@ NON_FINITE_INSTANCES = (("weight-nan", 5, "0 1 nan", "edge"), ("weight-inf", 6, 
      "instance.m = 1\ninstance.v_star = 2\n", 2,
      rf"--instance: {name}\.txt, line {no}: {what} has a non-finite value in ")
     for name, no, _, what in NON_FINITE_INSTANCES
-], ids=["diverges", "short-instance", "rank-deficient-instance", "gen-m-without-v-star",
+], ids=["diverges", "short-instance", "rank-deficient-instance", "wrong-v-star",
+        "gen-m-without-v-star",
         "gen-n-below-m", "edge-after-v-star"] + [f"instance-{c[0]}" for c in NON_FINITE_INSTANCES])
 def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
                                            argv, extra, code, message):
@@ -419,6 +428,7 @@ def test_bad_run_or_input_ends_in_one_line(tmp_path, monkeypatch, capsys,
     (tmp_path / "short.txt").write_text("2 1\n1.0 2.0\n")
     (tmp_path / "rank1.txt").write_text("2 2\n1 1 2\n2 2 4\n0 1 1.0\nv_star 1 1\n")
     (tmp_path / "tail.txt").write_text("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n")
+    (tmp_path / "wrong-v-star.txt").write_text("\n".join(VALID_INSTANCE[:-1] + ("v_star 2.5",)) + "\n")
     for name, no, text, _ in NON_FINITE_INSTANCES:
         lines = VALID_INSTANCE[:no - 1] + (text,) + VALID_INSTANCE[no:]
         (tmp_path / f"{name}.txt").write_text("\n".join(lines) + "\n")

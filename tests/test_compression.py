@@ -174,6 +174,23 @@ def test_verify_pe_constant_vector_fails():
         verify_pe_dt(frozen, 5)
 
 
+RANK_ONE = make_schedule("table", 2, dwell=0.01, table=[[0.6, 0.8], [-0.6, -0.8], [0.6, 0.8]])
+TRIG_REPEATED = make_schedule("trigonometric", 4, dwell=0.01, frequencies=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("verify, schedule, window", [
+    (verify_pe_ct, RANK_ONE, 1e6), (verify_pe_ct, RANK_ONE, 1e15), (verify_pe_ct, RANK_ONE, 1e300),
+    (verify_pe_dt, RANK_ONE, 1e6), (verify_pe_dt, RANK_ONE, 1e15), (verify_pe_dt, RANK_ONE, 1e20),
+    (verify_pe_dt, TRIG_REPEATED, 1e15),
+], ids=["ct-1e6", "ct-1e15", "ct-1e300", "dt-1e6", "dt-1e15", "dt-1e20", "dt-trig-1e15"])
+def test_verify_pe_refuses_a_singular_gram_at_long_windows(verify, schedule, window):
+    # every gram of either schedule has rank 2 or less, in m = 2 and 4
+    # dimensions, so its lambda_min is 0 up to rounding, which grows with
+    # the trace of the gram, its window length
+    with pytest.raises(PEVerificationFailed):
+        verify(schedule, window)
+
+
 def _seeded_table(seed, p, m, dwell=1.0):
     """Table schedule of p unit rows in R^m drawn from seed."""
     rows = np.random.default_rng(seed).standard_normal((p, m))

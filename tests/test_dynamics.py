@@ -1050,6 +1050,36 @@ def test_reference_network_lifts_blocks_of_150_steps(inst10, mode, kind, B):
     assert _stepper(inst10, SCHED5, cfg, mode, None, 2000)[0] == B
 
 
+def test_every_cyclic_basis_run_caches_its_maps():
+    # n >= m, so a cyclic-basis period at n m <= DENSE_MAX_DIM holds at
+    # most sqrt(DENSE_MAX_DIM) maps, which the cache bound admits
+    for m in range(1, 17):
+        inst = gen_instance(DENSE_MAX_DIM // m, m, np.ones(m), seed=0)
+        sched = make_schedule("cyclic-basis", m, dwell=0.01)
+        for mode in ("dt", "ct"):
+            fill = _stepper(inst, sched, RunConfig(h=0.2, s=0.02, dt_int=1e-3), mode, None, 1000)[1]
+            assert fill.__name__ in ("lifted", "mapped"), (m, mode)
+
+
+def test_long_table_steps_structured_within_the_cache_bound():
+    # 400 maps of 100^2 floats would hold 31 MiB of numpy memory for a
+    # 50-step run; past the 8 MiB bound the run steps structured
+    inst = gen_instance(20, 5, V_STAR, seed=0)
+    table = np.random.default_rng(0).standard_normal((400, 5))
+    sched = make_schedule("table", 5, dwell=0.01,
+                          table=table / np.linalg.norm(table, axis=1, keepdims=True))
+    cfg = RunConfig(h=0.2, s=0.02, horizon=50, tol=1e-300)
+    assert _stepper(inst, sched, cfg, "dt", None, 50)[1].__name__ == "fill"
+    tracemalloc.start()
+    try:
+        trace = run_simulation(inst, sched, cfg, "dt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+    _assert_same_run(trace, run_simulation_stepwise(inst, sched, cfg, "dt"))
+
+
 def test_run_simulation_never_steps_past_the_horizon(inst10, monkeypatch):
     # a uniform-quantizer step applies the compressor once to the whole state
     calls = []

@@ -349,9 +349,18 @@ RESULTS_HEAD = "mode,compressor,h,s,seed,hit_clock,converged,scalars_at_hit,bits
      "got 'time,err,disagreement,scalars_tx_cum,bits_tx_cum'"),
     (parse_trace, "# mode=dt\n0.0,1.0,0.5,0,0\n", "line 2: expected the header"),
     (parse_trace, "# mode=dt\n# converged=false\n", "line 3: file ends before the header"),
+    (parse_trace, TRACE_HEAD + "1.0,1.0,0.5,0,0\n0.5,0.5,0.2,20,1280\n",
+     "line 4: trace clocks must be strictly increasing"),
+    (parse_trace, TRACE_HEAD + "0.0,1.0,0.5,0,0\n1.0,0.5,0.2,20,1280\n2.0,0.2,0.1,20,640\n",
+     "line 5: cumulative counters must be nondecreasing"),
+    (parse_trace, "# mode=dt\n# oops\n" + TRACE_HEAD[10:],
+     "line 2: expected '# key=value', got '# oops'"),
+    (parse_trace, "#=dt\n" + TRACE_HEAD[10:], "line 1: expected '# key=value', got '#=dt'"),
+    (parse_results, "# mode=dt\n" + RESULTS_HEAD, "line 1: a results file has no '#' lines"),
 ], ids=["results-header", "results-short-row", "results-text-cell", "results-bool-cell",
         "trace-short-row", "trace-long-row", "trace-fractional-counter", "trace-header",
-        "trace-no-header", "trace-metadata-only"])
+        "trace-no-header", "trace-metadata-only", "trace-clock-back", "trace-counter-back",
+        "trace-loose-comment", "trace-meta-without-key", "results-metadata"])
 def test_parse_names_the_bad_line(tmp_path, parse, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)

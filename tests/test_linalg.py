@@ -1,29 +1,40 @@
 import numpy as np
 import pytest
 
+from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
 from scalareq.harness import ProblemInstance, gen_instance
-from scalareq.linalg import rank_check
+
+# "rank_check" in a test name is the check a ProblemInstance makes when it
+# is built: rank(H) = m, and v_star solves H v = b.
+
+
+def _planted(H, b, v_star):
+    """The ProblemInstance of (H, b, v_star) on a cycle (a path for n = 2)."""
+    H = np.asarray(H, dtype=float)
+    graph = build_graph("path" if H.shape[0] == 2 else "cycle", H.shape[0])
+    return ProblemInstance(H=H, b=np.asarray(b, dtype=float), graph=graph,
+                           v_star=np.asarray(v_star, dtype=float))
 
 
 def test_rank_check_identity_consistent():
-    verdict = rank_check(np.eye(2), np.array([1.0, 1.0]))
-    assert verdict
-    assert verdict.satisfied
+    inst = _planted(np.eye(2), [1.0, 1.0], [1.0, 1.0])
+    assert inst.sigma_m == 1.0
 
 
 def test_rank_check_rank_deficient():
     H = np.array([[1.0, 0.0], [1.0, 0.0]])
-    verdict = rank_check(H, np.array([1.0, 2.0]))
-    assert not verdict
-    assert "rank" in verdict.reason
+    with pytest.raises(RankDeficientError, match="rank"):
+        _planted(H, [1.0, 2.0], [1.0, 0.0])
 
 
 def test_rank_check_inconsistent_augmentation():
+    # no v solves it; the least-squares solution (1, 2.5) is refused too
     H = np.vstack([np.eye(2), np.eye(2)])
-    verdict = rank_check(H, np.array([1.0, 2.0, 1.0, 3.0]))
-    assert not verdict
-    assert "inconsistent" in verdict.reason
+    b = np.array([1.0, 2.0, 1.0, 3.0])
+    v_ls = np.linalg.lstsq(H, b, rcond=None)[0]
+    with pytest.raises(ValueError, match="v_star does not solve H v = b: backward error"):
+        _planted(H, b, v_ls)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -31,50 +42,64 @@ def test_rank_check_planted_property(seed):
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((9, 4))
     v = rng.standard_normal(4)
-    assert rank_check(H, H @ v)
+    assert np.array_equal(_planted(H, H @ v, v).v_star, v)
 
 
 @pytest.mark.parametrize("n,m", [(10, 5), (30, 5), (100, 10)])
 def test_rank_check_accepts_every_planted_consistent_system(n, m):
     rng = np.random.default_rng([n, m])
+    graph = build_graph("cycle", n)
     rejected = []
     for draw in range(200):
         H = rng.standard_normal((n, m))
-        verdict = rank_check(H, H @ rng.standard_normal(m))
-        if not verdict:
-            rejected.append((draw, verdict.reason))
+        v = rng.standard_normal(m)
+        try:
+            ProblemInstance(H=H, b=H @ v, graph=graph, v_star=v)
+        except ValueError as exc:
+            rejected.append((draw, str(exc)))
     assert rejected == []
 
 
-def _planted_sigma_system(sigma_m, seed, n, m):
-    """H with singular values (1, ..., 1, sigma_m) and b = H v consistent.
+@pytest.mark.parametrize("rel", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_problem_instance_refuses_a_v_star_that_does_not_solve(rel, scale):
+    # b = H v at any units of v, and v_star off by rel * ||v|| in one entry
+    inst = gen_instance(10, 5, scale * np.array([2.0, 1.0, 3.0, 4.0, -1.0]), seed=0)
+    wrong = inst.v_star.copy()
+    wrong[0] += rel * np.linalg.norm(inst.v_star)
+    with pytest.raises(ValueError, match="instance invalid: v_star does not solve H v = b"):
+        ProblemInstance(H=inst.H, b=inst.b, graph=inst.graph, v_star=wrong)
+    with pytest.raises(ValueError, match="v_star does not solve"):
+        ProblemInstance(H=inst.H, b=inst.b, graph=inst.graph, v_star=np.full(5, np.nan))
 
-    v is the top right singular vector, so [H b] has singular values
-    (sqrt(2), 1, ..., 1, sigma_m, 0) and sigma_max([H b]) = sqrt(2).
-    """
+
+def _planted_sigma_system(sigma_m, seed, n, m):
+    """(H, b, v) with H of singular values (1, ..., 1, sigma_m) and b = H v,
+    v the top right singular vector of H."""
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((n, m)))
     V, _ = np.linalg.qr(rng.standard_normal((m, m)))
     sig = np.ones(m)
     sig[-1] = sigma_m
     H = U @ np.diag(sig) @ V.T
-    return H, H @ V[:, 0]
+    return H, H @ V[:, 0], V[:, 0]
 
 
 @pytest.mark.parametrize("n,m", [(10, 5), (100, 10)])
 def test_rank_check_resolves_planted_sigma_near_threshold(n, m):
-    # RANK_TOL = 1e-8 sits 3x from either planted value
-    sigma_max = np.sqrt(2.0)
+    # sigma_max(H) = 1, and RANK_TOL = 1e-8 sits 3x from either planted value
     wrong = []
     for seed in range(20):
-        H, b = _planted_sigma_system(3e-8 * sigma_max, seed, n, m)
-        verdict = rank_check(H, b)
-        if not verdict or abs(verdict.sigma_m / (3e-8 * sigma_max) - 1.0) > 1e-6:
-            wrong.append((seed, verdict.reason, verdict.sigma_m))
-        H, b = _planted_sigma_system(3e-9 * sigma_max, seed, n, m)
-        verdict = rank_check(H, b)
-        if verdict or "rank(H)" not in verdict.reason:
-            wrong.append((seed, verdict.reason, verdict.sigma_m))
+        inst = _planted(*_planted_sigma_system(3e-8, seed, n, m))
+        if abs(inst.sigma_m / 3e-8 - 1.0) > 1e-6:
+            wrong.append((seed, inst.sigma_m))
+        try:
+            _planted(*_planted_sigma_system(3e-9, seed, n, m))
+        except RankDeficientError as exc:
+            if "rank(H)" not in str(exc):
+                wrong.append((seed, str(exc)))
+        else:
+            wrong.append((seed, "accepted"))
     assert wrong == []
 
 
@@ -90,10 +115,9 @@ def test_rank_check_verdict_does_not_depend_on_the_scale_of_b(seed):
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((10, 5))
     v = rng.standard_normal(5)
+    sigma_m = _planted(H, H @ v, v).sigma_m
     for scale in 10.0 ** np.arange(-8, 9):
-        verdict = rank_check(H, H @ (scale * v))
-        assert verdict, (scale, verdict.reason)
-        assert verdict.sigma_m == rank_check(H, H @ v).sigma_m
+        assert _planted(H, H @ (scale * v), scale * v).sigma_m == sigma_m, scale
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -103,22 +127,20 @@ def test_rank_check_rejects_rank_deficient_h_at_every_scale(seed):
     H[:, 4] = H[:, :4] @ rng.standard_normal(4)  # rank 4
     v = rng.standard_normal(5)
     for scale in 10.0 ** np.arange(-8, 9):
-        verdict = rank_check(H, H @ (scale * v))
-        assert not verdict and "rank(H) < 5" in verdict.reason, (scale, verdict.reason)
+        with pytest.raises(RankDeficientError, match=r"rank\(H\) < 5"):
+            _planted(H, H @ (scale * v), scale * v)
 
 
 def test_rank_check_shape_preconditions():
-    with pytest.raises(ValueError):
-        rank_check(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        rank_check(np.ones((3, 2)), np.ones(2))
+    with pytest.raises(ValueError, match="need n >= m >= 1, got n=2, m=3"):
+        _planted(np.ones((2, 3)), np.ones(2), np.ones(3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _planted(np.ones((3, 2)), np.ones(2), np.ones(2))
 
 
 def _on_cycle(H):
-    """A ProblemInstance of data matrix H on a cycle, planted at v = 1."""
-    H = np.asarray(H, dtype=float)
-    return ProblemInstance(H=H, b=H.sum(axis=1), graph=build_graph("cycle", H.shape[0]),
-                           v_star=np.ones(H.shape[1]))
+    """The instance of data matrix H planted at v = 1."""
+    return _planted(H, np.sum(H, axis=1), np.ones(np.shape(H)[1]))
 
 
 def _svd_rho_m(H):
