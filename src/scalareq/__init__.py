@@ -18,10 +18,9 @@ from .errors import (DisconnectedGraphError, PEVerificationFailed,
                      RankDeficientError, SimulationDiverged)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_graph,
                     disagreement_basis, laplacian_spectrum)
-from .harness import (Config, ExperimentSpec, ProblemInstance, ResultRow,
-                      fit_rate, gen_instance, load_instance, parse_config,
-                      parse_results, parse_trace, run_experiment,
-                      save_instance, serialize)
+from .harness import (Config, ProblemInstance, ResultRow, fit_rate,
+                      gen_instance, load_instance, parse_config, parse_results,
+                      parse_trace, run_experiment, save_instance, serialize)
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      lyapunov_v1, observability_gram, solver_ct_rate)
 

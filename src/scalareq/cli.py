@@ -18,8 +18,8 @@ import numpy as np
 
 from .compression import verify_pe_ct, verify_pe_dt
 from .errors import PEVerificationFailed, SimulationDiverged
-from .harness import (ExperimentSpec, load_instance, parse_config, parse_list,
-                      run_experiment, save_instance, serialize)
+from .harness import (load_instance, parse_config, parse_list, run_experiment,
+                      save_instance, serialize)
 from .theory import (consensus_rate, dt_stepsize_and_rate, lemma1_constants,
                      observability_gram, solver_ct_rate)
 from .dynamics import run_simulation
@@ -65,10 +65,8 @@ def _cmd_compare(args):
     for seed in args.seeds:
         if seed < 0:
             raise ValueError(f"--seeds {seed} is negative")
-    spec = ExperimentSpec(config=args.config, mode=args.mode,
-                          compressors=args.compressors, s_values=args.s_list or None,
-                          seeds=args.seeds, record_every=args.record_every)
-    rows = run_experiment(spec)
+    rows = run_experiment(args.config, args.mode, args.compressors, args.s_list,
+                          args.seeds, args.record_every)
     serialize(rows, args.out)
     print(f"{len(rows)} result rows -> {args.out}")
     return 0
@@ -153,10 +151,10 @@ def _parser():
     p = sub.add_parser("compare", help="run an experiment grid and write results CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True, choices=["ct", "dt"])
-    p.add_argument("--compressors", type=_list_of(str), default=ExperimentSpec.compressors)
+    p.add_argument("--compressors", type=_list_of(str), default=("scalarized", "none"))
     p.add_argument("--s-list", type=_list_of(float))
-    p.add_argument("--seeds", type=_list_of(int), default=ExperimentSpec.seeds)
-    p.add_argument("--record-every", type=int, default=ExperimentSpec.record_every)
+    p.add_argument("--seeds", type=_list_of(int), default=(0, 1, 2, 3, 4))
+    p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bounds", help="print rate constants for a config")

@@ -13,8 +13,9 @@ the Dirichlet-kernel sum of e^{ift} over the window.
 
 The scalarized compressor transmits the single scalar C^T x and unfolds
 it along C at the receiver. The three baseline compressors (unbiased
-l-bit quantizer, top-k sparsifier, uniform quantizer) transmit full
-m-vectors and exist for the communication comparison experiments.
+l-bit quantizer, dithered by the rng it is given; top-k sparsifier;
+uniform quantizer) transmit full m-vectors and exist for the
+communication comparison experiments.
 ``account`` prices one message of each: one exchange round sends one
 message over each directed link (two per undirected edge), a raw real
 scalar costs 64 bits, quantized entries cost their bit width, and top-k
@@ -270,7 +271,6 @@ def _verify(starts, grams, window):
         raise PEVerificationFailed(
             f"schedule is not persistently exciting: min eigenvalue {alpha:.3e} "
             f"at start {starts[worst]}",
-            start=starts[worst],
             eigenvalues=lam[worst],
         )
     return PEWitness(alpha=alpha, window=window)
@@ -302,7 +302,7 @@ def verify_pe_dt(schedule, K):
     return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
 
 
-def compress_unbiased(x, l, noise=None, rng=None):
+def compress_unbiased(x, l, rng):
     """Unbiased l-bit quantizer, applied to each row (last axis) of x.
 
     Each entry is scaled to [0, 2^(l-1)] of its row's infinity norm and
@@ -310,10 +310,9 @@ def compress_unbiased(x, l, noise=None, rng=None):
 
         out_i = (||x||_inf / 2^(l-1)) * sign(x_i) * floor(2^(l-1)|x_i| / ||x||_inf + w_i)
 
-    A zero row maps to zero. Pass ``noise`` shaped like x for
-    deterministic output, or ``rng`` to draw one uniform per entry of the
-    nonzero rows in row order, which is what quantizing the rows one by
-    one draws.
+    A zero row maps to zero and draws nothing; the dither w is one
+    rng.uniform draw over the nonzero rows in row order, which is what
+    quantizing the rows one by one draws.
     """
     x = np.asarray(x, dtype=float)
     if l < 1:
@@ -321,20 +320,12 @@ def compress_unbiased(x, l, noise=None, rng=None):
     rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
     norm_inf = np.abs(rows).max(axis=1, initial=0.0)
     # when every row is live (the common case) they need no fancy indexing
-    every = noise is None and norm_inf.all()
+    every = norm_inf.all()
     live = slice(None) if every else np.flatnonzero(norm_inf)
     X, norm_inf = rows[live], norm_inf[live, None]
     if not len(X):
         return np.zeros(x.shape)
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide explicit noise or an rng")
-        noise = rng.uniform(size=X.shape)
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != x.shape or noise.min() < 0.0 or noise.max() >= 1.0:
-            raise ValueError("noise must match x in shape with entries in [0, 1)")
-        noise = noise.reshape(rows.shape)[live]
+    noise = rng.uniform(size=X.shape)
     levels = 2.0 ** (l - 1)
     q = (norm_inf / levels) * np.sign(X) * np.floor(levels * np.abs(X) / norm_inf + noise)
     if every:
@@ -400,7 +391,7 @@ class Compressor:
         """Baseline map of each row (last axis) of x; undefined for
         structural kinds."""
         if self.kind == "unbiased":
-            return compress_unbiased(x, self.l, rng=rng)
+            return compress_unbiased(x, self.l, rng)
         if self.kind == "topk":
             return compress_topk(x, self.k)
         if self.kind == "uniform":

@@ -1,13 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises a ValueError subclass, which cli.main turns into one
+error line. Each message states the values it is about; pe-check prints
+PEVerificationFailed.eigenvalues, and run_experiment reads the scalars
+and bits of SimulationDiverged into the row of a diverged cell.
+"""
 
 
 class RankDeficientError(ValueError):
     """Data matrix fails the full-column-rank requirement (or is too
-    ill-conditioned to solve reliably)."""
-
-    def __init__(self, message, sigma_min=None):
-        super().__init__(message)
-        self.sigma_min = sigma_min
+    ill-conditioned to solve reliably); the message states sigma_m."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -20,11 +22,11 @@ class DisconnectedGraphError(ValueError):
 
 class PEVerificationFailed(ValueError):
     """A compression schedule is not persistently exciting over the
-    requested window; carries the worst start and gram eigenvalues."""
+    requested window; the message states the worst start, and the
+    exception carries that start's gram eigenvalues."""
 
-    def __init__(self, message, start=None, eigenvalues=None):
+    def __init__(self, message, eigenvalues=None):
         super().__init__(message)
-        self.start = start
         self.eigenvalues = None if eigenvalues is None else tuple(eigenvalues)
 
 

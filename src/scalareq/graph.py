@@ -149,12 +149,12 @@ def laplacian_spectrum(G):
     )
 
 
-def disagreement_basis(spec, tol=1e-9):
+def disagreement_basis(spec):
     """Orthonormal basis S (n x (n-1)) of the disagreement subspace.
 
     Columns are the Laplacian eigenvectors of the nonzero eigenvalues from
     ``numpy.linalg.eigh``, orthonormal, repeated eigenspaces included.
-    Satisfies, each to tol * max(1, lambda_n):
+    Satisfies, each to 1e-9 * max(1, lambda_n):
 
         S^T 1 = 0,  S^T S = I,  S S^T = I - 11^T/n,  S^T L S = diag(lambda_2..lambda_n)
     """
@@ -169,6 +169,6 @@ def disagreement_basis(spec, tol=1e-9):
         float(np.abs(S @ S.T - (np.eye(n) - np.outer(ones, ones) / n)).max()),
         float(np.abs(S.T @ spec.L @ S - np.diag(lam[1:])).max()),
     )
-    if max(checks) > tol * max(1.0, float(lam[-1])):
+    if max(checks) > 1e-9 * max(1.0, float(lam[-1])):
         raise RuntimeError(f"disagreement basis identities violated: residuals {checks}")
     return S

@@ -1,7 +1,8 @@
-"""The planted problem instance, admitted only when its v* is the unique
-solution of H v = b, with its data constants (rho_m, h_M); the typed run
-config, instance generation, experiment orchestration and
-serialization."""
+"""The planted problem instance, admitted only when its entries are finite
+and its v* is the unique solution of H v = b, with its data constants
+(rho_m, h_M); the typed run config, instance generation, the experiment
+grid (run_experiment, which takes every axis of the grid as an argument)
+and serialization."""
 
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -26,10 +27,11 @@ class ProblemInstance:
 
     Row i and offset b_i are private to node i. seed records the draw
     that produced H (None for instances loaded from a file). It is
-    admitted only if v* is the unique solution of H v = b (see
-    linalg._check_planted), the check that gives sigma_m = sigma_m(H);
-    rho_m and h_M, the data constants of every solver rate, are read off
-    it and H.
+    admitted only if H, b and v* are finite (a non-finite entry raises
+    ValueError naming the array) and v* is the unique solution of
+    H v = b (see linalg._check_planted), the check that gives
+    sigma_m = sigma_m(H); rho_m and h_M, the data constants of every
+    solver rate, are read off it and H.
     """
 
     H: np.ndarray
@@ -49,6 +51,9 @@ class ProblemInstance:
             )
         if self.graph.n != H.shape[0]:
             raise ValueError(f"graph has {self.graph.n} nodes but H has {H.shape[0]} rows")
+        for name, arr in (("H", H), ("b", b), ("v_star", v)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"instance invalid: {name} has a non-finite entry")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "v_star", v)
@@ -281,35 +286,23 @@ class ResultRow:
 RESULT_COLUMNS = {f.name: f.type for f in fields(ResultRow) if f.name != "final_err"}
 
 
-@dataclass
-class ExperimentSpec:
-    """An experiment grid over (compressor kind, s, seed) on one Config;
-    s_values = None means (config.run_s,)."""
-
-    config: Config = field(default_factory=Config)
-    mode: str = "dt"
-    compressors: tuple = ("scalarized", "none")
-    s_values: tuple | None = None
-    seeds: tuple = (0, 1, 2, 3, 4)
-    record_every: int = 1
-
-
-def run_experiment(spec):
-    """Run every grid cell and return one ResultRow per cell.
+def run_experiment(config, mode, compressors, s_values, seeds, record_every):
+    """Run the grid over (compressor kind, s, seed) on config in mode and
+    return one ResultRow per cell; no s_values (None or empty) means
+    (config.run_s,).
 
     Cells are isolated: a diverging run produces a not-converged row
     (hit_clock set to the horizon) without aborting its siblings.
     """
-    config, mode = spec.config, spec.mode
     base, schedule = config.run(mode), config.schedule(config.instance_m)
-    instances = {seed: config.instance(seed) for seed in spec.seeds}
+    instances = {seed: config.instance(seed) for seed in seeds}
     rows = []
-    for kind in spec.compressors:
+    for kind in compressors:
         comp = config.compressor(kind)
-        for s in spec.s_values or (config.run_s,):
-            for seed in spec.seeds:
+        for s in s_values or (config.run_s,):
+            for seed in seeds:
                 cfg = replace(base, s=s, seed=seed, compressor=comp,
-                              record_every=spec.record_every)
+                              record_every=record_every)
                 try:
                     tr = run_simulation(instances[seed], schedule, cfg, mode)
                 except SimulationDiverged as exc:
@@ -398,19 +391,21 @@ def _read_table(path, columns):
     """(meta, rows, first) of a CSV that serialize wrote: the values of its
     opening '# key=value' lines, the rows below the header, each cell cast
     by the type of its column, and the line number of the first row. A
-    '#' line that is not '# key=value', a missing or wrong header, a row
-    of another width or a cell that does not cast raises ValueError
-    naming the line."""
+    '#' line that is not '# key=value', a repeated key, a missing or wrong
+    header, a row of another width or a cell that does not cast raises
+    ValueError naming the line."""
     header = ",".join(columns)
     casts = [_bool if kind is bool else kind for kind in columns.values()]
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
-    meta, at = {}, 0
+    meta, where, at = {}, {}, 0
     while at < len(lines) and lines[at].startswith("#"):
         key, eq, val = (part.strip() for part in lines[at][1:].partition("="))
         if not (key and eq):
             raise ValueError(f"{path}, line {at + 1}: expected '# key=value', got {lines[at]!r}")
-        meta[key] = _parse_meta_value(val)
+        if key in where:
+            raise ValueError(f"{path}, line {at + 1}: {key} already set on line {where[key]}")
+        meta[key], where[key] = _parse_meta_value(val), at + 1
         at += 1
     if at == len(lines):
         raise ValueError(f"{path}, line {at + 1}: file ends before the header")

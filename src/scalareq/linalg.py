@@ -37,8 +37,7 @@ def _check_planted(H, b, v_star):
         raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
     sig = np.linalg.svd(H, compute_uv=False)
     if sig[-1] <= RANK_TOL * sig[0]:
-        raise RankDeficientError(f"instance invalid: rank(H) < {m}: sigma_m = {sig[-1]:.3e}",
-                                 sigma_min=float(sig[-1]))
+        raise RankDeficientError(f"instance invalid: rank(H) < {m}: sigma_m = {sig[-1]:.3e}")
     residual = np.linalg.norm(H @ v_star - b)
     scale = sig[0] * np.linalg.norm(v_star) + np.linalg.norm(b)
     if not residual <= RANK_TOL * scale:  # a nan residual fails too

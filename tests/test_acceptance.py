@@ -16,8 +16,7 @@ from scalareq.compression import (Compressor, compress_unbiased, eval_dt,
 from scalareq.dynamics import RunConfig, run_simulation
 from scalareq.errors import PEVerificationFailed
 from scalareq.graph import WeightedGraph, build_graph, disagreement_basis, laplacian_spectrum
-from scalareq.harness import (Config, ExperimentSpec, fit_rate, gen_instance,
-                              run_experiment)
+from scalareq.harness import Config, fit_rate, gen_instance, run_experiment
 from scalareq.compression import pe_gram_ct, pe_gram_dt, verify_pe_ct, verify_pe_dt
 from scalareq.theory import (consensus_rate, dt_stepsize_and_rate,
                              lyapunov_v1, observability_gram, solver_ct_rate)
@@ -121,14 +120,15 @@ def test_criterion_4_consensus_contraction_bound(inst10):
                    f"{worst_ratio:.3f}); {elapsed:.1f}s")
 
 
-def _ratio_claim(num, spec, label):
-    rows = run_experiment(spec)
+def _ratio_claim(num, config, mode, s_values, record_every, label):
+    seeds = (0, 1, 2, 3, 4)
+    rows = run_experiment(config, mode, ("scalarized", "none"), s_values, seeds, record_every)
     by = {(r.compressor, r.s, r.seed): r for r in rows}
     ok = all(r.converged for r in rows)
     medians = {}
-    for s in spec.s_values:
+    for s in s_values:
         ratios = []
-        for seed in spec.seeds:
+        for seed in seeds:
             scal = by[("scalarized", s, seed)]
             none = by[("none", s, seed)]
             ratios.append(scal.hit_clock / none.hit_clock)
@@ -142,15 +142,13 @@ def _ratio_claim(num, spec, label):
 
 
 def test_criterion_5_discrete_communication_claim():
-    spec = ExperimentSpec(Config(run_tol=1e-2, run_horizon=200_000), mode="dt",
-                          s_values=(0.02, 0.002, 0.0005), record_every=25)
-    _ratio_claim(5, spec, "step")
+    _ratio_claim(5, Config(run_tol=1e-2, run_horizon=200_000), "dt",
+                 (0.02, 0.002, 0.0005), 25, "step")
 
 
 def test_criterion_6_continuous_communication_claim():
-    spec = ExperimentSpec(Config(run_tol=1e-2, run_horizon=2000.0, run_dt_int=1e-3),
-                          mode="ct", s_values=(3.0, 1.0, 0.5), record_every=10)
-    _ratio_claim(6, spec, "time")
+    _ratio_claim(6, Config(run_tol=1e-2, run_horizon=2000.0, run_dt_int=1e-3), "ct",
+                 (3.0, 1.0, 0.5), 10, "time")
 
 
 def test_criterion_7_linear_convergence(inst10):

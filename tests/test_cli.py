@@ -144,6 +144,20 @@ def test_bounds_prints_constants(tmp_path, capsys):
     assert all(np.isfinite(float(v)) for v in row)
 
 
+def test_bounds_prints_beta_below_s_star(tmp_path, capsys):
+    # run.s inside the certified range (0, s*) adds the per-step decrease
+    # beta and the rate gamma_d = 1 - beta
+    cfg = _write_config(tmp_path, "run.s = 1e-10\n")
+    assert main(["bounds", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    assert "beta" in values and "gamma_d" in values
+    s_star, beta, gamma_d = (float(values[key]) for key in ("s_star", "beta", "gamma_d"))
+    assert 1e-10 < s_star
+    assert 0 < beta < 1
+    assert gamma_d == 1 - beta
+
+
 def test_bounds_rejects_identity_schedule(tmp_path, capsys):
     # the uncompressed exchange is compressor.kind = none, not a schedule
     cfg = _write_config(tmp_path, "schedule.kind = identity\n")

@@ -28,6 +28,8 @@ def test_schedule_validation():
         make_schedule("table", 2, table=[[1.0, 1.0]])
     with pytest.raises(ValueError, match="shape"):
         make_schedule("table", 3, table=[[1.0, 0.0]])
+    with pytest.raises(ValueError, match="at least one stored vector"):
+        make_schedule("table", 2, table=np.empty((0, 2)))
 
 
 def test_period_steps():
@@ -131,6 +133,9 @@ def test_pe_gram_ct_trigonometric_matches_pointwise_loop(m, freqs, start, T, ste
 def test_pe_gram_dt_rejects_empty_window_or_negative_start(schedule, start, K):
     with pytest.raises(ValueError, match="K >= 1 and start >= 0"):
         pe_gram_dt(schedule, start, K)
+    # the continuous gram refuses the same window, T = K, with its own message
+    with pytest.raises(ValueError, match="T > 0" if K < 1 else "start >= 0"):
+        pe_gram_ct(schedule, start, K)
 
 
 RESONANT = make_schedule("trigonometric", 4, dwell=1.0, frequencies=(1.5, 1.5))
@@ -393,27 +398,36 @@ def test_scalarize_rejects_non_unit_vector():
         unfold(np.array([0.5, 0.5]), 1.0)
 
 
+class _Dither:
+    """An rng stub whose uniform draw is a fixed dither (None: no draw allowed)."""
+
+    def __init__(self, w=None):
+        self.w = w
+
+    def uniform(self, size):
+        assert self.w is not None, "drew a dither"
+        assert size == np.shape(self.w)
+        return np.asarray(self.w, dtype=float)
+
+
 def test_compress_unbiased_explicit_noise():
     x = np.array([1.0, 0.3])
-    low = compress_unbiased(x, 2, noise=np.array([0.0, 0.0]))
+    low = compress_unbiased(x, 2, _Dither([[0.0, 0.0]]))
     assert np.array_equal(low, [1.0, 0.0])
-    high = compress_unbiased(x, 2, noise=np.array([0.0, 0.5]))
+    high = compress_unbiased(x, 2, _Dither([[0.0, 0.5]]))
     assert np.array_equal(high, [1.0, 0.5])
     # signs survive quantization
-    neg = compress_unbiased(np.array([-1.0, 0.3]), 2, noise=np.array([0.0, 0.0]))
+    neg = compress_unbiased(np.array([-1.0, 0.3]), 2, _Dither([[0.0, 0.0]]))
     assert np.array_equal(neg, [-1.0, 0.0])
 
 
 def test_compress_unbiased_zero_and_validation():
-    assert np.array_equal(compress_unbiased(np.zeros(3), 2), np.zeros(3))
-    assert compress_unbiased(np.zeros(0), 2).shape == (0,)
-    assert np.array_equal(compress_unbiased(np.zeros((2, 3)), 2), np.zeros((2, 3)))
+    # zero rows map to zero and draw nothing
+    assert np.array_equal(compress_unbiased(np.zeros(3), 2, _Dither()), np.zeros(3))
+    assert compress_unbiased(np.zeros(0), 2, _Dither()).shape == (0,)
+    assert np.array_equal(compress_unbiased(np.zeros((2, 3)), 2, _Dither()), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="l >= 1"):
-        compress_unbiased(np.ones(2), 0, noise=np.zeros(2))
-    with pytest.raises(ValueError, match="noise or an rng"):
-        compress_unbiased(np.ones(2), 2)
-    with pytest.raises(ValueError, match="noise"):
-        compress_unbiased(np.ones(2), 2, noise=np.array([0.0, 1.0]))
+        compress_unbiased(np.ones(2), 0, _Dither())
 
 
 def test_compress_unbiased_mean_tracks_input():

@@ -16,8 +16,7 @@ from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compressio
                                _half_steps, _laplacian, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
-from scalareq.harness import (Config, ExperimentSpec, ProblemInstance, gen_instance,
-                              run_experiment)
+from scalareq.harness import Config, ProblemInstance, gen_instance, run_experiment
 
 import oracles
 from oracles import (consensus_rhs, integrate, reference_step, run_simulation_stepwise,
@@ -507,9 +506,7 @@ def test_run_simulation_counter_ledger(case):
     rounds = round(exc.value.clock / unit)
     assert exc.value.scalars == rounds * links * scalars
     assert exc.value.bits == rounds * links * bits
-    spec = ExperimentSpec(config=wild, mode=mode, compressors=(config.compressor_kind,),
-                          seeds=(config.run_seed,))
-    (row,) = run_experiment(spec)
+    (row,) = run_experiment(wild, mode, (config.compressor_kind,), None, (config.run_seed,), 1)
     assert not row.converged
     assert (row.scalars_at_hit, row.bits_at_hit) == (exc.value.scalars, exc.value.bits)
 
@@ -610,6 +607,10 @@ def test_runconfig_validation(inst10):
         RunConfig(dt_int=3e-4).validate(SCHED5, "ct", lam_n)
     with pytest.raises(ValueError, match="mode"):
         RunConfig().validate(SCHED5, "st", lam_n)
+    with pytest.raises(ValueError, match="need a schedule dwell"):
+        RunConfig().validate(make_schedule("table", 5, table=np.eye(5)), "ct", lam_n)
+    with pytest.raises(ValueError, match="schedule has m=4 but the instance has m=5"):
+        run_simulation(inst10, SCHED4, RunConfig(), "dt")
 
 
 @pytest.mark.parametrize("mode, setting, match", [

@@ -142,6 +142,13 @@ def test_laplacian_spectrum_rejects_single_node():
         laplacian_spectrum(WeightedGraph(n=1))
 
 
+def test_laplacian_spectrum_rejects_numerically_disconnected_graph():
+    # connected as an edge list, but lambda_2 = 1.5e-12 is at numerical zero
+    G = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1e-12)))
+    with pytest.raises(DisconnectedGraphError, match="lambda_2 = 1.500e-12 at numerical zero"):
+        laplacian_spectrum(G)
+
+
 def test_disagreement_basis_two_nodes():
     spec = laplacian_spectrum(build_graph("path", 2))
     S = disagreement_basis(spec)

@@ -15,8 +15,8 @@ from scalareq.compression import KINDS, Compressor, account, make_schedule
 from scalareq.dynamics import RunConfig, Trace, run_simulation
 from scalareq.errors import RankDeficientError
 from scalareq.graph import build_graph
-from scalareq.harness import (RESULT_COLUMNS, TRACE_COLUMNS, Config, ExperimentSpec,
-                              ProblemInstance, ResultRow, fit_rate, gen_instance, load_instance,
+from scalareq.harness import (RESULT_COLUMNS, TRACE_COLUMNS, Config, ProblemInstance,
+                              ResultRow, fit_rate, gen_instance, load_instance,
                               parse_config, parse_results, parse_trace,
                               run_experiment, save_instance, serialize)
 
@@ -75,6 +75,16 @@ def test_problem_instance_validation():
     with pytest.raises(RankDeficientError):
         ProblemInstance(H=rank1, b=np.full(3, 2.0), graph=build_graph("path", 3),
                         v_star=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["H", "b", "v_star"])
+def test_problem_instance_refuses_non_finite_entries(inst10, name, bad):
+    # checked before the backward error, which an infinite v_star passes as inf <= 1e-8 inf
+    arrays = {"H": inst10.H.copy(), "b": inst10.b.copy(), "v_star": inst10.v_star.copy()}
+    arrays[name].flat[0] = bad
+    with pytest.raises(ValueError, match=f"instance invalid: {name} has a non-finite entry"):
+        ProblemInstance(graph=inst10.graph, **arrays)
 
 
 def test_account_conventions():
@@ -357,10 +367,13 @@ RESULTS_HEAD = "mode,compressor,h,s,seed,hit_clock,converged,scalars_at_hit,bits
      "line 2: expected '# key=value', got '# oops'"),
     (parse_trace, "#=dt\n" + TRACE_HEAD[10:], "line 1: expected '# key=value', got '#=dt'"),
     (parse_results, "# mode=dt\n" + RESULTS_HEAD, "line 1: a results file has no '#' lines"),
+    (parse_trace, "# mode=dt\n# mode=ct\n" + TRACE_HEAD[10:],
+     "line 2: mode already set on line 1"),
 ], ids=["results-header", "results-short-row", "results-text-cell", "results-bool-cell",
         "trace-short-row", "trace-long-row", "trace-fractional-counter", "trace-header",
         "trace-no-header", "trace-metadata-only", "trace-clock-back", "trace-counter-back",
-        "trace-loose-comment", "trace-meta-without-key", "results-metadata"])
+        "trace-loose-comment", "trace-meta-without-key", "results-metadata",
+        "trace-repeated-key"])
 def test_parse_names_the_bad_line(tmp_path, parse, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -397,8 +410,10 @@ def test_load_instance_rejects_missing_solution(tmp_path):
     ("2 1\n1.0 2.0\n3.0 6.0\n0 1 1.0\nv_star\n", "line 5: the v_star line needs 2 values"),
     ("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n",
      "line 8: unexpected line after the v_star line"),
+    ("# no nodes\n0 1\n", "line 2: need n, m >= 1, got n=0, m=1"),
+    ("2 0\n", "line 1: need n, m >= 1, got n=2, m=0"),
 ], ids=["empty", "comments-only", "short", "header-text", "row-text", "row-width",
-        "edge-text", "v_star-width", "edge-after-v_star"])
+        "edge-text", "v_star-width", "edge-after-v_star", "n-zero", "m-zero"])
 def test_load_instance_names_the_bad_line(tmp_path, text, where):
     path = tmp_path / "broken.txt"
     path.write_text(text)
@@ -611,9 +626,8 @@ def test_readme_cli_lines_parse(tmp_path, monkeypatch):
 
 
 def test_run_experiment_grid():
-    spec = ExperimentSpec(Config(run_horizon=300, run_tol=1e-300),
-                          s_values=(0.02,), seeds=(0, 1), record_every=50)
-    rows = run_experiment(spec)
+    rows = run_experiment(Config(run_horizon=300, run_tol=1e-300), "dt", ("scalarized", "none"),
+                          (0.02,), (0, 1), 50)
     assert len(rows) == 4
     by_comp = {}
     for row in rows:
@@ -631,8 +645,8 @@ def test_reference_grid_hit_clocks_match_stepwise_oracle():
     # the dt reference grid: every cell hits (or misses) its tolerance at
     # the step, and with the scalars, that a one-step-at-a-time run gives
     config = Config(run_tol=1e-2, run_horizon=2000)
-    spec = ExperimentSpec(config, s_values=(0.02, 0.002, 0.0005), seeds=(0, 1, 2, 3, 4))
-    rows = run_experiment(spec)
+    rows = run_experiment(config, "dt", ("scalarized", "none"), (0.02, 0.002, 0.0005),
+                          (0, 1, 2, 3, 4), 1)
     assert len(rows) == 30
     schedule = config.schedule()
     for row in rows:
@@ -647,9 +661,8 @@ def test_reference_grid_hit_clocks_match_stepwise_oracle():
 
 
 def test_run_experiment_isolates_divergence():
-    spec = ExperimentSpec(Config(run_horizon=100, run_tol=1e-2),
-                          s_values=(0.02, 5.0), seeds=(0,), record_every=10)
-    rows = run_experiment(spec)
+    rows = run_experiment(Config(run_horizon=100, run_tol=1e-2), "dt", ("scalarized", "none"),
+                          (0.02, 5.0), (0,), 10)
     assert len(rows) == 4
     diverged = [r for r in rows if r.s == 5.0]
     healthy = [r for r in rows if r.s == 0.02]

@@ -69,7 +69,7 @@ def test_problem_instance_refuses_a_v_star_that_does_not_solve(rel, scale):
     wrong[0] += rel * np.linalg.norm(inst.v_star)
     with pytest.raises(ValueError, match="instance invalid: v_star does not solve H v = b"):
         ProblemInstance(H=inst.H, b=inst.b, graph=inst.graph, v_star=wrong)
-    with pytest.raises(ValueError, match="v_star does not solve"):
+    with pytest.raises(ValueError, match="instance invalid: v_star has a non-finite entry"):
         ProblemInstance(H=inst.H, b=inst.b, graph=inst.graph, v_star=np.full(5, np.nan))
 
 
