@@ -2,14 +2,17 @@
 
 A schedule emits the unit compression vector C(t) (continuous clock) or
 C[k] (step index), read from its period table ``rows`` or evaluated as
-(sin, cos) pairs. Persistent excitation (PE) means the windowed gram of
-C C^T is bounded below by alpha * I; ``verify_pe_ct`` / ``verify_pe_dt``
-certify this exactly, over every window start, and return the witness
-(alpha, window). A gram's eigenvalues are resolved only to about eps
-times its trace, the window length, so a witness needs alpha above
-PE_FLOOR * max(1, window). Every gram is in closed form: whole periods plus
-interval overlaps of a table, or for (sin, cos) pairs the integral or
-the Dirichlet-kernel sum of e^{ift} over the window.
+(sin, cos) pairs. The solvers and certificates read C through
+``eval_ct`` and ``eval_dt``, which take a scalar or an array of clocks
+(steps) and refuse nan, infinite or negative ones and fractional steps.
+Persistent excitation (PE) means the windowed gram of C C^T is bounded
+below by alpha * I; ``verify_pe_ct`` / ``verify_pe_dt`` certify this
+exactly, over every window start, and return the witness (alpha,
+window). A gram's eigenvalues are resolved only to about eps times its
+trace, the window length, so a witness needs alpha above
+PE_FLOOR * max(1, window). Every gram is in closed form: whole periods
+plus interval overlaps of a table, or for (sin, cos) pairs the integral
+or the Dirichlet-kernel sum of e^{ift} over the window.
 
 The scalarized compressor transmits the single scalar C^T x and unfolds
 it along C at the receiver. The three baseline compressors (unbiased
@@ -102,45 +105,49 @@ def make_schedule(kind, m, dwell=None, frequencies=(), table=None):
                                frequencies=tuple(frequencies), table=table)
 
 
+def _clocks(x, name, whole=False):
+    """x as an array, or ValueError naming its first entry that is nan,
+    infinite, negative or, if whole, fractional."""
+    x = np.asarray(x)
+    ok = (x >= 0) & (x < np.inf) & ((x == np.floor(x)) if whole else True)  # nan fails all
+    if not ok.all():
+        raise ValueError(f"need {'whole' if whole else 'finite'} {name} >= 0, got {x[~ok][0]}")
+    return x
+
+
+def _step_length(schedule):
+    """Clock per step of a trigonometric schedule: its dwell, or 1 without."""
+    return 1.0 if schedule.dwell is None else schedule.dwell
+
+
 def eval_ct(schedule, t):
-    """Compression vector C(t) at continuous time t >= 0 (unit norm)."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    """Compression vectors C(t) at the continuous clocks t, a scalar or an
+    array of finite t >= 0, as an array of shape t.shape + (m,) of unit
+    rows; a trigonometric schedule takes one sin and one cos call."""
+    t = _clocks(t, "t")
     if schedule.rows is None:
-        return _trig_rows(schedule, t)
+        wt = np.multiply.outer(t, schedule.frequencies)
+        C = np.empty(wt.shape[:-1] + (schedule.m,))
+        C[..., 0::2] = np.sin(wt)
+        C[..., 1::2] = np.cos(wt)
+        C *= np.sqrt(2.0 / schedule.m)
+        return C
     if schedule.dwell is None:
         raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
-    # nudge so clocks sitting a rounding error below a dwell boundary
-    # land in the interval they denote
-    return schedule.rows[int(np.floor(t / schedule.dwell + 1e-9)) % len(schedule.rows)].copy()
-
-
-def _step_clock(schedule, k):
-    """Clock at which discrete step k (an int or an integer array)
-    samples the continuous rule of a trigonometric schedule."""
-    return k * (schedule.dwell if schedule.dwell is not None else 1.0)
-
-
-def _trig_rows(schedule, t):
-    """C(t) of a trigonometric schedule at every clock of the array t, as
-    an array of shape t.shape + (m,), from one sin and one cos call; each
-    row is what eval_ct gives at its clock."""
-    wt = np.multiply.outer(t, schedule.frequencies)
-    C = np.empty(wt.shape[:-1] + (schedule.m,))
-    C[..., 0::2] = np.sin(wt)
-    C[..., 1::2] = np.cos(wt)
-    C *= np.sqrt(2.0 / schedule.m)
-    return C
+    # nudge clocks a rounding error below a dwell boundary into the interval
+    # they denote; reduce mod the period (exactly) before the integer cast
+    step = np.floor(t / schedule.dwell + 1e-9) % len(schedule.rows)
+    return np.take(schedule.rows, step.astype(np.intp), axis=0)
 
 
 def eval_dt(schedule, k):
-    """Compression vector C[k] at step k >= 0 (unit norm)."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    k = int(k)
+    """Compression vectors C[k] at the steps k, a scalar or an array of whole
+    k >= 0, as an array of shape k.shape + (m,): row k mod period of the
+    table, or a trigonometric schedule's C(t) at t = k _step_length."""
+    k = _clocks(k, "k", whole=True)
     if schedule.rows is None:
-        return eval_ct(schedule, _step_clock(schedule, k))
-    return schedule.rows[k % len(schedule.rows)].copy()
+        return eval_ct(schedule, k * _step_length(schedule))
+    return np.take(schedule.rows, (k % len(schedule.rows)).astype(np.intp), axis=0)
 
 
 def _finite(grams, window):
@@ -204,7 +211,7 @@ def _dirichlet(schedule, start, K):
     a resonant angle keeps the size the exact sum sees, not a ratio of
     rounding errors; the sign (-1)^(n (K-1)) of reducing phi/2 by n pi
     cancels against the phase's."""
-    d = _step_clock(schedule, 1.0)
+    d = _step_length(schedule)
     c = start + (K - 1) / 2
 
     def kernel(f):
@@ -387,9 +394,9 @@ class Compressor:
             return f"topk(k={self.k})"
         return self.kind
 
-    def apply(self, x, rng=None):
-        """Baseline map of each row (last axis) of x; undefined for
-        structural kinds."""
+    def apply(self, x, rng):
+        """Baseline map of each row (last axis) of x, dithered by rng when
+        unbiased (None for other kinds); undefined for structural kinds."""
         if self.kind == "unbiased":
             return compress_unbiased(x, self.l, rng)
         if self.kind == "topk":

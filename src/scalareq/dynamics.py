@@ -16,9 +16,11 @@ does its bookkeeping (error norms, divergence guard, stopping step, trace
 rows) once per block, as array operations: row norms from einsum, the
 node average as two skinny products. The guard needs exact state norms
 only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches half
-of DIVERGENCE_GUARD. Each block reads its compression vectors from the
-schedule's period table, or evaluates a trigonometric schedule at
-all of its steps (and RK4 stages) at once. Periodic runs of small
+of DIVERGENCE_GUARD. A run steps with its graph's Laplacian, and
+RunConfig.validate, which checks every input of a run, reads lambda_n
+only for the dt step size. Compression vectors come from eval_dt or
+eval_ct: one call per block, at all of its steps and RK4 stages, or one
+per run for the period of cached maps. Periodic runs of small
 networks (n m <= DENSE_MAX_DIM) whose period of maps fits in those of
 the largest cyclic-basis run (8 MiB) step through affine one-step maps read
 off the drift on the identity basis (a ct RK4 step as the degree-4
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, _step_clock, _trig_rows, account
+from .compression import Compressor, account, eval_ct, eval_dt
 from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
@@ -110,8 +112,11 @@ class RunConfig:
     x0: np.ndarray | None = None
     record_every: int = 1
 
-    def validate(self, schedule, mode, lambda_n=None):
-        # each check is written so that nan fails it
+    def validate(self, inst, schedule, mode):
+        """Check every input of a run of inst under schedule in mode, each so
+        that nan fails it; lambda_n is read only for h < 2 / lambda_n in dt."""
+        if schedule.m != inst.m:
+            raise ValueError(f"schedule has m={schedule.m} but the instance has m={inst.m}")
         if not (self.tol > 0 and self.dt_int > 0 and 0 < self.horizon < np.inf):
             raise ValueError("tol, dt_int and horizon must be positive, and horizon finite")
         if not self.s >= 0:
@@ -121,10 +126,9 @@ class RunConfig:
         if mode == "dt":
             if not self.h > 0:
                 raise ValueError(f"need h > 0, got {self.h}")
-            if lambda_n is not None and not self.h * lambda_n < 2.0:
-                raise ValueError(
-                    f"stepsize h={self.h} violates h < 2/lambda_n = {2.0 / lambda_n:.6g}"
-                )
+            if inst.graph.edges and not self.h * inst.spectrum.lambda_n < 2.0:
+                raise ValueError(f"stepsize h={self.h} violates h < 2/lambda_n = "
+                                 f"{2.0 / inst.spectrum.lambda_n:.6g}")
         elif mode == "ct":
             if self.compressor.kind not in ("scalarized", "none"):
                 raise ValueError(
@@ -207,48 +211,39 @@ def _drift(hL, sH, H, b, C, X, out=None):
     return np.negative(out, out=out)
 
 
-def _laplacian(inst):
-    return inst.spectrum.L if inst.n >= 2 else inst.graph.laplacian()
-
-
 def _phase(schedule, cfg, mode):
     """(rows, stride) of a periodic linear run, whose step k applies the
     compression rows[(k // stride) % len(rows)]: [None], the full
-    exchange, without compression, and the schedule's period table for
-    scalarized cyclic-basis and table runs; stride is 1 in dt and the
-    steps per dwell in ct. None for trigonometric and baseline-compressor
-    runs."""
+    exchange, without compression, and C[0 .. period - 1] for scalarized
+    cyclic-basis and table runs; stride is 1 in dt and the steps per
+    dwell in ct. None for trigonometric and baseline-compressor runs."""
     if cfg.compressor.kind == "none":
         return [None], 1
     if schedule.rows is None or cfg.compressor.kind != "scalarized":
         return None
-    return schedule.rows, 1 if mode == "dt" else round(schedule.dwell / cfg.dt_int)
+    return (eval_dt(schedule, np.arange(schedule.period_steps)),
+            1 if mode == "dt" else round(schedule.dwell / cfg.dt_int))
 
 
 def _compression(schedule, cfg, mode):
     """C_of(k, count): the compression of steps k .. k + count - 1, one
-    entry per step: the row C[k] in dt, and in ct the (3, m) stack of the
-    rows that the RK4 stages at t, t + dt/2 and t + dt apply (one row
-    thrice for periodic schedules: they switch on step boundaries, where
-    a midpoint-frozen step integrates each smooth piece at full order).
-    None without scalarization. Periodic schedules index their period
-    table; trigonometric ones are evaluated at a block's clocks at once."""
+    entry per step, from one evaluator call: the row C[k] in dt, and in
+    ct the (3, m) stack of the rows that the RK4 stages at t, t + dt/2 and
+    t + dt apply (for a period table the row of the step's dwell index
+    thrice: it switches on step boundaries, where a midpoint-frozen step
+    integrates each smooth piece at full order). None without
+    scalarization."""
     if cfg.compressor.kind != "scalarized":
         return lambda k, count: [None] * count
-    phase = _phase(schedule, cfg, mode)
-    if phase is None and mode == "dt":
-        return lambda k, count: _trig_rows(schedule,
-                                           _step_clock(schedule, np.arange(k, k + count)))
-    if phase is None:
+    if mode == "dt":
+        return lambda k, count: eval_dt(schedule, np.arange(k, k + count))
+    if schedule.rows is None:
         dt = cfg.dt_int
-
-        def stages(k, count):
-            t = np.arange(k, k + count) * dt
-            return _trig_rows(schedule, np.stack([t, t + 0.5 * dt, t + dt], axis=1))
-        return stages
-    rows, stride = phase
-    rows = rows if mode == "dt" else np.repeat(rows[:, None], 3, axis=1)
-    return lambda k, count: rows[(np.arange(k, k + count) // stride) % len(rows)]
+        return lambda k, count: eval_ct(schedule, (np.arange(k, k + count) * dt)[:, None]
+                                        + [0.0, 0.5 * dt, dt])
+    stride = _phase(schedule, cfg, mode)[1]
+    return lambda k, count: np.repeat(
+        eval_dt(schedule, np.arange(k, k + count) // stride)[:, None], 3, axis=1)
 
 
 def _advance(L, H, cfg, mode, rng=None):
@@ -428,27 +423,28 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
     coef, buf = np.empty((maps, len(a) + 1)), np.empty((maps, d, d))
     coef[:, 0] = 1.0
 
-    def build(t):
-        """The maps at the clocks t, one per clock, in the buffer."""
-        C = _trig_rows(schedule, t)
-        np.multiply(C[:, a], C[:, b], out=coef[:len(t), 1:])
-        np.dot(coef[:len(t)], table, out=buf[:len(t)].reshape(len(t), -1))
-        return buf[:len(t)]
+    def build(C):
+        """The maps of the compression rows C, one per row, in the buffer."""
+        np.multiply(C[:, a], C[:, b], out=coef[:len(C), 1:])
+        np.dot(coef[:len(C)], table, out=buf[:len(C)].reshape(len(C), -1))
+        return buf[:len(C)]
 
     if mode == "dt":
         def steps(k, x, out):
+            C = eval_dt(schedule, np.arange(k, k + len(out)))
             for j in range(0, len(out), chunk):
                 c = min(chunk, len(out) - j)
-                D = build(_step_clock(schedule, np.arange(k + j, k + j + c)))
+                D = build(C[j:j + c])
                 x = _apply_maps(x, zip(D, itertools.repeat(g)), out[j:j + c])
             return x
         return steps
 
     def steps(k, x, out):
         # a_i = (dt / 2) k_i of the RK4 stages
+        C = eval_ct(schedule, _half_steps(k, len(out), cfg.dt_int))
         for j in range(0, len(out), chunk):
             c = min(chunk, len(out) - j)
-            D = build(_half_steps(k + j, c, cfg.dt_int))
+            D = build(C[2 * j:2 * (j + c) + 1])
             for i in range(c):
                 a1 = np.dot(x, D[2 * i]) + g
                 a2 = np.dot(x + a1, D[2 * i + 1]) + g
@@ -489,7 +485,7 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
     origin = np.zeros(d) if origin is None else origin
-    lap = _laplacian(inst)
+    lap = inst.graph.laplacian
     phase = _phase(schedule, cfg, mode)
     if phase is not None and d <= DENSE_MAX_DIM and len(phase[0]) * d * d <= DENSE_MAX_DIM**2.5:
         rows, stride = phase
@@ -565,10 +561,7 @@ def run_simulation(inst, schedule, cfg, mode):
     overflow in them is not reported.
     """
     n, m = inst.H.shape
-    if schedule.m != m:
-        raise ValueError(f"schedule has m={schedule.m} but the instance has m={m}")
-    lambda_n = inst.spectrum.lambda_n if n >= 2 else None
-    cfg.validate(schedule, mode, lambda_n)
+    cfg.validate(inst, schedule, mode)
 
     if cfg.x0 is not None:
         x = np.array(cfg.x0, dtype=float).reshape(n * m)

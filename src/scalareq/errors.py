@@ -13,11 +13,7 @@ class RankDeficientError(ValueError):
 
 
 class DisconnectedGraphError(ValueError):
-    """Graph is not connected; carries one connected component."""
-
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = tuple(component) if component is not None else None
+    """Graph is disconnected, or its lambda_2 is at numerical zero."""
 
 
 class PEVerificationFailed(ValueError):

@@ -1,8 +1,11 @@
 """Weighted undirected graphs, Laplacian spectra, and the disagreement basis.
 
-Every bound in :mod:`scalareq.theory` reads Laplacian eigenvalues alone.
-The disagreement basis S, orthonormal, orthogonal to consensus and
-diagonalizing the Laplacian, is computed only when asked for.
+A graph builds its dense read-only Laplacian L once; the solvers step
+with it and its spectrum keeps it. Every bound in :mod:`scalareq.theory`
+reads Laplacian eigenvalues alone, and a run reads lambda_n only for the
+dt step-size check. The disagreement basis S, orthonormal, orthogonal
+to consensus and diagonalizing the Laplacian, is computed only when
+asked for.
 """
 
 from dataclasses import dataclass, field
@@ -50,9 +53,7 @@ class WeightedGraph:
         comp = self.component_of(0)
         if len(comp) != self.n:
             raise DisconnectedGraphError(
-                f"graph is disconnected; component of node 0 is {sorted(comp)}",
-                component=sorted(comp),
-            )
+                f"graph is disconnected; component of node 0 is {sorted(comp)}")
 
     def component_of(self, start):
         """Set of nodes reachable from ``start`` (iterative traversal)."""
@@ -75,14 +76,16 @@ class WeightedGraph:
             adj[j].append((i, w))
         return tuple(tuple(sorted(adj[i])) for i in range(self.n))
 
+    @cached_property
     def laplacian(self):
-        """Dense Laplacian: off-diagonals -a_ij, diagonals sum of weights."""
+        """Dense read-only Laplacian, built once: -a_ij off the diagonal, degrees on it."""
         L = np.zeros((self.n, self.n))
         for (i, j, w) in self.edges:
             L[i, i] += w
             L[j, j] += w
             L[i, j] -= w
             L[j, i] -= w
+        L.flags.writeable = False
         return L
 
 
@@ -124,15 +127,16 @@ class LaplacianSpectrum:
 
 
 def laplacian_spectrum(G):
-    """Laplacian of G (exactly symmetric, finite) with its ascending
-    eigenvalues from the values-only ``numpy.linalg.eigvalsh``.
+    """G's Laplacian (exactly symmetric, finite; the graph's own array)
+    with its ascending eigenvalues from the values-only
+    ``numpy.linalg.eigvalsh``.
 
     Raises:
         DisconnectedGraphError: lambda_2 at numerical zero.
     """
     if G.n < 2:
         raise ValueError("spectral analysis needs n >= 2")
-    L = G.laplacian()
+    L = G.laplacian
     lam = np.linalg.eigvalsh(L)
     scale = max(1.0, float(lam[-1]))
     if abs(lam[0]) > ZERO_EIG_TOL * scale:

@@ -102,8 +102,8 @@ def _gram_blocks(lams, schedule, h, k0, K):
     L = lams[:, None, None]
     T = np.repeat(np.eye(m)[:, None, None, :], p, axis=1)
     G = np.zeros((p, m, m))
-    for j in range(K):
-        E = _exchange(L, T, eval_dt(schedule, k0 + j))
+    for C in eval_dt(schedule, k0 + np.arange(K)):
+        E = _exchange(L, T, C)
         G += 2.0 * h * np.einsum("ciur,diur->icd", T, E) - h**2 * np.einsum("ciur,diur->icd", E, E)
         T = T - h * E
     resid = float(np.abs(G - (np.eye(m) - np.einsum("ciur,diur->icd", T, T))).max())
@@ -154,9 +154,9 @@ def lyapunov_v1(spectrum, schedule, h, K, k, z):
     # one one-node network per eigenvalue, as in _gram_blocks
     v = np.asarray(z, dtype=float).reshape(len(lams), 1, schedule.m)
     total = 0.0
-    for j in range(K):
+    for C in eval_dt(schedule, int(k) + np.arange(K)):
         total += float(np.vdot(v, v))
-        v = v - h * _exchange(lams[:, None, None], v, eval_dt(schedule, int(k) + j))
+        v = v - h * _exchange(lams[:, None, None], v, C)
     return total
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scalareq.compression import UNIT_NORM_TOL, Compressor, account, eval_ct, eval_dt
-from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange, _laplacian
+from scalareq.dynamics import DIVERGENCE_GUARD, Trace, _drift, _exchange
 from scalareq.errors import SimulationDiverged
 from scalareq.harness import RESULT_COLUMNS, TRACE_COLUMNS
 
@@ -57,7 +57,7 @@ def solver_ct_rhs(inst, schedule, s, t, x):
     full exchange."""
     X = np.asarray(x, dtype=float).reshape(inst.H.shape)
     C = None if schedule is None else eval_ct(schedule, t)
-    return _drift(_laplacian(inst), s * inst.H, inst.H, inst.b, C, X).reshape(-1)
+    return _drift(inst.graph.laplacian, s * inst.H, inst.H, inst.b, C, X).reshape(-1)
 
 
 def _check_unit(C):
@@ -173,7 +173,7 @@ def solver_dt_step(inst, schedule, h, s, k, x, compressor=None, rng=None):
             Xn[i] = X[i] + (h * acc) * C - (s * r_i) * H[i]
         return Xn.reshape(-1)
 
-    L = _laplacian(inst)
+    L = inst.graph.laplacian
     r = (X * H).sum(axis=1) - b
     if compressor.kind == "none":
         Q = X
@@ -248,7 +248,7 @@ def run_simulation_stepwise(inst, schedule, cfg, mode):
     """``run_simulation`` with one step, one error norm, one guard check
     and one record at a time."""
     n, m = inst.H.shape
-    cfg.validate(schedule, mode, inst.spectrum.lambda_n if n >= 2 else None)
+    cfg.validate(inst, schedule, mode)
     if cfg.x0 is not None:
         x = np.array(cfg.x0, dtype=float).reshape(n * m)
     else:

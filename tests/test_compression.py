@@ -75,8 +75,63 @@ def test_eval_rejects_bad_arguments():
         eval_ct(CYCLIC5, -0.1)
     with pytest.raises(ValueError, match="k >= 0"):
         eval_dt(CYCLIC5, -1)
-    with pytest.raises(ValueError, match="dwell"):
-        eval_ct(make_schedule("cyclic-basis", 3), 0.0)
+    # a period table has no continuous clock without a dwell, for C(t) and its grams
+    no_dwell = make_schedule("cyclic-basis", 3)
+    for call in (lambda: eval_ct(no_dwell, 0.0), lambda: verify_pe_ct(no_dwell, 1.0),
+                 lambda: pe_gram_ct(no_dwell, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="cyclic-basis schedule needs a dwell"):
+            call()
+
+
+TABLE3 = make_schedule("table", 3, dwell=0.02,
+                       table=np.array([[0.6, 0.8, 0.0], [0.0, 0.6, -0.8], [1.0, 0.0, 0.0]]))
+TRIG4 = make_schedule("trigonometric", 4, frequencies=(1.0, 2.5))
+TRIG4_DWELL = make_schedule("trigonometric", 4, dwell=0.3, frequencies=(1.0, 2.5))
+
+
+@pytest.mark.parametrize("schedule", [CYCLIC5, TABLE3, TRIG4, TRIG4_DWELL],
+                         ids=["cyclic", "table", "trig", "trig-dwell"])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0-d", "1-d", "2-d"])
+def test_array_calls_equal_scalar_calls(schedule, shape):
+    # one row per entry, each the bits of the scalar call at that entry;
+    # table rows are copies
+    rng = np.random.default_rng(len(shape))
+    rows = None if schedule.rows is None else schedule.rows.copy()
+    for evaluate, x in ((eval_dt, rng.integers(0, 10**6, size=shape)),
+                        (eval_ct, rng.uniform(0.0, 1e3, size=shape))):
+        got = evaluate(schedule, x)
+        assert got.shape == shape + (schedule.m,)
+        want = [evaluate(schedule, v) for v in np.reshape(x, -1).tolist()]
+        assert np.array_equal(got.reshape(-1, schedule.m), want)
+        got[...] = 7.0
+        want[0][...] = 7.0
+    assert rows is None or np.array_equal(schedule.rows, rows)
+
+
+@pytest.mark.parametrize("evaluate, schedule, x, message", [
+    (eval_dt, CYCLIC5, 2.7, "need whole k >= 0, got 2.7"),
+    (eval_dt, TRIG4, np.array([3.0, 0.5]), "need whole k >= 0, got 0.5"),
+    (eval_dt, TRIG4, np.nan, "need whole k >= 0, got nan"),
+    (eval_dt, CYCLIC5, np.array([3, -2]), "need whole k >= 0, got -2"),
+    (eval_ct, TRIG4, np.nan, "need finite t >= 0, got nan"),
+    (eval_ct, CYCLIC5, np.nan, "need finite t >= 0, got nan"),
+    (eval_ct, TRIG4, np.inf, "need finite t >= 0, got inf"),
+    (eval_ct, TABLE3, np.array([[0.1, -0.5]]), "need finite t >= 0, got -0.5"),
+], ids=["fractional-step", "fractional-step-array", "nan-step", "negative-step-array",
+        "nan-clock-trig", "nan-clock-table", "inf-clock", "negative-clock-array"])
+def test_eval_refuses_nan_negative_and_fractional_input(evaluate, schedule, x, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(schedule, x)
+
+
+def test_eval_reads_a_huge_table_clock_modulo_the_period():
+    # the dwell index is reduced mod the period before any integer cast,
+    # so it is the row of the exact integer index at any finite clock
+    for t in (1e300, 3.7e19):
+        row = int(np.floor(t / CYCLIC5.dwell + 1e-9)) % 5
+        assert np.array_equal(eval_ct(CYCLIC5, t), np.eye(5)[row])
+        assert np.array_equal(eval_ct(CYCLIC5, [t, 0.0]), np.eye(5)[[row, 0]])
+    assert np.array_equal(eval_dt(TABLE3, 1e300), TABLE3.table[int(1e300) % 3])
 
 
 @pytest.mark.parametrize("start", [0, 2, 7])
@@ -469,13 +524,17 @@ def test_compressor_labels_and_validation():
 
 
 def test_compressor_apply():
-    assert np.array_equal(Compressor("uniform").apply(np.array([0.6, 1.4])), [1.0, 1.0])
-    assert np.array_equal(Compressor("topk", k=1).apply(np.array([1.0, -2.0])), [0.0, -2.0])
+    assert np.array_equal(Compressor("uniform").apply(np.array([0.6, 1.4]), None), [1.0, 1.0])
+    assert np.array_equal(Compressor("topk", k=1).apply(np.array([1.0, -2.0]), None),
+                          [0.0, -2.0])
     rng = np.random.default_rng(0)
     out = Compressor("unbiased", l=8).apply(np.array([0.5, -0.25]), rng=rng)
     assert np.abs(out - [0.5, -0.25]).max() < 0.01
     with pytest.raises(ValueError, match="pointwise"):
-        Compressor("scalarized").apply(np.zeros(2))
+        Compressor("scalarized").apply(np.zeros(2), None)
+    # the dither has no default source: an unbiased call needs its rng
+    with pytest.raises(TypeError):
+        Compressor("unbiased", l=2).apply(np.array([0.5, -0.25]))
 
 
 # entries drawn from a small set give ties in |x| and zero rows often

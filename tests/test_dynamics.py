@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalareq.dynamics as dynamics
-from scalareq.compression import _trig_rows
+import scalareq.harness as harness
 from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK,
                                TRIG_MAP_MAX_DIM, RunConfig, Trace, run_simulation)
 from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compression, _drift,
-                               _half_steps, _laplacian, _phase, _stepper, _trig_chunk)
+                               _half_steps, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import Config, ProblemInstance, gen_instance, run_experiment
@@ -338,7 +338,7 @@ def test_half_step_clocks_match_the_rk4_stage_times(k):
     # the clock's spacing beyond
     dt = 1e-3
     clocks = _half_steps(k, 204, dt)
-    rows = _trig_rows(TRIG4, clocks)
+    rows = eval_ct(TRIG4, clocks)
     for j in range(204):
         t = (k + j) * dt
         assert clocks[2 * j] == t
@@ -590,27 +590,43 @@ def test_run_simulation_diverges_mid_block_without_warnings(kind, mode, s, dt_in
 
 
 def test_runconfig_validation(inst10):
-    lam_n = inst10.spectrum.lambda_n
     with pytest.raises(ValueError, match="positive"):
-        RunConfig(tol=0.0).validate(SCHED5, "dt", lam_n)
+        RunConfig(tol=0.0).validate(inst10, SCHED5, "dt")
     with pytest.raises(ValueError, match="s >= 0"):
-        RunConfig(s=-0.1).validate(SCHED5, "dt", lam_n)
+        RunConfig(s=-0.1).validate(inst10, SCHED5, "dt")
     with pytest.raises(ValueError, match="record_every"):
-        RunConfig(record_every=0).validate(SCHED5, "dt", lam_n)
+        RunConfig(record_every=0).validate(inst10, SCHED5, "dt")
     with pytest.raises(ValueError, match="h > 0"):
-        RunConfig(h=0.0).validate(SCHED5, "dt", lam_n)
+        RunConfig(h=0.0).validate(inst10, SCHED5, "dt")
     with pytest.raises(ValueError, match="lambda_n"):
-        RunConfig(h=0.6).validate(SCHED5, "dt", lam_n)
+        RunConfig(h=0.6).validate(inst10, SCHED5, "dt")
     with pytest.raises(ValueError, match="scalarized or none"):
-        RunConfig(compressor=Compressor("topk", k=2)).validate(SCHED5, "ct", lam_n)
+        RunConfig(compressor=Compressor("topk", k=2)).validate(inst10, SCHED5, "ct")
     with pytest.raises(ValueError, match="subdivide"):
-        RunConfig(dt_int=3e-4).validate(SCHED5, "ct", lam_n)
+        RunConfig(dt_int=3e-4).validate(inst10, SCHED5, "ct")
     with pytest.raises(ValueError, match="mode"):
-        RunConfig().validate(SCHED5, "st", lam_n)
+        RunConfig().validate(inst10, SCHED5, "st")
     with pytest.raises(ValueError, match="need a schedule dwell"):
-        RunConfig().validate(make_schedule("table", 5, table=np.eye(5)), "ct", lam_n)
+        RunConfig().validate(inst10, make_schedule("table", 5, table=np.eye(5)), "ct")
+    with pytest.raises(ValueError, match="schedule has m=4 but the instance has m=5"):
+        RunConfig().validate(inst10, SCHED4, "ct")
     with pytest.raises(ValueError, match="schedule has m=4 but the instance has m=5"):
         run_simulation(inst10, SCHED4, RunConfig(), "dt")
+
+
+def test_only_the_dt_step_size_check_computes_the_spectrum(monkeypatch):
+    # a run steps with the graph's L, which the spectrum shares; lambda_n
+    # is read only for h < 2 / lambda_n in dt
+    calls = []
+    spectrum = harness.laplacian_spectrum
+    monkeypatch.setattr(harness, "laplacian_spectrum", lambda G: calls.append(G) or spectrum(G))
+    inst = gen_instance(10, 5, V_STAR, seed=0)
+    run_simulation(inst, SCHED5, RunConfig(horizon=0.005), "ct")
+    run_simulation_stepwise(inst, SCHED5, RunConfig(horizon=0.005), "ct")
+    assert calls == []
+    run_simulation(inst, SCHED5, RunConfig(horizon=5), "dt")
+    assert calls == [inst.graph]
+    assert inst.spectrum.L is inst.graph.laplacian
 
 
 @pytest.mark.parametrize("mode, setting, match", [
@@ -622,7 +638,7 @@ def test_runconfig_refuses_non_finite_settings(inst10, mode, setting, match):
     # nan fails every comparison, so each check must be one that nan fails;
     # an infinite horizon has no last step
     with pytest.raises(ValueError, match=match):
-        RunConfig(**setting).validate(SCHED5, mode, inst10.spectrum.lambda_n)
+        RunConfig(**setting).validate(inst10, SCHED5, mode)
 
 
 def test_schedule_refuses_nan_dwell_and_frequency():
@@ -963,7 +979,7 @@ def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
     inst, sched, rng = _random_problem(seed)
     n, m = inst.H.shape
     d = n * m
-    L = _laplacian(inst)
+    L = inst.graph.laplacian
     cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
                     dt_int=dt, compressor=Compressor(kind))
     basis, zero = np.eye(d).reshape(d, n, m), np.zeros((n, m))

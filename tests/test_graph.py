@@ -50,15 +50,26 @@ def test_weighted_graph_rejects_bad_weight_and_range():
 
 
 def test_weighted_graph_disconnected_reports_component():
-    with pytest.raises(DisconnectedGraphError) as exc:
+    with pytest.raises(DisconnectedGraphError, match=r"component of node 0 is \[0, 1\]$"):
         WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
-    assert exc.value.component == (0, 1)
 
 
 def test_weighted_graph_single_node():
     G = WeightedGraph(n=1)
     assert G.edges == ()
-    assert np.array_equal(G.laplacian(), np.zeros((1, 1)))
+    assert np.array_equal(G.laplacian, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="need at least one node, got n=0"):
+        WeightedGraph(n=0)
+
+
+def test_laplacian_is_built_once_read_only_and_shared_with_the_spectrum():
+    G = build_graph("cycle", 5)
+    L = G.laplacian
+    assert G.laplacian is L
+    assert not L.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        L[0, 0] = 3.0
+    assert laplacian_spectrum(G).L is L
 
 
 def test_neighbors_sorted_with_weights():
@@ -69,7 +80,7 @@ def test_neighbors_sorted_with_weights():
 
 def test_build_graph_path_two_nodes():
     G = build_graph("path", 2)
-    L = G.laplacian()
+    L = G.laplacian
     assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
     spec = laplacian_spectrum(G)
     assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
@@ -83,8 +94,8 @@ def test_build_graph_triangle_spectrum():
 
 
 def test_build_graph_complete_equals_cycle_for_three_nodes():
-    a = build_graph("complete", 3).laplacian()
-    b = build_graph("cycle", 3).laplacian()
+    a = build_graph("complete", 3).laplacian
+    b = build_graph("cycle", 3).laplacian
     assert np.array_equal(a, b)
 
 
@@ -131,7 +142,7 @@ def test_weighted_laplacian_scales():
 def test_laplacian_quadratic_form(seed):
     rng = np.random.default_rng(seed)
     G = random_connected_graph(8, rng)
-    L = G.laplacian()
+    L = G.laplacian
     x = rng.standard_normal(8)
     direct = sum(w * (x[i] - x[j]) ** 2 for (i, j, w) in G.edges)
     assert x @ L @ x == pytest.approx(direct, rel=1e-12)

@@ -56,11 +56,34 @@ def test_gen_instance_single_node():
     assert inst.b[0] == inst.H[0, 0] * 7.0
 
 
-def test_gen_instance_validation():
+class _Draws:
+    """Stand-in for the generator of an instance draw: standard_normal
+    returns the given arrays in turn."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        return self.arrays.pop(0)
+
+
+def test_gen_instance_validation(monkeypatch):
     with pytest.raises(ValueError, match="length"):
         gen_instance(10, 5, (1.0, 2.0))
     with pytest.raises(ValueError, match="n >= m"):
         gen_instance(3, 5, V_STAR)
+    # a rank-deficient draw is resampled, up to 10 draws in all
+    full = np.random.default_rng(5).standard_normal((10, 5))
+    deficient = full.copy()
+    deficient[:, 4] = deficient[:, 0]
+    draws = _Draws([deficient] * 3 + [full, deficient])
+    monkeypatch.setattr(harness.np.random, "default_rng", lambda seed: draws)
+    inst = gen_instance(10, 5, V_STAR, seed=0)
+    assert np.array_equal(inst.H, full) and len(draws.arrays) == 1
+    draws.arrays = [deficient] * 10 + [full]
+    with pytest.raises(RankDeficientError, match="^no full-rank draw after 10 resamples$"):
+        gen_instance(10, 5, V_STAR, seed=0)
+    assert len(draws.arrays) == 1
 
 
 def test_problem_instance_validation():
