@@ -26,6 +26,7 @@ index entries count as scalars and ceil(log2 m) bits each.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +106,13 @@ def make_schedule(kind, m, dwell=None, frequencies=(), table=None):
                                frequencies=tuple(frequencies), table=table)
 
 
-def _clocks(x, name, whole=False):
+def _clocks(x, name, whole=False, step=1.0):
     """x as an array, or ValueError naming its first entry that is nan,
-    infinite, negative or, if whole, fractional."""
+    negative, infinite, fractional if whole, or above max float / step, so
+    that a step's clock x * step is finite too."""
     x = np.asarray(x)
-    ok = (x >= 0) & (x < np.inf) & ((x == np.floor(x)) if whole else True)  # nan fails all
+    top = sys.float_info.max / max(step, 1.0)
+    ok = (x >= 0) & (x <= top) & ((x == np.floor(x)) if whole else True)  # nan fails all
     if not ok.all():
         raise ValueError(f"need {'whole' if whole else 'finite'} {name} >= 0, got {x[~ok][0]}")
     return x
@@ -120,18 +123,24 @@ def _step_length(schedule):
     return 1.0 if schedule.dwell is None else schedule.dwell
 
 
+def _sinusoids(schedule, t):
+    """C(t) of a trigonometric schedule at the clocks t, unchecked: one sin
+    and one cos call, shape t.shape + (m,)."""
+    wt = np.multiply.outer(t, schedule.frequencies)
+    C = np.empty(wt.shape[:-1] + (schedule.m,))
+    C[..., 0::2] = np.sin(wt)
+    C[..., 1::2] = np.cos(wt)
+    C *= np.sqrt(2.0 / schedule.m)
+    return C
+
+
 def eval_ct(schedule, t):
     """Compression vectors C(t) at the continuous clocks t, a scalar or an
     array of finite t >= 0, as an array of shape t.shape + (m,) of unit
-    rows; a trigonometric schedule takes one sin and one cos call."""
+    rows."""
     t = _clocks(t, "t")
     if schedule.rows is None:
-        wt = np.multiply.outer(t, schedule.frequencies)
-        C = np.empty(wt.shape[:-1] + (schedule.m,))
-        C[..., 0::2] = np.sin(wt)
-        C[..., 1::2] = np.cos(wt)
-        C *= np.sqrt(2.0 / schedule.m)
-        return C
+        return _sinusoids(schedule, t)
     if schedule.dwell is None:
         raise ValueError(f"{schedule.kind} schedule needs a dwell for continuous clocks")
     # nudge clocks a rounding error below a dwell boundary into the interval
@@ -144,9 +153,10 @@ def eval_dt(schedule, k):
     """Compression vectors C[k] at the steps k, a scalar or an array of whole
     k >= 0, as an array of shape k.shape + (m,): row k mod period of the
     table, or a trigonometric schedule's C(t) at t = k _step_length."""
-    k = _clocks(k, "k", whole=True)
     if schedule.rows is None:
-        return eval_ct(schedule, k * _step_length(schedule))
+        step = _step_length(schedule)
+        return _sinusoids(schedule, _clocks(k, "k", whole=True, step=step) * step)
+    k = _clocks(k, "k", whole=True)
     return np.take(schedule.rows, (k % len(schedule.rows)).astype(np.intp), axis=0)
 
 

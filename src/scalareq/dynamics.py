@@ -12,37 +12,35 @@ weighted sum along C. A baseline-compressor step exchanges the
 compressed states instead, L Q(X), with Q applied to every node's row of
 the stacked state X at once. ``run_simulation`` advances a run in blocks
 of B steps, each block handed over as the errors E = X - 1 (x) v*, and
-does its bookkeeping (error norms, divergence guard, stopping step, trace
-rows) once per block, as array operations: row norms from einsum, the
-node average as two skinny products. The guard needs exact state norms
-only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches half
-of DIVERGENCE_GUARD. A run steps with its graph's Laplacian, and
+does its bookkeeping (error norms, divergence guard, stopping step,
+trace rows) once per block, as array operations: row norms from einsum,
+the node average as two skinny products. The guard needs exact state
+norms only for a block whose bound ||x|| <= n err + ||1 (x) v*|| reaches
+half of DIVERGENCE_GUARD. A run steps with its graph's Laplacian, and
 RunConfig.validate, which checks every input of a run, reads lambda_n
 only for the dt step size. Compression vectors come from eval_dt or
 eval_ct: one call per block, at all of its steps and RK4 stages, or one
-per run for the period of cached maps. Periodic runs of small
-networks (n m <= DENSE_MAX_DIM) whose period of maps fits in those of
-the largest cyclic-basis run (8 MiB) step through affine one-step maps read
-off the drift on the identity basis (a ct RK4 step as the degree-4
-Taylor polynomial of its frozen field, in Horner form), shifted to map
-errors to errors; they advance a whole block by two lifts of those maps:
-an outer lift gives the errors at k, k + L, ..., k + (q - 1) L in one
-matrix-vector product, and an inner lift e[k+j] = e[k] M_j + c_j,
-j <= L, gives the B = L q errors of the block from those q starts in
-one matrix product. Scalarized trigonometric runs of small networks
-(n m <= TRIG_MAP_MAX_DIM) step their exact states through dense per-step
-maps D_k = D0 - h (L (x) C_k C_k^T), built a chunk at a time by one
-product of the chunk's C_k C_k^T coefficients with a table read off the
-exchange on the identity basis: a dt step is one matrix-vector product,
-a ct RK4 step four, with C at every stage time. Every other run steps
-its exact states through the one solver field ``_drift``, with h L and
-s H bound once per run, and writes each step of the whole state
-straight into its row of the block. The node-by-node step, the
-right-hand sides and the RK4 integrator that the tests compare against
-live in tests/oracles.py.
+per run for the period of cached maps. Every dense map [A; w] maps a row
+state z to [z, 1] @ [A; w] = z A + w. Periodic runs with
+n m <= DENSE_MAX_DIM whose period of maps fits in those of the largest
+cyclic-basis run (8 MiB) step through one stack of error maps read off
+the drift on the identity basis (``_period_maps``). They advance a whole
+block by two lifts of those maps, held with the block starts [e, 1] in
+one array: an outer lift gives the errors at k, k + L, ...,
+k + (q - 1) L in one matrix-vector product, and an inner lift the
+B = L q errors of the block from those q starts in one matrix product.
+Scalarized trigonometric runs with n m <= TRIG_MAP_MAX_DIM step their
+exact states through dense per-step maps D_k = D0 - h (L (x) C_k C_k^T),
+built a chunk at a time by one product of the chunk's C_k C_k^T
+coefficients with a table read off the exchange on the identity basis: a
+dt step is one matrix-vector product by [I + D_k; g], a ct RK4 step
+four, with C at every stage time. Every other run steps its exact states
+through the one solver field ``_drift``, with h L and s H bound once per
+run, and writes each step of the whole state straight into its row of
+the block. The node-by-node step, the right-hand sides and the RK4
+integrator that the tests compare against live in tests/oracles.py.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +69,8 @@ BLOCK_ELEMENTS = 8192
 MAX_BLOCK = 256
 # Largest size of the lifted maps of one run, in bytes: the inner lift of
 # L steps and the outer lift of q - 1 repeats hold L + q - 1 maps of
-# (n m)^2 floats. On the reference network (n m = 50) larger lifts raise
-# the peak memory of a run by more than 1 MiB.
+# (n m)^2 floats, their offset rows on top. On the reference network
+# (n m = 50) larger lifts raise the peak memory of a run by over 1 MiB.
 LIFT_BYTES = 1 << 20
 # Largest n m whose scalarized trigonometric runs step through dense
 # per-step maps (see _trig_steps) rather than the structured operator.
@@ -190,11 +188,12 @@ def _exchange(L, X, C):
 
     Node i sends the scalar y_i = C^T x_i and unfolds what it receives
     along C; C = None is the full-vector exchange (L (x) I) x. Leading
-    batch axes of X are carried through.
+    batch axes of X are carried through, and those of C, shape (..., m),
+    broadcast against them.
     """
     if C is None:
         return L @ X
-    return (L @ (X @ C)[..., None]) * C
+    return (L @ (X @ C[..., None])) * C[..., None, :]
 
 
 def _drift(hL, sH, H, b, C, X, out=None):
@@ -279,32 +278,60 @@ def _advance(L, H, cfg, mode, rng=None):
     return advance
 
 
-def _lift(maps, stride, B):
-    """Lifted maps (T, c) of a periodic affine run whose step i maps the
-    row state x to x @ A + w, (A, w) = maps[(i // stride) % len(maps)]:
-    columns j d .. (j+1) d - 1 of x @ T + c are the state j + 1 steps
-    after x, for j < B, when x sits at a multiple of the period
-    len(maps) * stride, which divides B. T is C-contiguous (d, B d), the
-    layout in which a stack of row states multiplies it in one GEMM."""
-    d = len(maps[0][1])
-    T, c = np.empty((d, B * d)), np.empty(B * d)
-    T[:, :d], c[:d] = maps[0]
-    period = len(maps) * stride
+def _period_maps(inst, schedule, cfg, mode, origin):
+    """(stride, maps) of a periodic linear run (see ``_phase``) of P rows,
+    n m = d <= DENSE_MAX_DIM and P d^2 <= DENSE_MAX_DIM^2.5, else None:
+    the (P, d + 1, d) error maps [A_r; w_r], step k of row r = (k //
+    stride) % P taking z = x - origin to [z, 1] @ [A_r; w_r]. All rows'
+    steps x -> x A + g are read off one drift on the identity basis (D)
+    and one at 0: x + drift(x) in dt; in ct RK4 on the frozen field, the
+    Taylor polynomial x P(Z) + dt g Q(Z) of exp(dt D), Z = dt D, in Horner
+    form, Q(Z) = I + Z/2 + Z^2/6 + Z^3/24 and P(Z) = I + Z Q(Z) (three
+    products where RK4 takes four drifts). w = origin A + g - origin."""
+    phase, H = _phase(schedule, cfg, mode), inst.H
+    d = H.size
+    if phase is None or d > DENSE_MAX_DIM or len(phase[0]) * d * d > DENSE_MAX_DIM**2.5:
+        return None
+    rows, stride = phase
+    P, C = len(rows), None if rows[0] is None else rows
+    basis = np.broadcast_to(np.eye(d).reshape(d, *H.shape), (P, d) + H.shape)
+    hL, sH, eye = (cfg.h if mode == "dt" else 1.0) * inst.graph.laplacian, cfg.s * H, np.eye(d)
+    D = _drift(hL, sH, H, 0.0, None if C is None else C[:, None], basis).reshape(P, d, d)
+    g = _drift(hL, sH, H, inst.b, C, np.zeros((P,) + H.shape)).reshape(P, 1, d)
+    if mode == "ct":
+        Z = cfg.dt_int * D
+        Q = eye + Z / 4.0
+        for j in (3.0, 2.0):
+            Q = eye + (Z / j) @ Q
+        D, g = Z @ Q, cfg.dt_int * (g @ Q)
+    maps = np.empty((P, d + 1, d))
+    np.add(eye, D, out=maps[:, :d])
+    maps[:, d] = origin @ maps[:, :d] + g[:, 0] - origin
+    return stride, maps
+
+
+def _lift(maps, stride, out):
+    """Write into out, a (d + 1, B d) array, the lift of a periodic affine
+    run whose step i maps the row state z to [z, 1] @ maps[(i // stride)
+    % len(maps)]: [z, 1] @ out[:, j d:(j+1) d] is the state j + 1 steps
+    after z, for j < B, when z sits at a multiple of the period P stride
+    (P = len(maps)), which divides B. A step is one product of a
+    (d + 1, d) block, its offset riding in the last row."""
+    d = maps.shape[2]
+    B, period = out.shape[1] // d, len(maps) * stride
+    out[:, :d] = maps[0]
     for j in range(1, period):
-        A, w = maps[(j // stride) % len(maps)]
-        np.matmul(T[:, (j - 1) * d:j * d], A, out=T[:, j * d:(j + 1) * d])
-        np.matmul(c[(j - 1) * d:j * d], A, out=c[j * d:(j + 1) * d])
-        c[j * d:(j + 1) * d] += w
+        M = maps[(j // stride) % len(maps)]
+        np.matmul(out[:, (j - 1) * d:j * d], M[:d], out=out[:, j * d:(j + 1) * d])
+        out[d, j * d:(j + 1) * d] += M[d]
     done = period
     while done < B:
-        # states done + 1, ... follow the state at done as 1, ... follow x
+        # states done + 1, ... follow the state at done as 1, ... follow z
         cols = min(done, B - done) * d
-        T_done, c_done = T[:, (done - 1) * d:done * d], c[(done - 1) * d:done * d]
-        np.matmul(T_done, T[:, :cols], out=T[:, done * d:done * d + cols])
-        np.matmul(c_done, T[:, :cols], out=c[done * d:done * d + cols])
-        c[done * d:done * d + cols] += c[:cols]
+        np.matmul(out[:, (done - 1) * d:done * d], out[:d, :cols],
+                  out=out[:, done * d:done * d + cols])
+        out[d, done * d:done * d + cols] += out[d, :cols]
         done += cols // d
-    return T, c
 
 
 def _block_shape(period, B, d):
@@ -321,38 +348,13 @@ def _block_shape(period, B, d):
     return L, max(1, min(B // L, fits - L + 1))
 
 
-def _affine_step(L, H, b, cfg, mode, C):
-    """(A, w) of one solver step x -> x @ A + w of the row state x, with C
-    the step's compression row (None for the full exchange), read off the
-    drift on the identity basis (its linear map D) and at the zero state
-    (g). A dt step is x + drift(x). A ct RK4 step of a field frozen over
-    the step is the degree-4 Taylor polynomial of exp(dt D): x @ P(Z) + dt g @ Q(Z)
-    with Z = dt D, Q(Z) = I + Z/2 + Z^2/6 + Z^3/24 and P(Z) = I + Z Q(Z),
-    built in Horner form (three d x d products, where RK4 applied to the
-    identity basis evaluates the drift four times)."""
-    n, m = H.shape
-    d = n * m
-    basis, zero, eye = np.eye(d).reshape(d, n, m), np.zeros((n, m)), np.eye(d)
-    sH = cfg.s * H
-    if mode == "dt":
-        hL = cfg.h * L
-        return (eye + _drift(hL, sH, H, 0.0, C, basis).reshape(d, d),
-                _drift(hL, sH, H, b, C, zero).reshape(d))
-    Z = cfg.dt_int * _drift(L, sH, H, 0.0, C, basis).reshape(d, d)
-    Q = eye + Z / 4.0
-    for j in (3.0, 2.0):
-        Q = eye + (Z / j) @ Q
-    g = _drift(L, sH, H, b, C, zero).reshape(d)
-    return eye + Z @ Q, cfg.dt_int * (g @ Q)
-
-
 def _apply_maps(z, maps, out):
-    """Step the row state z through the affine maps (A, w) in turn, each
-    state z @ A + w into the next row of out; returns the last state.
-    The product is np.dot, whose 1-D by 2-D call costs about half that
-    of @ at these sizes (2.4 against 4.2 us at 40 x 40)."""
-    for j, (A, w) in enumerate(maps):
-        z = out[j] = np.dot(z, A) + w
+    """Step the row state z through the maps [A; w] in turn, each state
+    z A + w into the next row of out; returns the last state. The product
+    is np.dot, whose 1-D by 2-D call costs about half that of @ at these
+    sizes (2.4 against 4.2 us at 40 x 40)."""
+    for j, M in enumerate(maps):
+        z = out[j] = np.dot(z, M[:-1]) + M[-1]
     return z
 
 
@@ -362,13 +364,13 @@ def _trig_chunk(d, m, mode, B):
     the run applies the structured operator instead: d above
     TRIG_MAP_MAX_DIM, or the table and the buffers of one step do not
     fit in LIFT_BYTES. The run holds a table of r = m (m + 1) / 2 + 1
-    maps, g and the r - 1 index pairs of the table rows, and per map of
-    a chunk one d x d buffer and one row of r coefficients; a chunk of
-    c steps holds c maps in dt and 2 c + 1 in ct (see _trig_steps)."""
+    maps, g and the r - 1 index pairs of the table rows, and per map of a
+    chunk one buffer [D; g] of (d + 1) d floats and r coefficients; a
+    chunk of c steps holds c maps in dt and 2 c + 1 in ct (_trig_steps)."""
     if d > TRIG_MAP_MAX_DIM:
         return None
     rows = m * (m + 1) // 2 + 1
-    maps = (LIFT_BYTES // 8 - rows * d * d - d - 2 * rows) // (d * d + rows)
+    maps = (LIFT_BYTES // 8 - rows * d * d - d - 2 * rows) // (d * d + d + rows)
     steps = maps if mode == "dt" else (maps - 1) // 2
     return min(steps, TRIG_CHUNK_STEPS, B) if steps >= 1 else None
 
@@ -420,13 +422,13 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
         table *= 0.5 * cfg.dt_int
         g *= 0.5 * cfg.dt_int
     maps = chunk if mode == "dt" else 2 * chunk + 1
-    coef, buf = np.empty((maps, len(a) + 1)), np.empty((maps, d, d))
-    coef[:, 0] = 1.0
+    coef, buf = np.empty((maps, len(a) + 1)), np.empty((maps, d + 1, d))
+    coef[:, 0], buf[:, d] = 1.0, g
 
     def build(C):
-        """The maps of the compression rows C, one per row, in the buffer."""
+        """The maps [D; g] of the compression rows C, one per row, in the buffer."""
         np.multiply(C[:, a], C[:, b], out=coef[:len(C), 1:])
-        np.dot(coef[:len(C)], table, out=buf[:len(C)].reshape(len(C), -1))
+        np.matmul(coef[:len(C)], table, out=buf[:len(C), :d].reshape(len(C), -1))
         return buf[:len(C)]
 
     if mode == "dt":
@@ -434,8 +436,7 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
             C = eval_dt(schedule, np.arange(k, k + len(out)))
             for j in range(0, len(out), chunk):
                 c = min(chunk, len(out) - j)
-                D = build(C[j:j + c])
-                x = _apply_maps(x, zip(D, itertools.repeat(g)), out[j:j + c])
+                x = _apply_maps(x, build(C[j:j + c]), out[j:j + c])
             return x
         return steps
 
@@ -444,7 +445,7 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
         C = eval_ct(schedule, _half_steps(k, len(out), cfg.dt_int))
         for j in range(0, len(out), chunk):
             c = min(chunk, len(out) - j)
-            D = build(C[2 * j:2 * (j + c) + 1])
+            D = build(C[2 * j:2 * (j + c) + 1])[:, :d]
             for i in range(c):
                 a1 = np.dot(x, D[2 * i]) + g
                 a2 = np.dot(x + a1, D[2 * i + 1]) + g
@@ -462,48 +463,46 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
     the state at step k less origin. run_simulation passes
     origin = 1 (x) v*, so that fill maps errors to errors.
 
-    Periodic linear runs with n m <= DENSE_MAX_DIM whose period of maps
-    holds no more floats than the largest cyclic-basis run's (m <= sqrt(n m)
-    maps at n m = DENSE_MAX_DIM, DENSE_MAX_DIM^2.5 floats, 8 MiB) step
-    through the affine one-step maps x -> x @ A + w of one schedule period
-    (see ``_affine_step``), shifted to z -> z @ A + (origin @ A + w - origin).
-    When a period of them fits in LIFT_BYTES, a block of B = L q steps
-    (see ``_block_shape``) is filled from two lifts of the shifted maps:
-    the outer one makes z at k + L, ..., k + (q - 1) L in one matvec, and
-    the inner one all of the block from those q starts in one GEMM.
-    Otherwise the block is filled step by step through the shifted maps.
-    Scalarized trigonometric runs with n m <= TRIG_MAP_MAX_DIM whose
-    table and buffers fit in LIFT_BYTES (see ``_trig_chunk``) step their
-    exact states through dense per-step maps (see ``_trig_steps``); every
-    other run (baseline compressors, larger trigonometric runs, longer
-    tables, n m > DENSE_MAX_DIM) steps them by the whole-state advance. Both
-    subtract origin from the block; a call that continues the block
-    returned last starts from its exact last state, so z + origin is
-    formed only at a run's first block.
+    Periodic linear runs with n m <= DENSE_MAX_DIM whose period of maps is
+    no larger than the largest cyclic-basis run's (8 MiB) step through the
+    maps [A; w] of ``_period_maps``. When a period of them fits in
+    LIFT_BYTES, a block of B = L q steps (see ``_block_shape``) is filled
+    from two lifts of those maps, held with the q block starts [z, 1] in
+    one array allocated per run: the outer lift makes z at k + L, ...,
+    k + (q - 1) L in one matvec, and the inner one all of the block from
+    those q starts in one GEMM. Otherwise the block is filled step by step
+    through the maps. Scalarized trigonometric runs with n m <=
+    TRIG_MAP_MAX_DIM whose table and buffers fit in LIFT_BYTES (see
+    ``_trig_chunk``) step their exact states through dense per-step maps
+    (see ``_trig_steps``); every other run (baseline compressors, larger
+    trigonometric runs, longer tables, n m > DENSE_MAX_DIM) steps them by
+    the whole-state advance. Both subtract origin from the block; a call
+    that continues the block returned last starts from its exact last
+    state, so z + origin is formed only at a run's first block.
     """
     n, m = inst.H.shape
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
     origin = np.zeros(d) if origin is None else origin
-    lap = inst.graph.laplacian
-    phase = _phase(schedule, cfg, mode)
-    if phase is not None and d <= DENSE_MAX_DIM and len(phase[0]) * d * d <= DENSE_MAX_DIM**2.5:
-        rows, stride = phase
-        maps = [(A, origin @ A + w - origin) for A, w in
-                (_affine_step(lap, inst.H, inst.b, cfg, mode, C) for C in rows)]
+    periodic = _period_maps(inst, schedule, cfg, mode, origin)
+    if periodic is not None:
+        stride, maps = periodic
         shape = _block_shape(len(maps) * stride, B, d)
         if shape is not None:
             L, q = shape
+            lifts = np.empty((d + 1, (L + q - 1) * d + q))
+            T, U, starts = lifts[:, :L * d], lifts[:, L * d:-q], lifts[:, -q:].T
+            starts[:, d] = 1.0
             with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
-                T, c = _lift(maps, stride, L)
-                U, u = _lift([(T[:, -d:], c[-d:])], 1, q - 1) if q > 1 else (T[:, :0], c[:0])
+                _lift(maps, stride, T)
+                if q > 1:
+                    _lift(T[None, :, -d:], 1, U)
 
             def lifted(k, z, count):
-                starts = np.empty((-(-count // L), d))
-                starts[0] = z
-                cols = (len(starts) - 1) * d
-                starts[1:] = (z @ U[:, :cols] + u[:cols]).reshape(-1, d)
-                return (starts @ T + c).reshape(-1, d)[:count]
+                p = -(-count // L)
+                starts[0, :d] = z
+                starts[1:p, :d] = (starts[0] @ U[:, :(p - 1) * d]).reshape(-1, d)
+                return (starts[:p] @ T).reshape(-1, d)[:count]
             return L * q, lifted
 
         def mapped(k, z, count):
@@ -512,8 +511,9 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
             return out
         return B, mapped
 
+    lap = inst.graph.laplacian
     chunk = None
-    if phase is None and cfg.compressor.kind == "scalarized":
+    if schedule.rows is None and cfg.compressor.kind == "scalarized":
         chunk = _trig_chunk(d, m, mode, B)
     if chunk is not None:
         steps = _trig_steps(lap, inst, schedule, cfg, mode, chunk)

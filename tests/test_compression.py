@@ -7,6 +7,7 @@ from scalareq.compression import (Compressor, PEWitness, compress_topk,
                                   compress_unbiased, compress_uniform, eval_ct,
                                   eval_dt, make_schedule, pe_gram_ct, pe_gram_dt,
                                   verify_pe_ct, verify_pe_dt)
+import scalareq.compression as compression
 from scalareq.errors import PEVerificationFailed
 
 from oracles import (interval_gram_ct, midpoint_gram_ct, sampled_alpha, scalarize,
@@ -108,17 +109,32 @@ def test_array_calls_equal_scalar_calls(schedule, shape):
     assert rows is None or np.array_equal(schedule.rows, rows)
 
 
+@pytest.mark.parametrize("schedule", [TRIG4, TRIG4_DWELL], ids=["trig", "trig-dwell"])
+def test_eval_dt_checks_a_trigonometric_step_once(monkeypatch, schedule):
+    # the steps are checked, not the clocks k * dwell a second time
+    calls = []
+    clocks = compression._clocks
+    monkeypatch.setattr(compression, "_clocks",
+                        lambda x, name, **kw: calls.append(name) or clocks(x, name, **kw))
+    eval_dt(schedule, np.arange(5))
+    eval_dt(schedule, 3)
+    assert calls == ["k", "k"]
+
+
 @pytest.mark.parametrize("evaluate, schedule, x, message", [
     (eval_dt, CYCLIC5, 2.7, "need whole k >= 0, got 2.7"),
     (eval_dt, TRIG4, np.array([3.0, 0.5]), "need whole k >= 0, got 0.5"),
     (eval_dt, TRIG4, np.nan, "need whole k >= 0, got nan"),
     (eval_dt, CYCLIC5, np.array([3, -2]), "need whole k >= 0, got -2"),
+    (eval_dt, make_schedule("trigonometric", 2, dwell=2.0, frequencies=(1.0,)), 1e308,
+     "need whole k >= 0, got 1e\\+308"),
     (eval_ct, TRIG4, np.nan, "need finite t >= 0, got nan"),
     (eval_ct, CYCLIC5, np.nan, "need finite t >= 0, got nan"),
     (eval_ct, TRIG4, np.inf, "need finite t >= 0, got inf"),
     (eval_ct, TABLE3, np.array([[0.1, -0.5]]), "need finite t >= 0, got -0.5"),
 ], ids=["fractional-step", "fractional-step-array", "nan-step", "negative-step-array",
-        "nan-clock-trig", "nan-clock-table", "inf-clock", "negative-clock-array"])
+        "step-whose-clock-overflows", "nan-clock-trig", "nan-clock-table", "inf-clock",
+        "negative-clock-array"])
 def test_eval_refuses_nan_negative_and_fractional_input(evaluate, schedule, x, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         evaluate(schedule, x)

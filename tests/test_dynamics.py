@@ -12,8 +12,8 @@ import scalareq.dynamics as dynamics
 import scalareq.harness as harness
 from scalareq.dynamics import (BLOCK_ELEMENTS, DENSE_MAX_DIM, LIFT_BYTES, MAX_BLOCK,
                                TRIG_MAP_MAX_DIM, RunConfig, Trace, run_simulation)
-from scalareq.dynamics import (_advance, _affine_step, _block_shape, _compression, _drift,
-                               _half_steps, _phase, _stepper, _trig_chunk)
+from scalareq.dynamics import (_advance, _block_shape, _compression, _drift, _half_steps,
+                               _period_maps, _phase, _stepper, _trig_chunk)
 from scalareq.errors import SimulationDiverged
 from scalareq.graph import WeightedGraph, build_graph
 from scalareq.harness import Config, ProblemInstance, gen_instance, run_experiment
@@ -881,6 +881,34 @@ def test_trigonometric_map_path_flips_at_the_constant(monkeypatch, mode, m):
         assert all(0 < size <= LIFT_BYTES for size in held)
 
 
+@pytest.mark.parametrize("mode, kind", [("dt", "scalarized"), ("dt", "none"),
+                                        ("ct", "scalarized"), ("ct", "none")])
+def test_lifted_path_holds_its_lifts_in_one_allocation(inst10, mode, kind):
+    # the inner lift, the outer lift and the block starts of a lifted run
+    # on the reference network are one numpy allocation, held while the
+    # run lasts: L + q - 1 maps with their offset rows, at most
+    # LIFT_BYTES (d + 1) / d, and q starts [z, 1]
+    cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 1.0, dt_int=1e-3,
+                    compressor=Compressor(kind))
+    d = inst10.n * inst10.m
+    inst10.graph.laplacian  # built once and held by the graph
+    tracemalloc.start()
+    try:
+        numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        before = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        B, fill = _stepper(inst10, SCHED5, cfg, mode, None, 2000)
+        after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+    finally:
+        tracemalloc.stop()
+    assert fill.__name__ == "lifted"
+    held = after.compare_to(before, "filename")
+    rows, stride = _phase(SCHED5, cfg, mode)
+    L, q = _block_shape(len(rows) * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, 2000), d)
+    assert B == L * q
+    assert sum(stat.count_diff for stat in held) == 1
+    assert 0 < sum(stat.size_diff for stat in held) <= LIFT_BYTES * (d + 1) / d + 8 * q * (d + 1)
+
+
 def test_trigonometric_chunks_fit_the_lift_budget():
     for m in range(1, 13):
         rows = m * (m + 1) // 2 + 1
@@ -893,8 +921,8 @@ def test_trigonometric_chunks_fit_the_lift_budget():
                     elif c is not None:
                         maps = per_step * c + extra
                         assert 1 <= c <= B
-                        assert 8 * (rows * d * d + d + 2 * rows + maps * (d * d + rows)) \
-                            <= LIFT_BYTES
+                        assert 8 * (rows * d * d + d + 2 * rows
+                                    + maps * (d * d + d + rows)) <= LIFT_BYTES
 
 
 def _row_norms(a):
@@ -974,25 +1002,58 @@ def test_error_coordinate_fill_matches_reference_steps(seed, mode, kind, sched_k
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["scalarized", "none"]),
        st.floats(1e-4, 0.05), st.floats(0.0, 3.0))
 def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
-    # the Horner-built ct map equals the midpoint-frozen RK4 step applied to
-    # the identity basis and to the zero state; the dt map is that step
+    # every row's Horner-built ct map [A; w] equals the midpoint-frozen RK4
+    # step applied to the identity basis (A) and to the zero state (w); the
+    # dt map is that step
     inst, sched, rng = _random_problem(seed)
     n, m = inst.H.shape
     d = n * m
-    L = inst.graph.laplacian
     cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
                     dt_int=dt, compressor=Compressor(kind))
     basis, zero = np.eye(d).reshape(d, n, m), np.zeros((n, m))
     for mode in ("ct", "dt"):
-        k = int(rng.integers(0, 30))
-        C = _compression(sched, cfg, mode)(k, 1)[0]
-        rows, stride = _phase(sched, cfg, mode)
-        advance = _advance(L, inst.H, cfg, mode)
-        A, w = _affine_step(L, inst.H, inst.b, cfg, mode, rows[(k // stride) % len(rows)])
-        A_rk4 = advance(C, basis, 0.0).reshape(d, d)
-        w_rk4 = advance(C, zero, inst.b).reshape(d)
-        assert np.abs(A - A_rk4).max() <= 1e-13
-        assert np.abs(w - w_rk4).max() <= 1e-13 * max(1.0, np.abs(w_rk4).max())
+        stride, maps = _period_maps(inst, sched, cfg, mode, np.zeros(d))
+        assert maps.shape == (len(_phase(sched, cfg, mode)[0]), d + 1, d)
+        advance = _advance(inst.graph.laplacian, inst.H, cfg, mode)
+        C_of = _compression(sched, cfg, mode)
+        for r, M in enumerate(maps):
+            C = C_of(r * stride, 1)[0]
+            A_rk4 = advance(C, basis, 0.0).reshape(d, d)
+            w_rk4 = advance(C, zero, inst.b).reshape(d)
+            assert np.abs(M[:d] - A_rk4).max() <= 1e-13
+            assert np.abs(M[d] - w_rk4).max() <= 1e-13 * max(1.0, np.abs(w_rk4).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["dt", "ct"]),
+       st.sampled_from(["scalarized", "none"]), st.booleans())
+def test_period_map_product_advances_one_period(seed, mode, kind, errors):
+    # the product of one period's maps, each applied stride times, is the
+    # period map M_P: from a state (or, with origin 1 (x) v*, an error) at
+    # a period multiple it gives the reference step's one period later
+    inst, sched, rng = _random_problem(seed)
+    n, m = inst.H.shape
+    d = n * m
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n,
+                    s=float(rng.uniform(0.0, 1.0)) / float(np.max(np.sum(inst.H ** 2, axis=1))),
+                    dt_int=0.01, compressor=Compressor(kind))
+    origin = np.tile(inst.v_star, n) if errors else np.zeros(d)
+    stride, maps = _period_maps(inst, sched, cfg, mode, origin)
+    period_map = np.eye(d + 1)  # homogeneous: [z, 1] -> [[z, 1] @ [A; w], 1]
+    for M in maps:
+        hom = np.eye(d + 1)
+        hom[:, :d] = M
+        period_map = period_map @ np.linalg.matrix_power(hom, stride)
+    period = len(maps) * stride
+    k = period * int(rng.integers(0, 4))
+    x = rng.standard_normal(d)
+    step = reference_step(inst, sched, cfg, mode, None)
+    want = x
+    for j in range(period):
+        want = step(k + j, want)
+    got = np.append(x - origin, 1.0) @ period_map[:, :d]
+    assert np.linalg.norm(got - (want - origin)) <= 1e-12 * max(np.linalg.norm(want),
+                                                              np.linalg.norm(x))
 
 
 def _patch_guard(monkeypatch, guard):
