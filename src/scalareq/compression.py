@@ -236,15 +236,16 @@ def _dirichlet(schedule, start, K):
 
 
 def pe_gram_dt(schedule, start, K):
-    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T:
-    the continuous one at dwell 1 for a period table, and for a
-    trigonometric schedule the Dirichlet-kernel sums of the steps'
-    sinusoids (see _dirichlet), whose cost does not grow with K."""
+    """Exact discrete window gram sum_{j=0}^{K-1} C[start+j] C[start+j]^T,
+    K >= 1 and start >= 0 whole: the continuous one at dwell 1 for a period
+    table, and for a trigonometric schedule the Dirichlet-kernel sums of the
+    steps' sinusoids (see _dirichlet), whose cost does not grow with K."""
     if K < 1 or start < 0:
         raise ValueError(f"need window K >= 1 and start >= 0, got K={K}, start={start}")
+    start, K = int(_clocks(start, "start", whole=True)), int(_clocks(K, "window K", whole=True))
     if schedule.rows is not None:
-        return _piecewise_grams(schedule, 1, int(K), [int(start)])[1][0]
-    return _trig_gram(schedule, _dirichlet(schedule, int(start), int(K)), K)
+        return _piecewise_grams(schedule, 1, K, [start])[1][0]
+    return _trig_gram(schedule, _dirichlet(schedule, start, K), K)
 
 
 def pe_gram_ct(schedule, start, T):
@@ -310,12 +311,12 @@ def verify_pe_ct(schedule, T):
 
 
 def verify_pe_dt(schedule, K):
-    """Certify discrete PE over windows of K steps, exactly: every start in
-    one schedule period is checked, for a trigonometric schedule start 0,
-    as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
+    """Certify discrete PE over windows of K steps, K >= 1 whole, exactly:
+    every start in one schedule period is checked, for a trigonometric
+    schedule start 0, as C[k + j] = R(k dwell) C[j] (see verify_pe_ct)."""
     if schedule.rows is not None and K >= 1:
-        starts = np.arange(schedule.period_steps)
-        return _verify(*_piecewise_grams(schedule, 1, int(K), starts), K)
+        steps = int(_clocks(K, "window K", whole=True))
+        return _verify(*_piecewise_grams(schedule, 1, steps, np.arange(schedule.period_steps)), K)
     return _verify([0], [pe_gram_dt(schedule, 0, K)], K)  # which rejects a bad K
 
 

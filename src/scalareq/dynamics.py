@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Compressor, account, eval_ct, eval_dt
+from .compression import Compressor, _clocks, account, eval_ct, eval_dt
 from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
@@ -94,10 +94,10 @@ TRIG_CHUNK_STEPS = 16
 class RunConfig:
     """Configuration of one simulation run.
 
-    horizon is a maximum step count for discrete runs and a maximum time
-    for continuous runs. tol is the accuracy target on the error metric
-    ||x - 1 (x) v*|| / n. record_every thins trace rows (the hitting row
-    is always recorded).
+    horizon is a maximum step count for discrete runs, a whole number,
+    and a maximum time for continuous runs. tol is the accuracy target on
+    the error metric ||x - 1 (x) v*|| / n. record_every, a whole number,
+    thins trace rows (the hitting row is always recorded).
     """
 
     h: float = 0.2
@@ -121,7 +121,9 @@ class RunConfig:
             raise ValueError(f"need s >= 0, got {self.s}")
         if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
+        _clocks(self.record_every, "record_every", whole=True)
         if mode == "dt":
+            _clocks(self.horizon, "horizon", whole=True)
             if not self.h > 0:
                 raise ValueError(f"need h > 0, got {self.h}")
             if inst.graph.edges and not self.h * inst.spectrum.lambda_n < 2.0:
@@ -156,6 +158,10 @@ def _first_disorder(clock, scalars, bits):
                        else "cumulative counters must be nondecreasing")
 
 
+TRACE_COLUMNS = dict(clock=float, err=float, disagreement=float,
+                     scalars_tx_cum=int, bits_tx_cum=int)
+
+
 @dataclass
 class Trace:
     """Per-step records of one run plus its outcome summary."""
@@ -171,10 +177,8 @@ class Trace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("clock", "err", "disagreement"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name in ("scalars_tx_cum", "bits_tx_cum"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name, kind in TRACE_COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), np.int64 if kind is int else kind))
         bad = _first_disorder(self.clock, self.scalars_tx_cum, self.bits_tx_cum)
         if bad:
             raise ValueError(bad[1])
@@ -311,27 +315,18 @@ def _period_maps(inst, schedule, cfg, mode, origin):
 
 
 def _lift(maps, stride, out):
-    """Write into out, a (d + 1, B d) array, the lift of a periodic affine
-    run whose step i maps the row state z to [z, 1] @ maps[(i // stride)
-    % len(maps)]: [z, 1] @ out[:, j d:(j+1) d] is the state j + 1 steps
-    after z, for j < B, when z sits at a multiple of the period P stride
-    (P = len(maps)), which divides B. A step is one product of a
-    (d + 1, d) block, its offset riding in the last row."""
+    """Write into out, a (d + 1, B d) array, the lift of B steps of a
+    periodic affine run whose step i maps the row state z to [z, 1] @
+    maps[(i // stride) % len(maps)]: [z, 1] @ out[:, j d:(j+1) d] is the
+    state j + 1 steps after z, for j < B, when z sits at a multiple of the
+    period len(maps) stride. Each step is one product of the block before
+    it with the step's A, the step's offset row w added to its last row."""
     d = maps.shape[2]
-    B, period = out.shape[1] // d, len(maps) * stride
     out[:, :d] = maps[0]
-    for j in range(1, period):
+    for j in range(1, out.shape[1] // d):
         M = maps[(j // stride) % len(maps)]
         np.matmul(out[:, (j - 1) * d:j * d], M[:d], out=out[:, j * d:(j + 1) * d])
         out[d, j * d:(j + 1) * d] += M[d]
-    done = period
-    while done < B:
-        # states done + 1, ... follow the state at done as 1, ... follow z
-        cols = min(done, B - done) * d
-        np.matmul(out[:, (done - 1) * d:done * d], out[:d, :cols],
-                  out=out[:, done * d:done * d + cols])
-        out[d, done * d:done * d + cols] += out[d, :cols]
-        done += cols // d
 
 
 def _block_shape(period, B, d):
@@ -548,8 +543,10 @@ def run_simulation(inst, schedule, cfg, mode):
     Communication counters follow compression.account, with one exchange
     round per discrete step (dt) or per integrator step (ct).
 
-    The run advances in blocks of B steps (see ``_stepper``), never past
-    the horizon, in error coordinates: each block is the errors
+    The run advances in blocks of B steps (see ``_stepper``) up to its last
+    step: step horizon in dt, in ct the first integrator step at or past
+    the horizon (horizon 0.0105 at dt_int 1e-3 ends at t = 0.011). It
+    steps in error coordinates: each block is the errors
     E = X - 1 (x) v* of its states. It evaluates each block's error
     norms (one norm pass over E), guard, stopping step and every
     record_every-th trace row (the disagreement of E, which is that of
@@ -621,7 +618,7 @@ def run_simulation(inst, schedule, cfg, mode):
                 stop |= bad
             stops = np.flatnonzero(stop)
             end = stops[0] if stops.size else last - k  # no block passes the horizon
-            keep = slice(-k % cfg.record_every, end, cfg.record_every)
+            keep = slice(int(-k % cfg.record_every), end, int(cfg.record_every))
             if end < len(E):
                 break
             record(ks[keep], err[keep], E[keep])

@@ -11,13 +11,11 @@ from functools import cached_property
 import numpy as np
 
 from .compression import Compressor, CompressionSchedule
-from .dynamics import RunConfig, Trace, _first_disorder, run_simulation
+from .dynamics import TRACE_COLUMNS, RunConfig, Trace, _first_disorder, run_simulation
 from .errors import RankDeficientError, SimulationDiverged
 from .graph import WeightedGraph, build_graph, laplacian_spectrum
 from .linalg import _check_planted
 
-TRACE_COLUMNS = {"clock": float, "err": float, "disagreement": float,
-                 "scalars_tx_cum": int, "bits_tx_cum": int}
 RESAMPLE_CAP = 10
 
 

@@ -9,7 +9,7 @@ per-step Lyapunov decrease beta.
 
 import numpy as np
 
-from .compression import eval_dt
+from .compression import _clocks, eval_dt
 from .dynamics import _exchange
 
 G_FLOOR = 1e-10
@@ -134,15 +134,16 @@ def observability_gram(spectrum, schedule, h, k, K):
     if not 0.0 < h < 2.0 / spectrum.lambda_n:
         raise ValueError(f"need 0 < h < 2/lambda_n = {2.0 / spectrum.lambda_n:.6g}, got {h}")
     m = schedule.m
+    k, K = int(_clocks(k, "k", whole=True)), int(_clocks(K, "window K", whole=True))
     if K < m:
         raise ValueError(f"window K={K} must be at least the compressed dimension m={m}")
     lams = spectrum.eigenvalues[1:]
     period = schedule.period_steps
-    blocks = _gram_blocks(lams, schedule, h, int(k), K)
+    blocks = _gram_blocks(lams, schedule, h, k, K)
     g = np.inf
     for k0 in range(period):
         # periodic schedules make the grammian depend on the start only mod period
-        Gb = blocks if k0 == int(k) % period else _gram_blocks(lams, schedule, h, k0, K)
+        Gb = blocks if k0 == k % period else _gram_blocks(lams, schedule, h, k0, K)
         g = min(g, float(np.linalg.eigvalsh(0.5 * (Gb + Gb.swapaxes(1, 2))).min()))
     return blocks, float(g) if g > G_FLOOR else 0.0
 
@@ -150,11 +151,12 @@ def observability_gram(spectrum, schedule, h, k, K):
 def lyapunov_v1(spectrum, schedule, h, K, k, z):
     """Windowed transition energy V1[k] = sum_{j=0}^{K-1} ||T[k+j,k] z||^2
     on the disagreement subspace (diagnostic for the discrete decrease)."""
+    k, K = int(_clocks(k, "k", whole=True)), int(_clocks(K, "window K", whole=True))
     lams = spectrum.eigenvalues[1:]
     # one one-node network per eigenvalue, as in _gram_blocks
     v = np.asarray(z, dtype=float).reshape(len(lams), 1, schedule.m)
     total = 0.0
-    for C in eval_dt(schedule, int(k) + np.arange(K)):
+    for C in eval_dt(schedule, k + np.arange(K)):
         total += float(np.vdot(v, v))
         v = v - h * _exchange(lams[:, None, None], v, C)
     return total

@@ -209,6 +209,23 @@ def test_pe_gram_dt_rejects_empty_window_or_negative_start(schedule, start, K):
         pe_gram_ct(schedule, start, K)
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda schedule: verify_pe_dt(schedule, 7.9), "need whole window K >= 0, got 7.9"),
+    (lambda schedule: verify_pe_dt(schedule, np.nan), "need whole window K >= 0, got nan"),
+    (lambda schedule: pe_gram_dt(schedule, 0, 5.5), "need whole window K >= 0, got 5.5"),
+    (lambda schedule: pe_gram_dt(schedule, 1.7, 5), "need whole start >= 0, got 1.7"),
+], ids=["verify-fractional-window", "verify-nan-window", "gram-fractional-window",
+        "gram-fractional-start"])
+@pytest.mark.parametrize("schedule", [CYCLIC5, TRIG4], ids=["cyclic", "trig"])
+def test_pe_dt_refuses_a_fractional_window_or_start(schedule, check, message):
+    # a window of K steps from a start step follows the rule of eval_dt's
+    # steps: a fractional K or start is refused, not read as its floor
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(schedule)
+    assert verify_pe_dt(schedule, 8.0) == verify_pe_dt(schedule, 8)
+    assert np.array_equal(pe_gram_dt(schedule, 1.0, 5.0), pe_gram_dt(schedule, 1, 5))
+
+
 RESONANT = make_schedule("trigonometric", 4, dwell=1.0, frequencies=(1.5, 1.5))
 
 

@@ -641,6 +641,22 @@ def test_runconfig_refuses_non_finite_settings(inst10, mode, setting, match):
         RunConfig(**setting).validate(inst10, SCHED5, mode)
 
 
+@pytest.mark.parametrize("mode, setting, message", [
+    ("dt", {"horizon": 10.5}, "need whole horizon >= 0, got 10.5"),
+    ("dt", {"horizon": 0.5}, "need whole horizon >= 0, got 0.5"),
+    ("dt", {"record_every": 1.5}, "need whole record_every >= 0, got 1.5"),
+    ("ct", {"record_every": 2.5, "horizon": 0.01}, "need whole record_every >= 0, got 2.5"),
+], ids=["dt-horizon", "dt-horizon-below-one", "dt-record-every", "ct-record-every"])
+def test_runconfig_refuses_fractional_steps(inst10, mode, setting, message):
+    # a dt horizon counts steps and record_every thins rows by steps: 10.5
+    # would run 10 steps under horizon=10.5, 0.5 none, and 1.5 fail in a slice
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_simulation(inst10, SCHED5, RunConfig(**setting), mode)
+    # whole floats are steps
+    tr = run_simulation(inst10, SCHED5, RunConfig(horizon=10.0, record_every=2.0), "dt")
+    assert tr.clock.tolist() == [0, 2, 4, 6, 8, 10]
+
+
 def test_schedule_refuses_nan_dwell_and_frequency():
     with pytest.raises(ValueError, match="dwell > 0"):
         make_schedule("cyclic-basis", 5, dwell=np.nan)

@@ -168,6 +168,20 @@ def test_observability_gram_validation(pair):
         observability_gram(pair, sched, h=0.2, k=0, K=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda spec: observability_gram(spec, SCHED5, 0.2, 0, 5.5), "window K >= 0, got 5.5"),
+    (lambda spec: observability_gram(spec, SCHED5, 0.2, 1.7, 5), "k >= 0, got 1.7"),
+    (lambda spec: lyapunov_v1(spec, SCHED5, 0.2, 2.5, 0, np.ones(45)), "window K >= 0, got 2.5"),
+    (lambda spec: lyapunov_v1(spec, SCHED5, 0.2, 3, 1.7, np.ones(45)), "k >= 0, got 1.7"),
+    (lambda spec: lyapunov_v1(spec, SCHED5, 0.2, 3, np.nan, np.ones(45)), "k >= 0, got nan"),
+], ids=["gram-window", "gram-start", "v1-window", "v1-start", "v1-nan-start"])
+def test_window_and_start_must_be_whole_steps(cycle10, call, message):
+    # the rule of eval_dt's steps: K = 2.5 is not summed as 3 windows, nor
+    # k = 1.7 read as start 1
+    with pytest.raises(ValueError, match=f"^need whole {message}$"):
+        call(cycle10)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
