@@ -23,21 +23,23 @@ eval_ct: one call per block, at all of its steps and RK4 stages, or one
 per run for the period of cached maps. Every dense map [A; w] maps a row
 state z to [z, 1] @ [A; w] = z A + w. Periodic runs with
 n m <= DENSE_MAX_DIM whose period of maps fits in those of the largest
-cyclic-basis run (8 MiB) step through one stack of error maps read off
-the drift on the identity basis (``_period_maps``). They advance a whole
-block by two lifts of those maps, held with the block starts [e, 1] in
-one array: an outer lift gives the errors at k, k + L, ...,
-k + (q - 1) L in one matrix-vector product, and an inner lift the
-B = L q errors of the block from those q starts in one matrix product.
-Scalarized trigonometric runs with n m <= TRIG_MAP_MAX_DIM step their
-exact states through dense per-step maps D_k = D0 - h (L (x) C_k C_k^T),
-built a chunk at a time by one product of the chunk's C_k C_k^T
-coefficients with a table read off the exchange on the identity basis: a
-dt step is one matrix-vector product by [I + D_k; g], a ct RK4 step
-four, with C at every stage time. Every other run steps its exact states
-through the one solver field ``_drift``, with h L and s H bound once per
-run, and writes each step of the whole state straight into its row of
-the block. The node-by-node step, the right-hand sides and the RK4
+cyclic-basis run (8 MiB), gates that ``_stepper`` alone holds, step
+through one stack of error maps read off the drift on the identity basis
+(``_period_maps``, built at any size). Where two lifts of those maps
+serve two or more block starts, they advance a whole block, held with
+the block starts [e, 1] in one array: an outer lift gives the errors at
+k, k + L, ..., k + (q - 1) L in one matrix-vector product, and an inner
+lift the B = L q errors of the block from those starts in one matrix
+product; otherwise the maps step one at a time. Scalarized trigonometric
+runs with n m <= TRIG_MAP_MAX_DIM step their exact states through dense
+per-step maps D_k = D0 - h (L (x) C_k C_k^T), built a chunk at a time by
+one product of the chunk's C_k C_k^T coefficients with a table read off
+the exchange on the identity basis: a dt step is one matrix-vector
+product by [I + D_k; g], a ct RK4 step four, with C at every stage time.
+Every other run steps its exact states through the one solver field
+``_drift``, with h L and s H bound once per run, and writes each step of
+the whole state straight into its row of the block; a trace's meta names
+the path and B. The node-by-node step, the right-hand sides and the RK4
 integrator that the tests compare against live in tests/oracles.py.
 """
 
@@ -50,16 +52,12 @@ from .errors import SimulationDiverged
 
 DIVERGENCE_GUARD = 1e12
 # Largest n m whose periodic runs step through cached dense one-step
-# maps rather than applying the structured operator. Measured per step
-# of whole 2000-step dt and 1000-step ct runs, bookkeeping included, best
-# of 7 interleaved (2-vCPU x86 host, one BLAS thread, cycle graph, m = 5,
-# cyclic-basis schedule, dwell 0.01, dt_int 1e-3): dt dense 11.0 / 12.4 /
-# 24.2 / 38.5 us against structured 12.4 / 12.7 / 13.0 / 14.5 us at
-# n m = 150 / 200 / 250 / 300, crossing near 200; the four-stage ct step
-# crosses later, dense 35.0 / 56.4 / 76.9 us against structured 57.9 /
-# 76.4 / 69.6 us at 250 / 300 / 350. The constant sits between the two
-# crossovers: moving it to either one slows the other mode's runs in
-# between by up to about 2x.
+# maps rather than the structured operator. Per step of 2000-step runs,
+# best of 7 in 6 rounds (2-vCPU x86 host, one BLAS thread, cycle, m = 5,
+# cyclic basis, dt s = 0.02, ct s = 0.5, dt_int 1e-3), the maps one step
+# at a time against structured at n m = 200 / 255: dt 10.7 / 24.6 against
+# 12.1 / 13.0 us, crossing near 210; ct 11.2 / 23.5 against 52 / 52 us.
+# Between the two crossovers one constant slows one mode by up to 2x.
 DENSE_MAX_DIM = 256
 # A block holds at most BLOCK_ELEMENTS state entries (B n m) and at most
 # MAX_BLOCK steps, since a run computes up to B - 1 states past its
@@ -282,21 +280,18 @@ def _advance(L, H, cfg, mode, rng=None):
     return advance
 
 
-def _period_maps(inst, schedule, cfg, mode, origin):
-    """(stride, maps) of a periodic linear run (see ``_phase``) of P rows,
-    n m = d <= DENSE_MAX_DIM and P d^2 <= DENSE_MAX_DIM^2.5, else None:
-    the (P, d + 1, d) error maps [A_r; w_r], step k of row r = (k //
-    stride) % P taking z = x - origin to [z, 1] @ [A_r; w_r]. All rows'
+def _period_maps(inst, rows, cfg, mode, origin):
+    """The (P, d + 1, d) error maps [A_r; w_r], d = n m, of a periodic
+    linear run whose P compression rows are rows (see ``_phase``): the
+    steps of row r take z = x - origin to [z, 1] @ [A_r; w_r]. Built at
+    any d; ``_stepper`` decides which runs step through them. All rows'
     steps x -> x A + g are read off one drift on the identity basis (D)
     and one at 0: x + drift(x) in dt; in ct RK4 on the frozen field, the
     Taylor polynomial x P(Z) + dt g Q(Z) of exp(dt D), Z = dt D, in Horner
     form, Q(Z) = I + Z/2 + Z^2/6 + Z^3/24 and P(Z) = I + Z Q(Z) (three
     products where RK4 takes four drifts). w = origin A + g - origin."""
-    phase, H = _phase(schedule, cfg, mode), inst.H
+    H = inst.H
     d = H.size
-    if phase is None or d > DENSE_MAX_DIM or len(phase[0]) * d * d > DENSE_MAX_DIM**2.5:
-        return None
-    rows, stride = phase
     P, C = len(rows), None if rows[0] is None else rows
     basis = np.broadcast_to(np.eye(d).reshape(d, *H.shape), (P, d) + H.shape)
     hL, sH, eye = (cfg.h if mode == "dt" else 1.0) * inst.graph.laplacian, cfg.s * H, np.eye(d)
@@ -311,7 +306,7 @@ def _period_maps(inst, schedule, cfg, mode, origin):
     maps = np.empty((P, d + 1, d))
     np.add(eye, D, out=maps[:, :d])
     maps[:, d] = origin @ maps[:, :d] + g[:, 0] - origin
-    return stride, maps
+    return maps
 
 
 def _lift(maps, stride, out):
@@ -330,17 +325,16 @@ def _lift(maps, stride, out):
 
 
 def _block_shape(period, B, d):
-    """(L, q) of a two-level lifted block of at most about B steps, or
-    None when one period of d x d maps exceeds LIFT_BYTES: an inner lift
-    over L steps, the multiple of the period nearest sqrt(B), and an
-    outer lift of the L-step map over q - 1 repeats. A block has L q
-    steps, and the two lifts hold L + q - 1 maps, fewest near L = sqrt(B);
+    """(L, q) of a two-level lifted block of at most B steps, or None
+    when it would serve fewer than two starts, which the one-step maps
+    outpace: an inner lift over L steps, the multiple of the period
+    nearest sqrt(B), and an outer lift of the L-step map over q - 1
+    repeats. The two lifts hold L + q - 1 maps, fewest near L = sqrt(B);
     L and q shrink until those fit in LIFT_BYTES."""
     fits = LIFT_BYTES // (8 * d * d)
-    if period > fits:
-        return None
     L = period * max(1, min(round(np.sqrt(B) / period), fits // period))
-    return L, max(1, min(B // L, fits - L + 1))
+    q = min(B // L, fits - L + 1)
+    return (L, q) if q >= 2 else None
 
 
 def _apply_maps(z, maps, out):
@@ -452,36 +446,35 @@ def _trig_steps(L, inst, schedule, cfg, mode, chunk):
 
 
 def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
-    """(B, fill) for one run of at most last steps: fill(k, z, count)
-    returns the states at steps k + 1, ..., k + count (k a multiple of B,
-    count <= B) less origin (default 0), as a (count, n m) array, given z,
-    the state at step k less origin. run_simulation passes
-    origin = 1 (x) v*, so that fill maps errors to errors.
+    """(B, fill) for one run of at most last steps: fill(k, z, count) returns the
+    states at steps k + 1, ..., k + count (k a multiple of B, count <= B) less
+    origin (default 0), as a (count, n m) array, given z, the state at step k
+    less origin. run_simulation passes origin = 1 (x) v*, so that fill maps
+    errors to errors. fill.path names its path.
 
-    Periodic linear runs with n m <= DENSE_MAX_DIM whose period of maps is
-    no larger than the largest cyclic-basis run's (8 MiB) step through the
-    maps [A; w] of ``_period_maps``. When a period of them fits in
-    LIFT_BYTES, a block of B = L q steps (see ``_block_shape``) is filled
-    from two lifts of those maps, held with the q block starts [z, 1] in
-    one array allocated per run: the outer lift makes z at k + L, ...,
-    k + (q - 1) L in one matvec, and the inner one all of the block from
-    those q starts in one GEMM. Otherwise the block is filled step by step
-    through the maps. Scalarized trigonometric runs with n m <=
+    Periodic linear runs with n m <= DENSE_MAX_DIM whose period of maps is no
+    larger than the largest cyclic-basis run's (8 MiB) step through the maps
+    [A; w] of ``_period_maps``; these gates are held here alone. When two
+    lifts of those maps serve q >= 2 block starts (``_block_shape``), a block
+    of B = L q steps is filled from them, held with the starts [z, 1] in one
+    array per run ("lifted"); otherwise the block is filled step by step
+    through the maps ("mapped"). Scalarized trigonometric runs with n m <=
     TRIG_MAP_MAX_DIM whose table and buffers fit in LIFT_BYTES (see
     ``_trig_chunk``) step their exact states through dense per-step maps
-    (see ``_trig_steps``); every other run (baseline compressors, larger
-    trigonometric runs, longer tables, n m > DENSE_MAX_DIM) steps them by
-    the whole-state advance. Both subtract origin from the block; a call
-    that continues the block returned last starts from its exact last
-    state, so z + origin is formed only at a run's first block.
+    (``_trig_steps``, "trig-maps"); every other run (baseline compressors,
+    larger trigonometric runs, longer tables, n m > DENSE_MAX_DIM) steps them
+    by the whole-state advance ("structured"). Both subtract origin from the
+    block; a call that continues the block returned last starts from its exact
+    last state, so z + origin is formed only at a run's first block.
     """
     n, m = inst.H.shape
     d = n * m
     B = max(1, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last))
     origin = np.zeros(d) if origin is None else origin
-    periodic = _period_maps(inst, schedule, cfg, mode, origin)
-    if periodic is not None:
-        stride, maps = periodic
+    phase = _phase(schedule, cfg, mode)
+    if phase is not None and d <= DENSE_MAX_DIM and len(phase[0]) * d * d <= DENSE_MAX_DIM**2.5:
+        rows, stride = phase
+        maps = _period_maps(inst, rows, cfg, mode, origin)
         shape = _block_shape(len(maps) * stride, B, d)
         if shape is not None:
             L, q = shape
@@ -490,20 +483,21 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
             starts[:, d] = 1.0
             with np.errstate(over="ignore", invalid="ignore"):  # an unstable run's maps
                 _lift(maps, stride, T)
-                if q > 1:
-                    _lift(T[None, :, -d:], 1, U)
+                _lift(T[None, :, -d:], 1, U)
 
             def lifted(k, z, count):
                 p = -(-count // L)
                 starts[0, :d] = z
                 starts[1:p, :d] = (starts[0] @ U[:, :(p - 1) * d]).reshape(-1, d)
                 return (starts[:p] @ T).reshape(-1, d)[:count]
+            lifted.path = "lifted"
             return L * q, lifted
 
         def mapped(k, z, count):
             out = np.empty((count, d))
             _apply_maps(z, (maps[((k + j) // stride) % len(maps)] for j in range(count)), out)
             return out
+        mapped.path = "mapped"
         return B, mapped
 
     lap = inst.graph.laplacian
@@ -530,6 +524,7 @@ def _stepper(inst, schedule, cfg, mode, rng, last, origin=None):
         end[:] = k + count, steps(k, x, out)
         out -= origin
         return out
+    fill.path = "structured" if chunk is None else "trig-maps"
     return B, fill
 
 
@@ -596,7 +591,7 @@ def run_simulation(inst, schedule, cfg, mode):
                 "mode": mode, "h": cfg.h, "s": cfg.s, "dt_int": cfg.dt_int,
                 "tol": cfg.tol, "horizon": cfg.horizon, "seed": cfg.seed,
                 "compressor": cfg.compressor.label, "schedule": schedule.kind,
-                "record_every": cfg.record_every,
+                "record_every": cfg.record_every, "path": fill.path, "block": B,
             },
         )
 

@@ -18,6 +18,24 @@ from .errors import DisconnectedGraphError
 ZERO_EIG_TOL = 1e-9
 
 
+def _edge(n, edge, seen):
+    """(min(i, j), max(i, j), w) of an edge (i, j, w) on nodes 0..n-1, its
+    pair added to seen; raises ValueError for a self-loop, a node out of
+    range, a weight not finite and positive or a pair already in seen."""
+    i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"edge ({i},{j}) outside node range 0..{n - 1}")
+    if not 0 < w < np.inf:
+        raise ValueError(f"edge ({i},{j}) has weight {w}, not finite and positive")
+    i, j = min(i, j), max(i, j)
+    if (i, j) in seen:
+        raise ValueError(f"duplicate edge ({i},{j})")
+    seen.add((i, j))
+    return i, j, w
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple undirected weighted graph on nodes 0..n-1.
@@ -33,39 +51,17 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        seen = set()
-        norm = []
-        for (i, j, w) in self.edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) outside node range 0..{self.n - 1}")
-            if not 0 < w < np.inf:
-                raise ValueError(f"edge ({i},{j}) has weight {w}, not finite and positive")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            norm.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(norm))
-        comp = self.component_of(0)
+        pairs = set()
+        object.__setattr__(self, "edges", tuple(_edge(self.n, e, pairs) for e in self.edges))
+        comp, stack = {0}, [0]  # the component of node 0, by an iterative traversal
+        while stack:
+            for v, _ in self.neighbor_lists[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
         if len(comp) != self.n:
             raise DisconnectedGraphError(
                 f"graph is disconnected; component of node 0 is {sorted(comp)}")
-
-    def component_of(self, start):
-        """Set of nodes reachable from ``start`` (iterative traversal)."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, _ in self.neighbor_lists[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
 
     @cached_property
     def neighbor_lists(self):

@@ -12,8 +12,8 @@ import numpy as np
 
 from .compression import Compressor, CompressionSchedule
 from .dynamics import TRACE_COLUMNS, RunConfig, Trace, _first_disorder, run_simulation
-from .errors import RankDeficientError, SimulationDiverged
-from .graph import WeightedGraph, build_graph, laplacian_spectrum
+from .errors import DisconnectedGraphError, RankDeficientError, SimulationDiverged
+from .graph import WeightedGraph, _edge, build_graph, laplacian_spectrum
 from .linalg import _check_planted
 
 RESAMPLE_CAP = 10
@@ -455,8 +455,9 @@ def load_instance(path):
     """Read an instance file written by :func:`save_instance`.
 
     A file that is empty, ends early, holds a malformed line, a value
-    that is not a number or a float that is not finite, or has a line
-    after v_star raises ValueError naming the line.
+    that is not a number or a float that is not finite, an edge that
+    WeightedGraph refuses, or has a line after v_star raises ValueError
+    naming the line; a disconnected graph names the file.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -480,18 +481,25 @@ def load_instance(path):
         fail(lines[0][0], f"need n, m >= 1, got n={n}, m={m}")
     Hb = np.array([fields(1 + i, f"row {i}", (float,) * (m + 1)) for i in range(n)])
     H, b = Hb[:, :m].copy(), Hb[:, m].copy()
-    edges = []
+    edges, seen = [], set()
     for i in range(1 + n, len(lines)):
-        toks = lines[i][1]
+        no, toks = lines[i]
         if toks[0] == "v_star":
             v_star = np.array(fields(i, "the v_star line", (str,) + (float,) * m)[1:])
             if i + 1 < len(lines):
                 fail(lines[i + 1][0], "unexpected line after the v_star line")
             break
-        edges.append(tuple(fields(i, "edge", (int, int, float))))
+        edge = fields(i, "edge", (int, int, float))
+        try:
+            edges.append(_edge(n, edge, seen))
+        except ValueError as exc:
+            fail(no, exc)
     else:
         fail(len(raw) + 1, "file ends before the v_star line")
-    graph = WeightedGraph(n=n, edges=tuple(edges))
+    try:
+        graph = WeightedGraph(n=n, edges=tuple(edges))
+    except DisconnectedGraphError as exc:
+        raise DisconnectedGraphError(f"{path}: {exc}") from None
     return ProblemInstance(H=H, b=b, graph=graph, v_star=v_star, seed=None)
 
 

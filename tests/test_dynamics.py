@@ -954,8 +954,9 @@ def _row_norms(a):
        st.sampled_from(["scalarized", "none"]), st.sampled_from(["table", "cyclic-basis"]),
        st.integers(1, 400))
 def test_two_level_fill_matches_one_step_maps(seed, mode, kind, sched_kind, last):
-    # every prefix of a lifted block, from a block start, equals the
-    # states of the one-step reference step applied count times
+    # every prefix of a lifted block, or of a block of one-step maps where
+    # a lift would serve one start, from a block start, equals the states
+    # of the one-step reference step applied count times
     inst, sched, rng = _random_problem(seed)
     n, m = inst.H.shape
     d = n * m
@@ -965,9 +966,13 @@ def test_two_level_fill_matches_one_step_maps(seed, mode, kind, sched_kind, last
                     s=float(rng.uniform(0.0, 0.5)), dt_int=0.01, compressor=Compressor(kind))
     B, fill = _stepper(inst, sched, cfg, mode, None, last)
     rows, stride = _phase(sched, cfg, mode)
-    L, q = _block_shape(len(rows) * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last), d)
-    assert B == L * q and L % (len(rows) * stride) == 0
-    assert (L + q - 1) * d * d * 8 <= LIFT_BYTES
+    shape = _block_shape(len(rows) * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last), d)
+    if shape is None:  # no room for a second block start: the one-step maps
+        assert fill.__name__ == "mapped"
+    else:
+        L, q = shape
+        assert fill.__name__ == "lifted" and B == L * q and L % (len(rows) * stride) == 0
+        assert (L + q - 1) * d * d * 8 <= LIFT_BYTES
     k = B * int(rng.integers(0, 3))
     x = rng.standard_normal(d)
     step = reference_step(inst, sched, cfg, mode, None)
@@ -1014,22 +1019,16 @@ def test_error_coordinate_fill_matches_reference_steps(seed, mode, kind, sched_k
     assert np.all(_row_norms(got - (want - ref)) <= 1e-12 * scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["scalarized", "none"]),
-       st.floats(1e-4, 0.05), st.floats(0.0, 3.0))
-def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
-    # every row's Horner-built ct map [A; w] equals the midpoint-frozen RK4
-    # step applied to the identity basis (A) and to the zero state (w); the
-    # dt map is that step
-    inst, sched, rng = _random_problem(seed)
+def _assert_maps_match_rk4(inst, sched, cfg):
+    """Every row's map [A; w] of _period_maps, dt and ct, equals the step
+    of _advance on the identity basis (A) and on the zero state (w)."""
     n, m = inst.H.shape
     d = n * m
-    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
-                    dt_int=dt, compressor=Compressor(kind))
     basis, zero = np.eye(d).reshape(d, n, m), np.zeros((n, m))
     for mode in ("ct", "dt"):
-        stride, maps = _period_maps(inst, sched, cfg, mode, np.zeros(d))
-        assert maps.shape == (len(_phase(sched, cfg, mode)[0]), d + 1, d)
+        rows, stride = _phase(sched, cfg, mode)
+        maps = _period_maps(inst, rows, cfg, mode, np.zeros(d))
+        assert maps.shape == (len(rows), d + 1, d)
         advance = _advance(inst.graph.laplacian, inst.H, cfg, mode)
         C_of = _compression(sched, cfg, mode)
         for r, M in enumerate(maps):
@@ -1038,6 +1037,37 @@ def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
             w_rk4 = advance(C, zero, inst.b).reshape(d)
             assert np.abs(M[:d] - A_rk4).max() <= 1e-13
             assert np.abs(M[d] - w_rk4).max() <= 1e-13 * max(1.0, np.abs(w_rk4).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scalarized", "none"]),
+       st.floats(1e-4, 0.05), st.floats(0.0, 3.0))
+def test_taylor_ct_maps_match_rk4_on_the_identity_basis(seed, kind, dt, s):
+    # every row's Horner-built ct map [A; w] equals the midpoint-frozen RK4
+    # step applied to the identity basis (A) and to the zero state (w); the
+    # dt map is that step
+    inst, sched, rng = _random_problem(seed)
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
+                    dt_int=dt, compressor=Compressor(kind))
+    _assert_maps_match_rk4(inst, sched, cfg)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scalarized", "none"]),
+       st.floats(1e-4, 0.05), st.floats(0.0, 3.0))
+def test_taylor_ct_maps_match_rk4_above_the_dense_gate(seed, kind, dt, s):
+    # the same at 260 <= n m <= 300, above DENSE_MAX_DIM: _period_maps builds
+    # the maps of a periodic run at any size, and _stepper alone gates them
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    inst = _random_instance(rng, int(rng.integers(-(-260 // m), 300 // m + 1)), m)
+    assert DENSE_MAX_DIM < inst.n * m <= 300
+    table = rng.standard_normal((int(rng.integers(1, 7)), m))
+    sched = make_schedule("table", m, dwell=0.05,
+                          table=table / np.linalg.norm(table, axis=1, keepdims=True))
+    cfg = RunConfig(h=float(rng.uniform(0.05, 0.95)) * 2.0 / inst.spectrum.lambda_n, s=s,
+                    dt_int=dt, compressor=Compressor(kind))
+    _assert_maps_match_rk4(inst, sched, cfg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1054,7 +1084,8 @@ def test_period_map_product_advances_one_period(seed, mode, kind, errors):
                     s=float(rng.uniform(0.0, 1.0)) / float(np.max(np.sum(inst.H ** 2, axis=1))),
                     dt_int=0.01, compressor=Compressor(kind))
     origin = np.tile(inst.v_star, n) if errors else np.zeros(d)
-    stride, maps = _period_maps(inst, sched, cfg, mode, origin)
+    rows, stride = _phase(sched, cfg, mode)
+    maps = _period_maps(inst, rows, cfg, mode, origin)
     period_map = np.eye(d + 1)  # homogeneous: [z, 1] -> [[z, 1] @ [A; w], 1]
     for M in maps:
         hom = np.eye(d + 1)
@@ -1122,15 +1153,21 @@ def test_guard_bound_above_half_reports_the_exact_norm(monkeypatch, guard, s, x0
 
 @given(st.integers(1, 60), st.integers(1, MAX_BLOCK), st.integers(1, DENSE_MAX_DIM))
 def test_block_shape_fits_the_lift_budget(period, B, d):
+    # a shape serves q >= 2 block starts: L a multiple of the period, the
+    # L + q - 1 maps within LIFT_BYTES and L q <= B. None exactly when no
+    # q >= 2 fits beside the inner lift L, the multiple of the period
+    # nearest sqrt(B) within the budget; so always when even L = period
+    # leaves no room for a second start
     shape = _block_shape(period, B, d)
     maps = LIFT_BYTES // (8 * d * d)
-    if period > maps:
+    L = period * max(1, min(round(np.sqrt(B) / period), maps // period))
+    assert (shape is None) == (min(B // L, maps - L + 1) < 2)
+    if period + 1 > maps or 2 * period > B:
         assert shape is None
-        return
-    L, q = shape
-    assert L % period == 0 and q >= 1 and L + q - 1 <= maps
-    # no longer than asked, unless one period is longer
-    assert L * q <= max(B, period)
+    if shape is not None:
+        q = shape[1]
+        assert shape[0] == L and L % period == 0
+        assert q >= 2 and L + q - 1 <= maps and L * q <= B
 
 
 @pytest.mark.parametrize("mode, kind, B", [
@@ -1142,6 +1179,28 @@ def test_reference_network_lifts_blocks_of_150_steps(inst10, mode, kind, B):
     cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 1.0, dt_int=1e-3,
                     compressor=Compressor(kind))
     assert _stepper(inst10, SCHED5, cfg, mode, None, 2000)[0] == B
+
+
+@pytest.mark.parametrize("mode, steps", [("dt", 7), ("ct", 60)])
+def test_short_reference_runs_step_through_one_step_maps(inst10, mode, steps):
+    # fewer steps than two inner lifts (5 dt, 50 ct steps): a lift would
+    # serve one block start, so the run applies the one-step maps
+    cfg = RunConfig(h=0.2, s=0.02 if mode == "dt" else 0.5, dt_int=1e-3, tol=1e-300,
+                    horizon=steps if mode == "dt" else steps * 1e-3)
+    trace = run_simulation(inst10, SCHED5, cfg, mode)
+    assert (trace.meta["path"], trace.meta["block"]) == ("mapped", steps)
+    _assert_same_run(trace, run_simulation_stepwise(inst10, SCHED5, cfg, mode))
+
+
+@pytest.mark.parametrize("path", ["lifted", "mapped", "trig", "structured"])
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_trace_meta_names_the_fill_path_and_block(path, mode):
+    inst, sched, cfg = _fill_case(0, path, mode, "scalarized")
+    cfg = replace(cfg, tol=1e-300, horizon=300 if mode == "dt" else 0.3)
+    B, fill = _stepper(inst, sched, cfg, mode, None, 300)
+    trace = run_simulation(inst, sched, cfg, mode)
+    assert fill.path == {"trig": "trig-maps"}.get(path, path)
+    assert (trace.meta["path"], trace.meta["block"]) == (fill.path, B)
 
 
 def test_every_cyclic_basis_run_caches_its_maps():

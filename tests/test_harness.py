@@ -285,7 +285,9 @@ def _run_meta(draw):
     return {"mode": mode, "h": draw(GAINS), "s": draw(st.one_of(st.just(0.0), GAINS)),
             "dt_int": draw(GAINS), "tol": draw(GAINS), "horizon": draw(horizon),
             "seed": draw(st.integers(0, 2**63 - 1)), "compressor": draw(LABELS),
-            "schedule": draw(st.sampled_from(KINDS)), "record_every": draw(st.integers(1, 10**6))}
+            "schedule": draw(st.sampled_from(KINDS)), "record_every": draw(st.integers(1, 10**6)),
+            "path": draw(st.sampled_from(["lifted", "mapped", "trig-maps", "structured"])),
+            "block": draw(st.integers(1, 256))}
 
 
 COUNTS = st.integers(0, 2**63 - 1)
@@ -422,25 +424,38 @@ def test_load_instance_rejects_missing_solution(tmp_path):
         load_instance(path)
 
 
+# a 4-node instance file whose edges, from line 6 on, are filled in
+EDGES = "4 1\n1 2\n2 4\n3 6\n4 8\n{}\nv_star 2\n"
+
+
 @pytest.mark.parametrize("text,where", [
-    ("", "line 1: file ends before the 'n m' header"),
-    ("# only a comment\n\n", "line 3: file ends before the 'n m' header"),
-    ("3 1\n1.0 2.0\n", "line 3: file ends before row 1"),
-    ("1 x\n", "line 1: the 'n m' header has a non-numeric value"),
-    ("2 1\n1.0 2.0\n\n3.0 six\n", "line 4: row 1 has a non-numeric value"),
-    ("2 1\n1.0 2.0\n3.0\n", "line 3: row 1 needs 2 values, got 1"),
-    ("2 1\n1.0 2.0\n3.0 6.0\n0 one 1.0\nv_star 2.0\n", "line 4: edge has a non-numeric"),
-    ("2 1\n1.0 2.0\n3.0 6.0\n0 1 1.0\nv_star\n", "line 5: the v_star line needs 2 values"),
+    ("", ", line 1: file ends before the 'n m' header"),
+    ("# only a comment\n\n", ", line 3: file ends before the 'n m' header"),
+    ("3 1\n1.0 2.0\n", ", line 3: file ends before row 1"),
+    ("1 x\n", ", line 1: the 'n m' header has a non-numeric value"),
+    ("2 1\n1.0 2.0\n\n3.0 six\n", ", line 4: row 1 has a non-numeric value"),
+    ("2 1\n1.0 2.0\n3.0\n", ", line 3: row 1 needs 2 values, got 1"),
+    ("2 1\n1.0 2.0\n3.0 6.0\n0 one 1.0\nv_star 2.0\n", ", line 4: edge has a non-numeric"),
+    ("2 1\n1.0 2.0\n3.0 6.0\n0 1 1.0\nv_star\n", ", line 5: the v_star line needs 2 values"),
     ("3 1\n1 2\n2 4\n3 6\n0 1 1.0\n1 2 1.0\nv_star 2\n0 2 1.0\n",
-     "line 8: unexpected line after the v_star line"),
-    ("# no nodes\n0 1\n", "line 2: need n, m >= 1, got n=0, m=1"),
-    ("2 0\n", "line 1: need n, m >= 1, got n=2, m=0"),
+     ", line 8: unexpected line after the v_star line"),
+    ("# no nodes\n0 1\n", ", line 2: need n, m >= 1, got n=0, m=1"),
+    ("2 0\n", ", line 1: need n, m >= 1, got n=2, m=0"),
+    (EDGES.format("0 1 1.0\n0 9 1.0"), ", line 7: edge (0,9) outside node range 0..3"),
+    (EDGES.format("0 1 1.0\n1 1 1.0"), ", line 7: self-loop at node 1"),
+    (EDGES.format("0 1 1.0\n1 2 1.0\n1 0 2.0"), ", line 8: duplicate edge (0,1)"),
+    (EDGES.format("0 1 0.0"), ", line 6: edge (0,1) has weight 0.0, not finite and positive"),
+    (EDGES.format("0 1 -1.0"), ", line 6: edge (0,1) has weight -1.0, not finite and positive"),
+    (EDGES.format("0 1 1.0\n2 3 1.0"),
+     ": graph is disconnected; component of node 0 is [0, 1]"),
 ], ids=["empty", "comments-only", "short", "header-text", "row-text", "row-width",
-        "edge-text", "v_star-width", "edge-after-v_star", "n-zero", "m-zero"])
+        "edge-text", "v_star-width", "edge-after-v_star", "n-zero", "m-zero",
+        "edge-out-of-range", "self-loop", "duplicate-edge", "zero-weight", "negative-weight",
+        "disconnected"])
 def test_load_instance_names_the_bad_line(tmp_path, text, where):
     path = tmp_path / "broken.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=where):
+    with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
         load_instance(path)
 
 
