@@ -21,26 +21,26 @@ RunConfig.validate, which checks every input of a run, reads lambda_n
 only for the dt step size. Compression vectors come from eval_dt or
 eval_ct: one call per block, at all of its steps and RK4 stages, or one
 per run for the period of cached maps. Every dense map [A; w] maps a row
-state z to [z, 1] @ [A; w] = z A + w. Periodic runs with
-n m <= DENSE_MAX_DIM whose period of maps fits in those of the largest
-cyclic-basis run (8 MiB), gates that ``_stepper`` alone holds, step
-through one stack of error maps read off the drift on the identity basis
-(``_period_maps``, built at any size). Where two lifts of those maps
-serve two or more block starts, they advance a whole block, held with
-the block starts [e, 1] in one array: an outer lift gives the errors at
-k, k + L, ..., k + (q - 1) L in one matrix-vector product, and an inner
-lift the B = L q errors of the block from those starts in one matrix
-product; otherwise the maps step one at a time. Scalarized trigonometric
-runs with n m <= TRIG_MAP_MAX_DIM step their exact states through dense
-per-step maps D_k = D0 - h (L (x) C_k C_k^T), built a chunk at a time by
-one product of the chunk's C_k C_k^T coefficients with a table read off
-the exchange on the identity basis: a dt step is one matrix-vector
-product by [I + D_k; g], a ct RK4 step four, with C at every stage time.
-Every other run steps its exact states through the one solver field
-``_drift``, with h L and s H bound once per run, and writes each step of
-the whole state straight into its row of the block; a trace's meta names
-the path and B. The node-by-node step, the right-hand sides and the RK4
-integrator that the tests compare against live in tests/oracles.py.
+state z to [z, 1] @ [A; w] = z A + w.
+
+``_stepper`` fills each block by one of four paths, and its docstring
+alone says which runs take which:
+- lifted: two lifts of a periodic run's error maps (``_period_maps``),
+  held with the block starts [e, 1] in one array, give a block in two
+  products: the outer lift the errors at k, k + L, ..., k + (q - 1) L,
+  the inner lift the B = L q errors of the block from those starts;
+- mapped: the same maps step the errors one at a time;
+- trig-maps: a scalarized trigonometric run steps its exact states
+  through dense per-step maps D_k = D0 - h (L (x) C_k C_k^T), built a
+  chunk at a time by one product of the chunk's C_k C_k^T coefficients
+  with a table read off the exchange on the identity basis
+  (``_trig_steps``);
+- structured: the exact states step through the one solver field
+  ``_drift``, with h L and s H bound once per run, each step of the
+  whole state written straight into its row of the block.
+A trace's meta names the path (``path``) and B (``block``). The
+node-by-node step, the right-hand sides and the RK4 integrator that the
+tests compare against live in tests/oracles.py.
 """
 
 from dataclasses import dataclass, field
@@ -88,6 +88,12 @@ TRIG_MAP_MAX_DIM = 64
 TRIG_CHUNK_STEPS = 16
 
 
+def _check_stepsize(h, lambda_n):
+    """Refuse a discrete step size outside 0 < h < 2 / lambda_n, nan included."""
+    if not 0.0 < h < 2.0 / lambda_n:
+        raise ValueError(f"need 0 < h < 2/lambda_n = {2.0 / lambda_n:.6g}, got {h}")
+
+
 @dataclass
 class RunConfig:
     """Configuration of one simulation run.
@@ -124,9 +130,8 @@ class RunConfig:
             _clocks(self.horizon, "horizon", whole=True)
             if not self.h > 0:
                 raise ValueError(f"need h > 0, got {self.h}")
-            if inst.graph.edges and not self.h * inst.spectrum.lambda_n < 2.0:
-                raise ValueError(f"stepsize h={self.h} violates h < 2/lambda_n = "
-                                 f"{2.0 / inst.spectrum.lambda_n:.6g}")
+            if inst.graph.edges:
+                _check_stepsize(self.h, inst.spectrum.lambda_n)
         elif mode == "ct":
             if self.compressor.kind not in ("scalarized", "none"):
                 raise ValueError(

@@ -91,8 +91,6 @@ def gen_instance(n, m, v_star, graph_kind="cycle", seed=0, weight=1.0):
     v = np.asarray(v_star, dtype=float)
     if v.shape != (m,):
         raise ValueError(f"v_star must have length {m}, got shape {v.shape}")
-    if n < m:
-        raise ValueError(f"need n >= m, got n={n}, m={m}")
     graph = WeightedGraph(n=1) if n == 1 else build_graph(graph_kind, n, weight)
     rng = np.random.default_rng([seed, 0])
     for _ in range(RESAMPLE_CAP):

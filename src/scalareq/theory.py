@@ -10,7 +10,7 @@ per-step Lyapunov decrease beta.
 import numpy as np
 
 from .compression import _clocks, eval_dt
-from .dynamics import _exchange
+from .dynamics import _check_stepsize, _exchange
 
 G_FLOOR = 1e-10
 TELESCOPE_TOL = 1e-9
@@ -131,8 +131,7 @@ def observability_gram(spectrum, schedule, h, k, K):
     the minimum of lambda_min(G_K) over one schedule period of start
     indices; a non-exciting schedule reports g = 0.
     """
-    if not 0.0 < h < 2.0 / spectrum.lambda_n:
-        raise ValueError(f"need 0 < h < 2/lambda_n = {2.0 / spectrum.lambda_n:.6g}, got {h}")
+    _check_stepsize(h, spectrum.lambda_n)
     m = schedule.m
     k, K = int(_clocks(k, "k", whole=True)), int(_clocks(K, "window K", whole=True))
     if K < m:

@@ -263,7 +263,7 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
      "topk compressor needs k >= 1"),
     (["compare", "--mode", "dt", "--compressors", "topk", "--seeds", "0", "--out", "r.csv"],
      "", "topk compressor needs k >= 1"),
-    (["run", "--mode", "dt", "--out", "t.csv"], "graph.n = 3\n", "need n >= m, got n=3, m=5"),
+    (["run", "--mode", "dt", "--out", "t.csv"], "graph.n = 3\n", "need n >= m >= 1, got n=3, m=5"),
     (["pe-check", "--window", "5"], "schedule.kind = table\nschedule.table_file = missing.txt\n",
      "schedule.table_file = missing.txt: "),
     (["bounds"], "schedule.kind = table\nschedule.table_file = {bad}\n",
@@ -276,7 +276,7 @@ def test_compare_takes_compressor_settings_from_the_config(tmp_path, capsys, kin
      "unknown graph kind 'custom'"),
     (["bounds"], "graph.kind = custom\n", "unknown graph kind 'custom'"),
     (["run", "--mode", "dt", "--out", "t.csv"], "run.h = 5.0\n",
-     "stepsize h=5.0 violates h < 2/lambda_n = 0.5"),
+     "need 0 < h < 2/lambda_n = 0.5, got 5.0"),
     (["bounds"], "run.h = 5.0\n", "need 0 < h < 2/lambda_n = 0.5, got 5.0"),
     (["run", "--mode", "dt", "--out", "t.csv"], "compressor.kind = topk\ncompressor.k = 9\n",
      "topk accounting needs 1 <= k <= 5, got 9"),
@@ -425,7 +425,7 @@ NON_FINITE_INSTANCES = (("weight-nan", 5, "0 1 nan", "edge"), ("weight-inf", 6, 
      r"--instance: instance invalid: v_star does not solve H v = b: backward error "),
     (["gen", "--out", "i.txt"], "instance.m = 2\n", 2,
      r"\S*run\.cfg, line 4: instance\.v_star has 5 values but instance\.m = 2"),
-    (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m, got n=1, m=5"),
+    (["gen", "--out", "i.txt"], "graph.n = 1\n", 2, r"need n >= m >= 1, got n=1, m=5"),
     (["run", "--mode", "dt", "--instance", "tail.txt", "--out", "t.csv"], "", 2,
      r"--instance: tail\.txt, line 8: unexpected line after the v_star line"),
 ] + [

@@ -807,7 +807,7 @@ def test_structured_fill_matches_stepwise_oracle(seed, mode, kind, where, steps,
                     compressor=Compressor(kind), seed=int(rng.integers(0, 1000)),
                     record_every=every)
     B, fill = _stepper(inst, sched, cfg, mode, None, steps)
-    assert n * m > DENSE_MAX_DIM and fill.__name__ == "fill"
+    assert n * m > DENSE_MAX_DIM and fill.path == "structured"
     full = run_simulation_stepwise(inst, sched, replace(cfg, record_every=1), mode)
     hits = [k for k in _record_lows(full.err) if _decided_alike(full, k)
             and (where == "random" or k % B == (1 if where == "first" else 0))]
@@ -861,8 +861,8 @@ def test_trigonometric_runs_match_stepwise_oracle_across_the_crossover(
     cfg = RunConfig(h=h, s=s, dt_int=dt_int, tol=1e-300, record_every=every,
                     horizon=steps if mode == "dt" else steps * dt_int,
                     seed=int(rng.integers(0, 1000)))
-    B = _stepper(inst, sched, cfg, mode, None, steps)[0]
-    assert (_trig_chunk(n * m, m, mode, B) is None) == above
+    fill = _stepper(inst, sched, cfg, mode, None, steps)[1]
+    assert fill.path == ("structured" if above else "trig-maps")
     _run_both(inst, sched, cfg, mode)
 
 
@@ -891,9 +891,9 @@ def test_trigonometric_map_path_flips_at_the_constant(monkeypatch, mode, m):
     for n, eligible in ((top, True), (top + 1, False)):
         held.clear()
         inst = gen_instance(n, m, V_STAR[:m], seed=0)
-        B = _stepper(inst, sched, cfg, mode, None, 1000)[0]
-        assert (_trig_chunk(n * m, m, mode, B) is not None) == eligible
-        assert len(held) == eligible
+        fill = _stepper(inst, sched, cfg, mode, None, 1000)[1]
+        assert fill.path == ("trig-maps" if eligible else "structured")
+        assert len(held) == (fill.path == "trig-maps")  # the spy measured the table's one build
         assert all(0 < size <= LIFT_BYTES for size in held)
 
 
@@ -916,7 +916,7 @@ def test_lifted_path_holds_its_lifts_in_one_allocation(inst10, mode, kind):
         after = tracemalloc.take_snapshot().filter_traces(numpy_only)
     finally:
         tracemalloc.stop()
-    assert fill.__name__ == "lifted"
+    assert fill.path == "lifted"
     held = after.compare_to(before, "filename")
     rows, stride = _phase(SCHED5, cfg, mode)
     L, q = _block_shape(len(rows) * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, 2000), d)
@@ -967,12 +967,12 @@ def test_two_level_fill_matches_one_step_maps(seed, mode, kind, sched_kind, last
     B, fill = _stepper(inst, sched, cfg, mode, None, last)
     rows, stride = _phase(sched, cfg, mode)
     shape = _block_shape(len(rows) * stride, min(MAX_BLOCK, BLOCK_ELEMENTS // d, last), d)
-    if shape is None:  # no room for a second block start: the one-step maps
-        assert fill.__name__ == "mapped"
-    else:
+    if fill.path == "lifted":
         L, q = shape
-        assert fill.__name__ == "lifted" and B == L * q and L % (len(rows) * stride) == 0
+        assert B == L * q and L % (len(rows) * stride) == 0
         assert (L + q - 1) * d * d * 8 <= LIFT_BYTES
+    else:  # no room for a second block start: the one-step maps
+        assert fill.path == "mapped" and shape is None
     k = B * int(rng.integers(0, 3))
     x = rng.standard_normal(d)
     step = reference_step(inst, sched, cfg, mode, None)
@@ -1199,7 +1199,7 @@ def test_trace_meta_names_the_fill_path_and_block(path, mode):
     cfg = replace(cfg, tol=1e-300, horizon=300 if mode == "dt" else 0.3)
     B, fill = _stepper(inst, sched, cfg, mode, None, 300)
     trace = run_simulation(inst, sched, cfg, mode)
-    assert fill.path == {"trig": "trig-maps"}.get(path, path)
+    assert fill.path == FILL_PATHS.get(path, path)
     assert (trace.meta["path"], trace.meta["block"]) == (fill.path, B)
 
 
@@ -1211,7 +1211,7 @@ def test_every_cyclic_basis_run_caches_its_maps():
         sched = make_schedule("cyclic-basis", m, dwell=0.01)
         for mode in ("dt", "ct"):
             fill = _stepper(inst, sched, RunConfig(h=0.2, s=0.02, dt_int=1e-3), mode, None, 1000)[1]
-            assert fill.__name__ in ("lifted", "mapped"), (m, mode)
+            assert fill.path in ("lifted", "mapped"), (m, mode)
 
 
 def test_long_table_steps_structured_within_the_cache_bound():
@@ -1222,7 +1222,7 @@ def test_long_table_steps_structured_within_the_cache_bound():
     sched = make_schedule("table", 5, dwell=0.01,
                           table=table / np.linalg.norm(table, axis=1, keepdims=True))
     cfg = RunConfig(h=0.2, s=0.02, horizon=50, tol=1e-300)
-    assert _stepper(inst, sched, cfg, "dt", None, 50)[1].__name__ == "fill"
+    assert _stepper(inst, sched, cfg, "dt", None, 50)[1].path == "structured"
     tracemalloc.start()
     try:
         trace = run_simulation(inst, sched, cfg, "dt")
@@ -1254,24 +1254,28 @@ FILL_CASES += [(path, mode, "scalarized") for path in ("mapped", "trig") for mod
 FILL_CASES += [("structured", mode, kind) for mode in ("dt", "ct")
                for kind in ("scalarized", "none")]
 FILL_CASES += [("structured", "dt", kind) for kind in ("topk", "uniform")]
+FILL_PATHS = {"trig": "trig-maps"}  # the fill.path of each case's short name
 
 
 def _fill_case(seed, path, mode, kind):
-    """(inst, schedule, cfg) of a random problem whose _stepper fills by
-    path: a small network on a table schedule (lifted), n m = 60 on a
-    40-row table (mapped: a period of maps exceeds LIFT_BYTES), a
-    trigonometric schedule at n m <= TRIG_MAP_MAX_DIM (trig), or n m >= 260
-    (structured). h lambda_n and s max ||h_i||^2 are at most 0.95, so no
-    dt step expands the errors; ct steps of 1e-3 are as safe."""
+    """(inst, schedule, cfg) of a valid random run meant to fill by path: a
+    small network on a table schedule (lifted), n m = 60 on a 40-row table
+    (mapped: a period of maps exceeds LIFT_BYTES), a trigonometric
+    schedule at n m <= TRIG_MAP_MAX_DIM (trig: m = 4, or m = 2 on networks
+    of 2 or 3 nodes), or n m >= 260 (structured). h lambda_n and
+    s max ||h_i||^2 are at most 0.95, so no dt step expands the errors;
+    ct steps of 1e-3 are as safe."""
     rng = np.random.default_rng(seed)
     n, m, rows = {"lifted": (int(rng.integers(2, 9)), int(rng.integers(1, 4)),
                              int(rng.integers(1, 7))),
                   "mapped": (12, 5, 40), "trig": (int(rng.integers(2, 17)), 4, None),
                   "structured": (int(rng.integers(52, 61)), 5, 5)}[path]
+    if rows is None:
+        m = 4 if n >= 4 else 2
     inst = _random_instance(rng, n, min(m, n))
     if rows is None:
-        sched = make_schedule("trigonometric", 4, dwell=float(rng.uniform(0.01, 1.0)),
-                              frequencies=rng.uniform(0.1, 3.0, size=2))
+        sched = make_schedule("trigonometric", inst.m, dwell=float(rng.uniform(0.01, 1.0)),
+                              frequencies=rng.uniform(0.1, 3.0, size=inst.m // 2))
     else:
         table = rng.standard_normal((rows, inst.m))
         table /= np.linalg.norm(table, axis=1, keepdims=True)
@@ -1284,13 +1288,13 @@ def _fill_case(seed, path, mode, kind):
 
 def _two_fills(path, inst, sched, cfg, mode, z):
     """Errors of two consecutive blocks from the error z at step 0, once the
-    fill that _stepper returned is checked to take path."""
+    run is checked to be valid and the fill that _stepper returned to take
+    path."""
+    cfg.validate(inst, sched, mode)
     origin = np.tile(inst.v_star, inst.n)
     rng = np.random.default_rng([cfg.seed, 2])
     B, fill = _stepper(inst, sched, cfg, mode, rng, 600, origin=origin)
-    trig = _phase(sched, cfg, mode) is None and cfg.compressor.kind == "scalarized"
-    assert fill.__name__ == (path if path in ("lifted", "mapped") else "fill")
-    assert (path == "trig") == (trig and _trig_chunk(inst.n * inst.m, inst.m, mode, B) is not None)
+    assert fill.path == FILL_PATHS.get(path, path)
     first = fill(0, z, B)
     return np.concatenate([first, fill(B, first[-1], B)])
 
